@@ -133,8 +133,12 @@ class Partition:
         return len(self.assignment)
 
     def balance_ratio(self) -> float:
-        avg = self.part_weights.sum() / self.p
-        return float(self.part_weights.max() / avg - 1.0)
+        """max part weight / average - 1, rounded once from the integers so
+        that a part exactly on the cap reads exactly epsilon."""
+        total = int(self.part_weights.sum())
+        if total == 0:
+            return 0.0
+        return (self.p * int(self.part_weights.max()) - total) / total
 
     def is_balanced(self) -> bool:
         cap = (1.0 + self.epsilon) * self.part_weights.sum() / self.p

@@ -1,12 +1,18 @@
-"""Balanced p-way partitioners: random, graph FM, hypergraph FM, stochastic.
+"""Balanced p-way partitioners: random placement and recursive-bisection FM.
 
-The internal partitioners use recursive bisection (p restricted to powers
-of two; arbitrary p comes in via external partition files). Each bisection
-is a seeded BFS region-growing split followed by flat Fiduccia-Mattheyses
-passes: best-gain moves under the balance cap, every vertex moved at most
-once per pass, rollback to the best prefix. The hypergraph engine
-maintains per-net side pin counts so move gains are the exact change of
-the connectivity-1 cut.
+Every FM partitioner minimizes the same objective with the same engine: the
+connectivity-1 cut of a hypergraph whose pins are stored in CSR form (net j
+pins ``pins[offsets[j]:offsets[j+1]]``). The graph partitioner hands its
+undirected edges over as 2-pin nets, whose connectivity-1 cut is exactly
+the edge cut; the hypergraph and stochastic partitioners hand over their
+nets as they are.
+
+Recursive bisection restricts the pins to the vertices being split once per
+level (p restricted to powers of two; arbitrary p comes in via external
+partition files). Each bisection is a seeded BFS region-growing split
+followed by flat Fiduccia-Mattheyses passes: best-gain moves under the
+balance cap, every vertex moved at most once per pass, rollback to the best
+prefix. Per-net side pin counts make move gains the exact change of the cut.
 
 Each bisection side holding q leaf parts is capped at q * (1+eps) * W_avg
 (its true leaf budget, so integer vertex weights never make intermediate
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +37,9 @@ from .models import (
 )
 from .sparse import CsrMatrix
 
+FM_PASSES = 8  # refinement passes per bisection; a pass that gains nothing ends them
+RESTARTS = 3  # BFS seeds tried per bisection; best refined cut wins
+
 
 class BalanceInfeasibleError(ValueError):
     """Raised when no assignment can satisfy the balance constraint."""
@@ -40,176 +50,168 @@ class PartitionConfig:
     p: int
     epsilon: float = 0.01
     seed: int = 0
-    fm_passes: int = 8
-    refinement: bool = True
-    restarts: int = 3  # BFS seeds tried per bisection; best refined cut wins
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-        if self.fm_passes < 0:
-            raise ValueError("fm_passes must be >= 0")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 # ---------------------------------------------------------------------------
-# bisection engines
+# pins in CSR form and the bisection engine
 
 
-class GraphBisection:
-    """Edge-cut state for a 2-way split of a (sub)graph.
+class Nets(NamedTuple):
+    """n vertices and the nets over them: net j pins
+    pins[offsets[j]:offsets[j+1]] at cost costs[j]."""
 
-    Maintains the cut and per-vertex move gains exactly under move();
-    move() is its own inverse, which the FM rollback relies on.
-    """
+    n: int
+    offsets: np.ndarray
+    pins: np.ndarray
+    costs: np.ndarray
 
-    def __init__(self, n: int, edges: np.ndarray, costs: np.ndarray, side: np.ndarray):
-        self.n = n
-        self.side = np.asarray(side, dtype=np.int8).copy()
-        self.adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for (u, v), c in zip(edges, costs):
-            self.adj[u].append((int(v), float(c)))
-            self.adj[v].append((int(u), float(c)))
-        self.gains = np.zeros(n)
-        self._cut = 0.0
-        for (u, v), c in zip(edges, costs):
-            if self.side[u] != self.side[v]:
-                self._cut += c
-        for v in range(n):
-            self.gains[v] = self._gain_of(v)
+    def net_of_pin(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.costs)), np.diff(self.offsets))
 
-    def _gain_of(self, v: int) -> float:
-        g = 0.0
-        sv = self.side[v]
-        for u, c in self.adj[v]:
-            g += c if self.side[u] != sv else -c
-        return g
+    def per_net_sum(self, values: np.ndarray) -> np.ndarray:
+        """Integer per-pin values summed over each net."""
+        acc = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+        return acc[self.offsets[1:]] - acc[self.offsets[:-1]]
 
-    def cut(self) -> float:
-        return self._cut
 
-    def recompute_cut(self) -> float:
-        total = 0.0
-        for v in range(self.n):
-            sv = self.side[v]
-            for u, c in self.adj[v]:
-                if u > v and self.side[u] != sv:
-                    total += c
-        return total
+def _graph_nets(g: UGraph) -> Nets:
+    """Each undirected edge as a 2-pin net."""
+    offsets = np.arange(0, 2 * g.n_edges + 1, 2, dtype=np.int64)
+    return Nets(g.n_vertices, offsets, g.edges.ravel(), g.edge_cost)
 
-    def neighbors(self, v: int):
-        for u, _ in self.adj[v]:
-            yield u
 
-    def move(self, v: int) -> None:
-        self._cut -= self.gains[v]
-        sv = self.side[v]
-        for u, c in self.adj[v]:
-            # u was on v's side: the edge turns cut; otherwise it turns internal
-            self.gains[u] += 2.0 * c if self.side[u] == sv else -2.0 * c
-        self.side[v] = 1 - sv
-        self.gains[v] = -self.gains[v]
+def _hypergraph_nets(h: Hypergraph) -> Nets:
+    sizes = [len(pins) for pins in h.nets]
+    offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+    pins = np.concatenate([np.zeros(0, dtype=np.int64), *h.nets])
+    return Nets(h.n_vertices, offsets, pins, h.net_cost)
+
+
+def _restrict(nets: Nets, keep: np.ndarray) -> Nets:
+    """The nets induced by the ascending vertex ids `keep`, renumbered
+    0..len(keep)-1. Nets left with fewer than two pins cannot be cut and
+    are dropped; the order of nets and of pins within a net is kept."""
+    local = np.full(nets.n, -1, dtype=np.int64)
+    local[keep] = np.arange(len(keep), dtype=np.int64)
+    pins = local[nets.pins]
+    kept = pins >= 0
+    net_of_pin = nets.net_of_pin()
+    sizes = np.bincount(net_of_pin[kept], minlength=len(nets.costs))
+    cuttable = sizes >= 2
+    offsets = np.concatenate(([0], np.cumsum(sizes[cuttable])))
+    return Nets(len(keep), offsets, pins[kept & cuttable[net_of_pin]], nets.costs[cuttable])
 
 
 class HypergraphBisection:
     """Connectivity-1 cut state for a 2-way split of a (sub)hypergraph.
 
-    Per-net side pin counts give O(pins) gain maintenance. For p = 2 the
-    connectivity-1 cut is exactly the cost sum over nets with pins on both
-    sides.
+    For two parts the connectivity-1 cut is the cost sum over nets with
+    pins on both sides. Per-net side pin counts give O(pins) gain
+    maintenance under move(), and per-net side sums of pin ids name the
+    lone pin on a side without scanning the net. move() is its own
+    inverse, which the FM rollback relies on. Gains stay exact as long as
+    sums of net costs are exact in float64 (integer costs, as every model
+    here has).
     """
 
-    def __init__(self, n: int, pins: list[np.ndarray], costs: np.ndarray, side: np.ndarray):
-        self.n = n
-        self.pins = [np.asarray(p, dtype=np.int64) for p in pins]
-        self.costs = np.asarray(costs, dtype=np.float64)
-        self.side = np.asarray(side, dtype=np.int8).copy()
-        self.nets_of: list[list[int]] = [[] for _ in range(n)]
-        for j, p in enumerate(self.pins):
-            for v in p:
-                self.nets_of[int(v)].append(j)
-        self.counts = np.zeros((len(self.pins), 2), dtype=np.int64)
-        for j, p in enumerate(self.pins):
-            self.counts[j, 0] = int((self.side[p] == 0).sum())
-            self.counts[j, 1] = len(p) - self.counts[j, 0]
-        self._cut = float(self.costs[(self.counts[:, 0] > 0) & (self.counts[:, 1] > 0)].sum())
-        self.gains = np.array([self._gain_of(v) for v in range(n)])
+    def __init__(self, nets: Nets, side: np.ndarray):
+        self.n = nets.n
+        self._offsets = nets.offsets.tolist()
+        self._pins = nets.pins.tolist()
+        self._costs = nets.costs.tolist()
+        self._nets = nets
+        # vertex -> nets incidence, nets ascending per vertex
+        self._net_of_pin = nets.net_of_pin()
+        order = np.argsort(nets.pins, kind="stable")
+        self._vtx_offsets = np.concatenate(
+            ([0], np.cumsum(np.bincount(nets.pins, minlength=self.n)))
+        ).tolist()
+        self._vtx_nets = self._net_of_pin[order].tolist()
+        self.assign(side)
 
-    def _gain_of(self, v: int) -> float:
-        sv = int(self.side[v])
-        g = 0.0
-        for j in self.nets_of[v]:
-            if self.counts[j, 1 - sv] > 0:
-                g += self.costs[j]
-            if self.counts[j, sv] > 1:
-                g -= self.costs[j]
-        return g
+    def assign(self, side: np.ndarray) -> None:
+        """Put every vertex on the given side and rebuild counts, gains and cut."""
+        nets = self._nets
+        pins, costs = nets.pins, nets.costs
+        self.side = np.asarray(side, dtype=np.int8).copy()
+        on1 = self.side[pins].astype(np.int64)
+        count1 = nets.per_net_sum(on1)
+        count0 = np.diff(nets.offsets) - count1
+        idsum1 = nets.per_net_sum(pins * on1)
+        idsum0 = nets.per_net_sum(pins) - idsum1
+        self._counts = (count0.tolist(), count1.tolist())
+        self._idsums = (idsum0.tolist(), idsum1.tolist())
+        self._cut = float(costs[(count0 > 0) & (count1 > 0)].sum())
+        # moving a pin uncuts its net when the pin is alone on its side and
+        # the other side has pins; it cuts the net when the other side is
+        # empty and the pin's own side has more pins
+        nop = self._net_of_pin
+        own = np.where(on1 == 1, count1[nop], count0[nop])
+        other = np.where(on1 == 1, count0[nop], count1[nop])
+        per_pin = costs[nop] * ((other > 0).astype(np.float64) - (own > 1))
+        self.gains = np.bincount(pins, weights=per_pin, minlength=self.n)
 
     def cut(self) -> float:
         return self._cut
 
-    def recompute_cut(self) -> float:
-        total = 0.0
-        for j, p in enumerate(self.pins):
-            s = self.side[p]
-            if (s == 0).any() and (s == 1).any():
-                total += self.costs[j]
-        return total
-
-    def neighbors(self, v: int):
-        for j in self.nets_of[v]:
-            for u in self.pins[j]:
-                if u != v:
-                    yield int(u)
-
-    def _single_pin_on(self, j: int, side_val: int, exclude: int) -> int:
-        for u in self.pins[j]:
-            u = int(u)
-            if u != exclude and self.side[u] == side_val:
-                return u
-        raise AssertionError("pin count bookkeeping out of sync")
+    def neighbors(self, v: int) -> list[int]:
+        """The distinct vertices sharing a net with v, ascending."""
+        found = set()
+        for j in self._vtx_nets[self._vtx_offsets[v] : self._vtx_offsets[v + 1]]:
+            found.update(self._pins[self._offsets[j] : self._offsets[j + 1]])
+        found.discard(v)
+        return sorted(found)
 
     def move(self, v: int) -> None:
+        gains, pins, offsets, costs = self.gains, self._pins, self._offsets, self._costs
         sv = int(self.side[v])
         ov = 1 - sv
-        for j in self.nets_of[v]:
-            c = self.costs[j]
-            f, t = int(self.counts[j, sv]), int(self.counts[j, ov])
-            was_cut = t > 0
-            if t == 0:
-                for u in self.pins[j]:
+        count_from, count_to = self._counts[sv], self._counts[ov]
+        idsum_from, idsum_to = self._idsums[sv], self._idsums[ov]
+        self._cut -= gains[v]
+        for j in self._vtx_nets[self._vtx_offsets[v] : self._vtx_offsets[v + 1]]:
+            c = costs[j]
+            f = count_from[j] - 1
+            t = count_to[j]
+            if t == 0:  # the net turns cut: every other pin gains c
+                for u in pins[offsets[j] : offsets[j + 1]]:
                     if u != v:
-                        self.gains[int(u)] += c
-            elif t == 1:
-                self.gains[self._single_pin_on(j, ov, v)] -= c
-            self.counts[j, sv] = f - 1
-            self.counts[j, ov] = t + 1
-            if f - 1 == 0:
-                for u in self.pins[j]:
+                        gains[u] += c
+            elif t == 1:  # the lone pin on the target side can no longer uncut it
+                gains[idsum_to[j]] -= c
+            count_from[j] = f
+            count_to[j] = t + 1
+            idsum_from[j] -= v
+            idsum_to[j] += v
+            if f == 0:  # the net turns uncut: every other pin loses c
+                for u in pins[offsets[j] : offsets[j + 1]]:
                     if u != v:
-                        self.gains[int(u)] -= c
-            elif f - 1 == 1:
-                self.gains[self._single_pin_on(j, sv, v)] += c
-            is_cut = (f - 1) > 0
-            self._cut += c * (int(is_cut) - int(was_cut))
+                        gains[u] -= c
+            elif f == 1:  # the one pin left behind can now uncut it
+                gains[idsum_from[j]] += c
         self.side[v] = ov
-        self.gains[v] = self._gain_of(v)
+        gains[v] = -gains[v]
 
 
 # ---------------------------------------------------------------------------
 # bisection driver
 
 
-def _grow_bfs(engine, weights: np.ndarray, rng, min_count: int, target: float) -> None:
-    """Grow side 0 from a seeded vertex until its weight is closest to target.
+def _grow_bfs(engine, weights: np.ndarray, rng, min_count: int, target: float) -> np.ndarray:
+    """Side 0 grown from a seeded vertex until its weight is closest to
+    target; everything else on side 1.
 
-    engine.side must start all ones; visits jump to the lowest unvisited
-    vertex when a component is exhausted.
+    Visits jump to the lowest unvisited vertex when a component is
+    exhausted.
     """
     n = len(weights)
+    side = np.ones(n, dtype=np.int8)
     visited = np.zeros(n, dtype=bool)
     seed = int(rng.integers(0, n))
     queue = deque([seed])
@@ -228,16 +230,16 @@ def _grow_bfs(engine, weights: np.ndarray, rng, min_count: int, target: float) -
         closer = abs(acc + w - target) < abs(acc - target)
         if not closer and taken >= min_count:
             break
-        engine.side[v] = 0
+        side[v] = 0
         acc += w
         taken += 1
-        for u in sorted(set(engine.neighbors(v))):
+        for u in engine.neighbors(v):
             if not visited[u]:
                 visited[u] = True
                 queue.append(u)
         if taken >= n - min_count:
             break
-    # counts/gains are rebuilt by the caller after seeding sides
+    return side
 
 
 def _repair_sides(side, weights, cap, min_count) -> None:
@@ -281,59 +283,46 @@ def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
     side_n = np.array([int((engine.side == 0).sum()), int((engine.side == 1).sum())])
     cap_move = max(cap, float(side_w.sum()) / 2.0 + float(weights.max(initial=0.0)))
 
+    def flip(v: int) -> None:
+        s = int(engine.side[v])
+        engine.move(v)
+        side_w[s] -= weights[v]
+        side_w[1 - s] += weights[v]
+        side_n[s] -= 1
+        side_n[1 - s] += 1
+
     def balanced() -> bool:
-        return bool(side_w.max() <= cap and side_n.min() >= min_count)
+        return bool(max(side_w[0], side_w[1]) <= cap and min(side_n[0], side_n[1]) >= min_count)
 
     for _ in range(max_passes):
         start_cut = engine.cut()
         best_cut = start_cut
         best_len = 0
         moves: list[int] = []
-        locked = np.zeros(n, dtype=bool)
+        unlocked = np.ones(n, dtype=bool)
         while True:
-            src = engine.side.astype(np.int64)
-            legal = (
-                ~locked
-                & (side_w[1 - src] + weights <= cap_move)
-                & (side_n[src] - 1 >= 1)
-            )
-            if not legal.any():
+            src = engine.side
+            legal = unlocked & (side_w[1 - src] + weights <= cap_move) & (side_n[src] >= 2)
+            v = int(np.argmax(np.where(legal, engine.gains, -np.inf)))  # lowest id wins ties
+            if not legal[v]:
                 break
-            masked = np.where(legal, engine.gains, -np.inf)
-            v = int(np.argmax(masked))  # first max = lowest vertex id
-            s = int(engine.side[v])
-            engine.move(v)
-            side_w[s] -= weights[v]
-            side_w[1 - s] += weights[v]
-            side_n[s] -= 1
-            side_n[1 - s] += 1
-            locked[v] = True
+            flip(v)
+            unlocked[v] = False
             moves.append(v)
-            if balanced() and engine.cut() < best_cut - 1e-9:
+            if engine.cut() < best_cut - 1e-9 and balanced():
                 best_cut = engine.cut()
                 best_len = len(moves)
         for v in reversed(moves[best_len:]):
-            s = int(engine.side[v])
-            engine.move(v)
-            side_w[s] -= weights[v]
-            side_w[1 - s] += weights[v]
-            side_n[s] -= 1
-            side_n[1 - s] += 1
+            flip(v)
         if not (best_cut < start_cut - 1e-9):
             break
 
 
 def _recursive_bisect(
-    ids: np.ndarray,
-    p_sub: int,
-    part_base: int,
-    assignment: np.ndarray,
-    weights: np.ndarray,
-    restrict_and_build,
-    cap_leaf: float,
-    rng,
-    cfg: PartitionConfig,
+    ids: np.ndarray, nets: Nets, p_sub: int, part_base: int, assignment, weights, cap_leaf, rng
 ) -> None:
+    """Split global vertices `ids` into p_sub parts; `nets` holds their
+    pins renumbered 0..len(ids)-1."""
     if p_sub == 1:
         assignment[ids] = part_base
         return
@@ -344,34 +333,27 @@ def _recursive_bisect(
     if len(ids) < p_sub:
         raise BalanceInfeasibleError("fewer vertices than parts in a bisection")
 
-    best_engine = None
+    engine = HypergraphBisection(nets, np.ones(len(ids), dtype=np.int8))
+    best_side = None
     best_key = None
-    for _ in range(cfg.restarts):
-        engine = restrict_and_build(ids, np.ones(len(ids), dtype=np.int8))
-        _grow_bfs(engine, sub_w, rng, min_count, total / 2.0)
-        side = engine.side.copy()
+    for _ in range(RESTARTS):
+        side = _grow_bfs(engine, sub_w, rng, min_count, total / 2.0)
         _repair_sides(side, sub_w, cap, min_count)
-        engine = restrict_and_build(ids, side)
-        if cfg.refinement and cfg.fm_passes > 0:
-            _fm_passes(engine, sub_w, cap, min_count, cfg.fm_passes)
+        engine.assign(side)
+        _fm_passes(engine, sub_w, cap, min_count, FM_PASSES)
         # a balanced split always beats an unbalanced one, then lowest cut
         w0 = float(sub_w[engine.side == 0].sum())
         unbalanced = max(w0, total - w0) > cap
         key = (unbalanced, engine.cut())
         if best_key is None or key < (best_key[0], best_key[1] - 1e-9):
-            best_engine = engine
+            best_side = engine.side.copy()
             best_key = key
-    engine = best_engine
-    left = ids[engine.side == 0]
-    right = ids[engine.side == 1]
-    _recursive_bisect(
-        left, p_sub // 2, part_base, assignment, weights, restrict_and_build,
-        cap_leaf, rng, cfg,
-    )
-    _recursive_bisect(
-        right, p_sub // 2, part_base + p_sub // 2, assignment, weights,
-        restrict_and_build, cap_leaf, rng, cfg,
-    )
+    for s, base in ((0, part_base), (1, part_base + p_sub // 2)):
+        keep = np.flatnonzero(best_side == s)
+        _recursive_bisect(
+            ids[keep], _restrict(nets, keep), p_sub // 2, base, assignment, weights,
+            cap_leaf, rng,
+        )
 
 
 def _final_repair(assignment, weights, p: int, epsilon: float) -> np.ndarray:
@@ -405,74 +387,51 @@ def _final_repair(assignment, weights, p: int, epsilon: float) -> np.ndarray:
         dt = max(0.0, pw[t] + shift - cap) - max(0.0, pw[t] - cap)
         return dm + dt
 
-    while violation() > 0:
-        before = violation()
-        # overweight parts heaviest-first; their vertices lightest-first;
-        # targets lightest-first: apply the first strictly improving move
-        over = np.flatnonzero(pw > cap)
-        over = over[np.argsort(-pw[over], kind="stable")]
-        moved = False
+    def move_one(over) -> bool:
+        """Overweight parts heaviest-first, their vertices lightest-first,
+        targets lightest-first: apply the first strictly improving move."""
         for m in over:
-            m = int(m)
             members = np.flatnonzero(assignment == m)
             if len(members) < 2:
                 continue
-            cand = members[np.lexsort((members, weights[members]))]
             targets = np.lexsort((np.arange(p), pw))
-            for v in cand:
-                v = int(v)
+            for v in members[np.lexsort((members, weights[members]))]:
                 for t in targets:
-                    t = int(t)
-                    if t == m:
-                        continue
-                    if delta_violation(m, t, float(weights[v])) < 0:
+                    if t != m and delta_violation(m, t, float(weights[v])) < 0:
                         pw[m] -= weights[v]
                         pw[t] += weights[v]
                         counts[m] -= 1
                         counts[t] += 1
                         assignment[v] = t
-                        moved = True
-                        break
-                if moved:
-                    break
-            if moved:
-                break
-        if not moved:
-            # single moves stuck (chunky weights): exchange a heavy vertex of
-            # an overweight part for a lighter one elsewhere
-            for m in over:
-                m = int(m)
-                members = np.flatnonzero(assignment == m)
-                cand = members[np.lexsort((members, -weights[members]))]
-                targets = np.lexsort((np.arange(p), pw))
-                for v in cand:
-                    v = int(v)
-                    for t in targets:
-                        t = int(t)
-                        if t == m:
-                            continue
-                        others = np.flatnonzero(assignment == t)
-                        others = others[weights[others] < weights[v]]
-                        if len(others) == 0:
-                            continue
-                        others = others[np.lexsort((others, weights[others]))]
-                        for u in others:
-                            u = int(u)
-                            shift = float(weights[v] - weights[u])
-                            if delta_violation(m, t, shift) < 0:
-                                pw[m] += weights[u] - weights[v]
-                                pw[t] += weights[v] - weights[u]
-                                assignment[v] = t
-                                assignment[u] = m
-                                moved = True
-                                break
-                        if moved:
-                            break
-                    if moved:
-                        break
-                if moved:
-                    break
-        if not moved:
+                        return True
+        return False
+
+    def swap_one(over) -> bool:
+        """For chunky weights where single moves are stuck: exchange a heavy
+        vertex of an overweight part for a lighter one elsewhere."""
+        for m in over:
+            members = np.flatnonzero(assignment == m)
+            targets = np.lexsort((np.arange(p), pw))
+            for v in members[np.lexsort((members, -weights[members]))]:
+                for t in targets:
+                    if t == m:
+                        continue
+                    others = np.flatnonzero(assignment == t)
+                    others = others[weights[others] < weights[v]]
+                    for u in others[np.lexsort((others, weights[others]))]:
+                        if delta_violation(m, t, float(weights[v] - weights[u])) < 0:
+                            pw[m] += weights[u] - weights[v]
+                            pw[t] += weights[v] - weights[u]
+                            assignment[v] = t
+                            assignment[u] = m
+                            return True
+        return False
+
+    while violation() > 0:
+        before = violation()
+        over = np.flatnonzero(pw > cap)
+        over = over[np.argsort(-pw[over], kind="stable")]
+        if not (move_one(over) or swap_one(over)):
             raise BalanceInfeasibleError("balance repair cannot make progress")
         assert violation() < before
     return assignment
@@ -500,7 +459,8 @@ def random_partition(weights, cfg: PartitionConfig) -> Partition:
     return Partition.from_assignment(assignment, weights, cfg.p, cfg.epsilon)
 
 
-def _partition_by_bisection(n, weights, restrict_and_build, cfg: PartitionConfig, tag: int) -> Partition:
+def _partition_by_bisection(nets: Nets, weights, cfg: PartitionConfig, tag: int) -> Partition:
+    n = nets.n
     if cfg.p > n:
         raise ValueError(f"p={cfg.p} exceeds vertex count {n}")
     weights = np.asarray(weights, dtype=np.int64)
@@ -510,10 +470,8 @@ def _partition_by_bisection(n, weights, restrict_and_build, cfg: PartitionConfig
     cap_leaf = (1.0 + cfg.epsilon) * float(weights.sum()) / cfg.p
     rng = np.random.default_rng([int(cfg.seed), tag])
     assignment = np.full(n, -1, dtype=np.int64)
-    _recursive_bisect(
-        np.arange(n, dtype=np.int64), cfg.p, 0, assignment, weights,
-        restrict_and_build, cap_leaf, rng, cfg,
-    )
+    ids = np.arange(n, dtype=np.int64)
+    _recursive_bisect(ids, _restrict(nets, ids), cfg.p, 0, assignment, weights, cap_leaf, rng)
     pi = Partition.from_assignment(assignment, weights, cfg.p, cfg.epsilon)
     if not pi.is_balanced():
         assignment = _final_repair(assignment, weights, cfg.p, cfg.epsilon)
@@ -524,39 +482,14 @@ def _partition_by_bisection(n, weights, restrict_and_build, cfg: PartitionConfig
 
 
 def partition_graph_fm(g: UGraph, cfg: PartitionConfig) -> Partition:
-    """Recursive bisection with edge-cut FM refinement."""
-
-    def restrict_and_build(ids: np.ndarray, side: np.ndarray) -> GraphBisection:
-        pos = {int(gid): i for i, gid in enumerate(ids)}
-        sel_edges = []
-        sel_costs = []
-        for (u, v), c in zip(g.edges, g.edge_cost):
-            lu, lv = pos.get(int(u)), pos.get(int(v))
-            if lu is not None and lv is not None:
-                sel_edges.append((lu, lv))
-                sel_costs.append(c)
-        edges = np.asarray(sel_edges, dtype=np.int64).reshape(-1, 2)
-        return GraphBisection(len(ids), edges, np.asarray(sel_costs), side)
-
-    return _partition_by_bisection(g.n_vertices, g.vertex_weight, restrict_and_build, cfg, 0x4750)
+    """Recursive bisection minimizing the edge cut, run as the
+    connectivity-1 cut of the edges taken as 2-pin nets."""
+    return _partition_by_bisection(_graph_nets(g), g.vertex_weight, cfg, 0x4750)
 
 
 def partition_hypergraph_fm(h: Hypergraph, cfg: PartitionConfig) -> Partition:
-    """Recursive bisection with connectivity-1 FM refinement."""
-
-    def restrict_and_build(ids: np.ndarray, side: np.ndarray) -> HypergraphBisection:
-        pins_out = []
-        costs_out = []
-        for pins, c in zip(h.nets, h.net_cost):
-            pos = np.searchsorted(ids, pins)
-            keep = (pos < len(ids)) & (ids[np.minimum(pos, len(ids) - 1)] == pins)
-            local = pos[keep]
-            if len(local) >= 2:  # nets with <2 active pins cannot be cut here
-                pins_out.append(local)
-                costs_out.append(c)
-        return HypergraphBisection(len(ids), pins_out, np.asarray(costs_out), side)
-
-    return _partition_by_bisection(h.n_vertices, h.vertex_weight, restrict_and_build, cfg, 0x4850)
+    """Recursive bisection minimizing the connectivity-1 cut."""
+    return _partition_by_bisection(_hypergraph_nets(h), h.vertex_weight, cfg, 0x4850)
 
 
 def partition_stochastic(

@@ -42,6 +42,9 @@ from .sparse import (
 )
 
 SCHEDULERS = ("round", "threads")
+# Longest a "threads" rank blocks on one receive or barrier; the workers of
+# one call get twice that to finish before they count as hung.
+WAIT_S = 60.0
 
 
 class CommError(RuntimeError):
@@ -93,7 +96,7 @@ class SimNetwork:
     def recv(self, dst: int, src: int, tag, expect_shape) -> np.ndarray:
         try:
             got_tag, payload = self._queues[(src, dst)].get(
-                block=self.blocking, timeout=60.0 if self.blocking else None
+                block=self.blocking, timeout=WAIT_S if self.blocking else None
             )
         except queue.Empty:
             raise CommError(
@@ -127,9 +130,9 @@ class SimNetwork:
     def allreduce(self, rank: int, contribution: np.ndarray) -> np.ndarray:
         assert self._barrier is not None, "allreduce outside worker mode"
         self._slots[rank] = contribution
-        self._barrier.wait(timeout=60.0)
+        self._barrier.wait(timeout=WAIT_S)
         out = allreduce_sum(self._slots)
-        self._barrier.wait(timeout=60.0)
+        self._barrier.wait(timeout=WAIT_S)
         return out
 
     # -- accounting --
@@ -408,7 +411,9 @@ def _rank_epoch_threaded(st, net, labels, n_labeled_global, epoch, step, losses)
 
 def _run_workers(states, net: SimNetwork, rank_fn) -> None:
     """Run rank_fn(state) on one worker thread per rank; the first failure
-    aborts the barrier so no thread is left blocked, then re-raises."""
+    aborts the barrier so no thread is left blocked, then re-raises. Ranks
+    still running after 2 * WAIT_S raise CommError instead of leaving
+    partial state behind."""
     net.setup_workers()
 
     def worker(st):
@@ -420,8 +425,12 @@ def _run_workers(states, net: SimNetwork, rank_fn) -> None:
     threads = [threading.Thread(target=worker, args=(st,), daemon=True) for st in states]
     for t in threads:
         t.start()
+    deadline = time.monotonic() + 2 * WAIT_S
     for t in threads:
-        t.join(timeout=120.0)
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    hung = [rank for rank, t in enumerate(threads) if t.is_alive()]
+    if hung:
+        net.abort(CommError(f"ranks {hung} still running after {2 * WAIT_S} s"))
     failure = net._failure
     net.teardown_workers()
     if failure is not None:

@@ -36,6 +36,37 @@ def make_partition(assignment, weights, p, eps=1e9):
     return Partition.from_assignment(np.asarray(assignment), weights, p, eps)
 
 
+class TestPartitionBalance:
+    @staticmethod
+    def exact_cap_vectors():
+        """Part weights with one part exactly on the 1% cap, for every
+        total in [100, 20000) and p in {2, 4, 8, 16} that allows it."""
+        for p in (2, 4, 8, 16):
+            for total in range(100, 20000):
+                top, rem = divmod(101 * total, 100 * p)
+                if rem:
+                    continue
+                rest = total - top
+                base, extra = divmod(rest, p - 1)
+                yield p, [top] + [base + 1] * extra + [base] * (p - 1 - extra)
+
+    def test_ratio_agrees_with_is_balanced_at_the_cap(self):
+        vectors = list(self.exact_cap_vectors())
+        assert len(vectors) == 184
+        for p, weights in vectors:
+            for bump in (0, 1):  # on the cap, then one unit above it
+                pw = [weights[0] + bump, weights[1] - bump] + weights[2:]
+                pi = Partition(p, np.arange(p), np.array(pw), 0.01)
+                assert pi.is_balanced() == (pi.balance_ratio() <= 0.01), pw
+                assert pi.is_balanced() == (bump == 0), pw
+
+    def test_ratio_is_exact_excess_over_average(self):
+        pi = Partition(4, np.arange(4), np.array([101, 100, 100, 99]), 0.01)
+        assert pi.balance_ratio() == 0.01
+        pi = Partition(2, np.arange(2), np.array([3, 1]), 0.01)
+        assert pi.balance_ratio() == 0.5
+
+
 class TestGraphModel:
     def test_diagonal_only_matrix(self):
         g = build_graph_model(CsrMatrix.identity(4))

@@ -4,12 +4,15 @@ beat random placement."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcnpart import (
     BalanceInfeasibleError,
     CsrMatrix,
     Hypergraph,
     MiniBatchSpec,
+    Partition,
     PartitionConfig,
     UGraph,
     build_graph_model,
@@ -23,7 +26,12 @@ from gcnpart import (
     partition_stochastic,
     random_partition,
 )
-from gcnpart.partition import GraphBisection, HypergraphBisection
+from gcnpart.partition import (
+    HypergraphBisection,
+    _fm_passes,
+    _graph_nets,
+    _hypergraph_nets,
+)
 
 from helpers import (
     brute_force_best_bipartition,
@@ -178,48 +186,84 @@ class TestStochasticPartitioner:
         assert shp_cut <= hp_cut
 
 
+def recomputed_cut(nets, side) -> float:
+    """Connectivity-1 cut of a bisection, straight from the pin lists."""
+    total = 0.0
+    for j, c in enumerate(nets.costs):
+        sides = {int(side[u]) for u in nets.pins[nets.offsets[j] : nets.offsets[j + 1]]}
+        if len(sides) == 2:
+            total += c
+    return total
+
+
+def assert_exact_under_moves(nets, side, moves):
+    """Each move changes the cut by exactly the moved vertex's gain, the
+    cut matches a recount, gains match a fresh engine, and move(v) twice
+    restores side, gains and cut (the FM rollback contract)."""
+    eng = HypergraphBisection(nets, side)
+    for v in moves:
+        v = int(v)
+        side0, gains0, cut0 = eng.side.copy(), eng.gains.copy(), eng.cut()
+        eng.move(v)
+        assert eng.cut() == cut0 - gains0[v]
+        assert eng.cut() == recomputed_cut(nets, eng.side)
+        fresh = HypergraphBisection(nets, eng.side)
+        assert np.array_equal(eng.gains, fresh.gains)
+        assert fresh.cut() == eng.cut()
+        eng.move(v)
+        assert np.array_equal(eng.side, side0)
+        assert np.array_equal(eng.gains, gains0)
+        assert eng.cut() == cut0
+        eng.move(v)
+
+
+@st.composite
+def bisection_instances(draw):
+    """A hypergraph mixing 2-pin and wider nets with integer costs, a
+    random split and a random move sequence."""
+    n = draw(st.integers(2, 12))
+    pin_sets = draw(
+        st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 6)), max_size=20)
+    )
+    nets = tuple(np.array(sorted(s), dtype=np.int64) for s in pin_sets)
+    costs = draw(st.lists(st.integers(1, 3), min_size=len(nets), max_size=len(nets)))
+    h = Hypergraph(n, nets, np.array(costs, dtype=np.float64), np.ones(n, dtype=np.int64))
+    side = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    moves = draw(st.lists(st.integers(0, n - 1), max_size=30))
+    return _hypergraph_nets(h), side, moves
+
+
 class TestFmEngineExactness:
     @pytest.mark.parametrize("seed", range(4))
     def test_graph_gains_and_cut_stay_exact_under_random_moves(self, seed):
+        # the graph model's edges as 2-pin nets: connectivity-1 cut == edge cut
         rng = np.random.default_rng([seed, 31])
-        g = random_undirected(12, 0.3, seed)
-        model = build_graph_model(normalize_adjacency(g))
+        g = build_graph_model(normalize_adjacency(random_undirected(12, 0.3, seed)))
         side = rng.integers(0, 2, size=12).astype(np.int8)
-        eng = GraphBisection(12, model.edges, model.edge_cost, side)
-        for v in rng.integers(0, 12, size=40):
-            before_gain = eng.gains[int(v)]
-            cut_before = eng.cut()
-            eng.move(int(v))
-            assert eng.cut() == pytest.approx(cut_before - before_gain)
-            assert eng.cut() == pytest.approx(eng.recompute_cut())
-            fresh = GraphBisection(12, model.edges, model.edge_cost, eng.side)
-            np.testing.assert_allclose(eng.gains, fresh.gains)
+        nets = _graph_nets(g)
+        pi = Partition.from_assignment(side, g.vertex_weight, 2, 1.0)
+        assert recomputed_cut(nets, side) == evaluate_graph_cut(g, pi).cut_value
+        assert_exact_under_moves(nets, side, rng.integers(0, 12, size=40))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hypergraph_gains_and_cut_stay_exact_under_random_moves(self, seed):
         rng = np.random.default_rng([seed, 32])
-        a = normalize_adjacency(random_undirected(10, 0.3, seed))
-        h = build_hypergraph_model(a)
+        h = build_hypergraph_model(normalize_adjacency(random_undirected(10, 0.3, seed)))
         side = rng.integers(0, 2, size=10).astype(np.int8)
-        eng = HypergraphBisection(10, list(h.nets), h.net_cost, side)
-        for v in rng.integers(0, 10, size=40):
-            before_gain = eng.gains[int(v)]
-            cut_before = eng.cut()
-            eng.move(int(v))
-            assert eng.cut() == pytest.approx(cut_before - before_gain)
-            assert eng.cut() == pytest.approx(eng.recompute_cut())
-            fresh = HypergraphBisection(10, list(h.nets), h.net_cost, eng.side)
-            np.testing.assert_allclose(eng.gains, fresh.gains)
+        assert_exact_under_moves(_hypergraph_nets(h), side, rng.integers(0, 10, size=40))
+
+    @settings(deadline=None, max_examples=150)
+    @given(bisection_instances())
+    def test_gains_and_cut_stay_exact_on_random_hypergraphs(self, instance):
+        assert_exact_under_moves(*instance)
 
     def test_fm_pass_never_ends_above_start(self):
         # rollback contract: refined bisections never exceed the pass's start
-        from gcnpart.partition import _fm_passes
-
         rng = np.random.default_rng(44)
         a = normalize_adjacency(random_undirected(20, 0.2, 17))
         h = build_hypergraph_model(a)
         side = rng.integers(0, 2, size=20).astype(np.int8)
-        eng = HypergraphBisection(20, list(h.nets), h.net_cost, side)
+        eng = HypergraphBisection(_hypergraph_nets(h), side)
         weights = h.vertex_weight.astype(float)
         start = eng.cut()
         _fm_passes(eng, weights, cap=weights.sum(), min_count=1, max_passes=4)

@@ -1,6 +1,8 @@
 """Simulated runtime: serial equivalence, exact communication accounting,
 scheduler agreement, and mini-batch behavior."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from gcnpart import (
     train_serial,
     transpose_sparse,
 )
+from gcnpart import runtime
 from gcnpart.models import induced_pattern, net_connectivity
 
 from helpers import (
@@ -294,6 +297,19 @@ class TestTrainEpochs:
         net = SimNetwork(2)
         with pytest.raises(CommError):
             net.recv(0, 1, (0, 0, "fwd", 1), (1, 2))
+
+    def test_hung_rank_raises_instead_of_returning(self, monkeypatch):
+        monkeypatch.setattr(runtime, "WAIT_S", 0.05)
+        finished = []
+
+        def rank_fn(rank):
+            if rank == 1:
+                time.sleep(0.5)  # past the 2 * WAIT_S join budget
+            finished.append(rank)
+
+        with pytest.raises(CommError, match=r"ranks \[1\] still running"):
+            runtime._run_workers([0, 1], SimNetwork(2), rank_fn)
+        assert finished == [0]
 
     def test_unknown_scheduler_rejected(self):
         _, a_hat, h0, labels, model = build_instance(8, (3, 2), 17)
