@@ -13,6 +13,8 @@ partition files). Each bisection is a seeded BFS region-growing split
 followed by flat Fiduccia-Mattheyses passes: best-gain moves under the
 balance cap, every vertex moved at most once per pass, rollback to the best
 prefix. Per-net side pin counts make move gains the exact change of the cut.
+Moves come from lazy gain heaps, one per (side, vertex-weight class), and
+a pass is rolled back by one reassignment of its best side vector.
 
 Each bisection side holding q leaf parts is capped at q * (1+eps) * W_avg
 (its true leaf budget, so integer vertex weights never make intermediate
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -114,10 +117,11 @@ class HypergraphBisection:
     For two parts the connectivity-1 cut is the cost sum over nets with
     pins on both sides. Per-net side pin counts give O(pins) gain
     maintenance under move(), and per-net side sums of pin ids name the
-    lone pin on a side without scanning the net. move() is its own
-    inverse, which the FM rollback relies on. Gains stay exact as long as
-    sums of net costs are exact in float64 (integer costs, as every model
-    here has).
+    lone pin on a side without scanning the net. move() is its own inverse
+    and reports the vertices whose gain it changed, so a caller can keep
+    its own gain index current. Gains stay exact as long as sums of net
+    costs are exact in float64 (integer costs, as every model here has),
+    which also makes assign() reproduce incremental state exactly.
     """
 
     def __init__(self, nets: Nets, side: np.ndarray):
@@ -155,7 +159,7 @@ class HypergraphBisection:
         own = np.where(on1 == 1, count1[nop], count0[nop])
         other = np.where(on1 == 1, count0[nop], count1[nop])
         per_pin = costs[nop] * ((other > 0).astype(np.float64) - (own > 1))
-        self.gains = np.bincount(pins, weights=per_pin, minlength=self.n)
+        self.gains = np.bincount(pins, weights=per_pin, minlength=self.n).tolist()
 
     def cut(self) -> float:
         return self._cut
@@ -168,35 +172,46 @@ class HypergraphBisection:
         found.discard(v)
         return sorted(found)
 
-    def move(self, v: int) -> None:
+    def move(self, v: int) -> list[int]:
+        """Move v to the other side and return the vertices whose gain
+        changed (possibly with repeats, and including v itself)."""
         gains, pins, offsets, costs = self.gains, self._pins, self._offsets, self._costs
         sv = int(self.side[v])
         ov = 1 - sv
         count_from, count_to = self._counts[sv], self._counts[ov]
         idsum_from, idsum_to = self._idsums[sv], self._idsums[ov]
-        self._cut -= gains[v]
+        changed = [v]
+        gain_v = gains[v]
+        self._cut -= gain_v
         for j in self._vtx_nets[self._vtx_offsets[v] : self._vtx_offsets[v + 1]]:
             c = costs[j]
             f = count_from[j] - 1
             t = count_to[j]
             if t == 0:  # the net turns cut: every other pin gains c
-                for u in pins[offsets[j] : offsets[j + 1]]:
-                    if u != v:
-                        gains[u] += c
+                net = pins[offsets[j] : offsets[j + 1]]
+                for u in net:  # v's own entry is overwritten below
+                    gains[u] += c
+                changed += net
             elif t == 1:  # the lone pin on the target side can no longer uncut it
-                gains[idsum_to[j]] -= c
+                u = idsum_to[j]
+                gains[u] -= c
+                changed.append(u)
             count_from[j] = f
             count_to[j] = t + 1
             idsum_from[j] -= v
             idsum_to[j] += v
             if f == 0:  # the net turns uncut: every other pin loses c
-                for u in pins[offsets[j] : offsets[j + 1]]:
-                    if u != v:
-                        gains[u] -= c
+                net = pins[offsets[j] : offsets[j + 1]]
+                for u in net:
+                    gains[u] -= c
+                changed += net
             elif f == 1:  # the one pin left behind can now uncut it
-                gains[idsum_from[j]] += c
+                u = idsum_from[j]
+                gains[u] += c
+                changed.append(u)
         self.side[v] = ov
-        gains[v] = -gains[v]
+        gains[v] = -gain_v
+        return changed
 
 
 # ---------------------------------------------------------------------------
@@ -270,50 +285,87 @@ def _repair_sides(side, weights, cap, min_count) -> None:
 def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
     """Best-gain passes with rollback to the best balanced prefix.
 
-    Moves may overshoot the cap by one vertex weight mid-pass (the classic
-    loosening; a strictly capped balanced split would admit no move at
-    all), but only prefixes meeting the cap and the side minimum count are
-    eligible as pass results, so each pass ends balanced and never above
-    its starting cut.
+    Each step moves the unlocked vertex of highest gain (lowest id on ties)
+    whose side keeps at least one other vertex and whose target side stays
+    within cap_move. Moves may overshoot the cap by one vertex weight
+    mid-pass (the classic loosening; a strictly capped balanced split would
+    admit no move at all), but only prefixes meeting the cap and the side
+    minimum count are eligible as pass results, so each pass ends balanced
+    and never above its starting cut.
+
+    Candidates sit in lazy min-heaps of (-gain, id), one per (side, vertex
+    weight class); every gain change pushes a fresh entry. A step walks
+    each side's classes in ascending weight while they fit the target
+    side, drops stale tops (locked, or a gain changed since the push) and
+    takes the least top over all of them. Splitting by weight keeps heavy
+    vertices that cannot move from being rescanned at every step.
+
+    The moves past the best prefix are undone by one engine.assign().
+    Vertex weights and net costs are integers in every model here, so the
+    float64 sums it rebuilds equal the incremental ones exactly.
     """
     n = engine.n
-    side_w = np.array(
-        [float(weights[engine.side == 0].sum()), float(weights[engine.side == 1].sum())]
-    )
-    side_n = np.array([int((engine.side == 0).sum()), int((engine.side == 1).sum())])
-    cap_move = max(cap, float(side_w.sum()) / 2.0 + float(weights.max(initial=0.0)))
-
-    def flip(v: int) -> None:
-        s = int(engine.side[v])
-        engine.move(v)
-        side_w[s] -= weights[v]
-        side_w[1 - s] += weights[v]
-        side_n[s] -= 1
-        side_n[1 - s] += 1
-
-    def balanced() -> bool:
-        return bool(max(side_w[0], side_w[1]) <= cap and min(side_n[0], side_n[1]) >= min_count)
+    side_w = [float(weights[engine.side == 0].sum()), float(weights[engine.side == 1].sum())]
+    side_n = [int((engine.side == 0).sum()), int((engine.side == 1).sum())]
+    cap_move = max(cap, (side_w[0] + side_w[1]) / 2.0 + float(weights.max(initial=0.0)))
+    weight_of = weights.tolist()
+    classes, class_of = np.unique(weights, return_inverse=True)
+    classes, class_of = classes.tolist(), class_of.tolist()
 
     for _ in range(max_passes):
         start_cut = engine.cut()
         best_cut = start_cut
         best_len = 0
+        best_w, best_n = side_w[:], side_n[:]
         moves: list[int] = []
-        unlocked = np.ones(n, dtype=bool)
+        locked = [False] * n
+        gains = engine.gains
+        side = engine.side.tolist()  # unlocked vertices keep their side all pass
+        heaps = [[[] for _ in classes] for _ in (0, 1)]
+        home = [heaps[side[v]][class_of[v]] for v in range(n)]
+        for entry in sorted(zip([-g for g in gains], range(n))):
+            home[entry[1]].append(entry)  # a sorted list is a heap
         while True:
-            src = engine.side
-            legal = unlocked & (side_w[1 - src] + weights <= cap_move) & (side_n[src] >= 2)
-            v = int(np.argmax(np.where(legal, engine.gains, -np.inf)))  # lowest id wins ties
-            if not legal[v]:
+            best = None
+            for s in (0, 1):
+                if side_n[s] < 2:
+                    continue
+                target_w = side_w[1 - s]
+                for w, heap in zip(classes, heaps[s]):
+                    if target_w + w > cap_move:
+                        break
+                    while heap:
+                        key, u = top = heap[0]
+                        if locked[u] or key != -gains[u]:
+                            heappop(heap)
+                            continue
+                        if best is None or top < best:
+                            best = top
+                        break
+            if best is None:
                 break
-            flip(v)
-            unlocked[v] = False
+            v = best[1]
+            locked[v] = True
+            for u in set(engine.move(v)):
+                if not locked[u]:
+                    heappush(home[u], (-gains[u], u))
+            s, w = side[v], weight_of[v]
+            side_w[s] -= w
+            side_w[1 - s] += w
+            side_n[s] -= 1
+            side_n[1 - s] += 1
             moves.append(v)
-            if engine.cut() < best_cut - 1e-9 and balanced():
-                best_cut = engine.cut()
+            cut = engine.cut()
+            if cut < best_cut - 1e-9 and max(side_w) <= cap and min(side_n) >= min_count:
+                best_cut = cut
                 best_len = len(moves)
-        for v in reversed(moves[best_len:]):
-            flip(v)
+                best_w, best_n = side_w[:], side_n[:]
+        undo = moves[best_len:]
+        if undo:
+            side_w, side_n = best_w, best_n
+            best_side = engine.side.copy()
+            best_side[undo] = 1 - best_side[undo]
+            engine.assign(best_side)
         if not (best_cut < start_cut - 1e-9):
             break
 

@@ -7,8 +7,13 @@ point-to-point message payloads (the copy-operator realization of the
 diagonal selector matrices, kept as index lists instead of materialized
 diagonals).
 
-All scalars are float64. Dot products consume operands in ascending index
-order (CSR columns are sorted), so repeated runs are bit-identical.
+All scalars are float64. Each spmm output row is one BLAS vector-matrix
+product over the row's nonzeros, handed over in ascending column order (CSR
+columns are sorted). The order in which BLAS sums those products is its
+own, so a row may differ in its last bits from a sequential ascending sum
+and between BLAS builds. For a fixed numpy/BLAS build and thread setting
+the same operands give the same bits, so repeated runs, and the two
+schedulers, are bit-identical.
 """
 
 from __future__ import annotations
@@ -60,10 +65,13 @@ class CsrMatrix:
             raise ValueError("values and col_indices must have equal length")
         if len(ci) and (ci.min() < 0 or ci.max() >= self.n_cols):
             raise ValueError("column index out of range")
-        for i in range(self.n_rows):
-            row = ci[ro[i] : ro[i + 1]]
-            if len(row) > 1 and np.any(np.diff(row) <= 0):
-                raise ValueError(f"columns in row {i} not strictly increasing")
+        # a step k-1 -> k must increase unless entry k starts a new row
+        starts_row = np.zeros(len(ci), dtype=bool)
+        starts_row[ro[:-1][ro[:-1] < len(ci)]] = True
+        bad = np.flatnonzero((np.diff(ci) <= 0) & ~starts_row[1:])
+        if len(bad):
+            i = int(np.searchsorted(ro, bad[0] + 1, side="right")) - 1
+            raise ValueError(f"columns in row {i} not strictly increasing")
         for arr in (ro, ci, v):
             arr.setflags(write=False)
 
@@ -85,12 +93,10 @@ class CsrMatrix:
     def has_full_diagonal(self) -> bool:
         if self.n_rows != self.n_cols:
             return False
-        for i in range(self.n_rows):
-            cols, _ = self.row(i)
-            k = np.searchsorted(cols, i)
-            if k >= len(cols) or cols[k] != i:
-                return False
-        return True
+        # columns are unique within a row, so each row holds at most one
+        # diagonal entry
+        rows = np.repeat(np.arange(self.n_rows), self.row_nnz())
+        return int(np.count_nonzero(self.col_indices == rows)) == self.n_rows
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols))
@@ -194,7 +200,10 @@ def normalize_adjacency(a: CsrMatrix, add_self_loops: bool = True) -> CsrMatrix:
 
 
 def spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
-    """Sparse @ dense. Row i accumulates its nonzeros in ascending column order."""
+    """Sparse @ dense. Row i is one BLAS product of its nonzero values with
+    the matching rows of h, in ascending column order; BLAS picks the
+    summation order (deterministic for a fixed BLAS build and thread
+    setting, not necessarily a sequential ascending sum)."""
     h = dense(h)
     if a.n_cols != h.shape[0]:
         raise ValueError(f"spmm shape mismatch: {a.shape} @ {h.shape}")

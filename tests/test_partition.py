@@ -27,6 +27,7 @@ from gcnpart import (
     random_partition,
 )
 from gcnpart.partition import (
+    FM_PASSES,
     HypergraphBisection,
     _fm_passes,
     _graph_nets,
@@ -268,6 +269,117 @@ class TestFmEngineExactness:
         start = eng.cut()
         _fm_passes(eng, weights, cap=weights.sum(), min_count=1, max_passes=4)
         assert eng.cut() <= start
+
+
+def reference_fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
+    """The FM pass that lazy gain heaps replaced, kept as an oracle: each
+    move is a masked argmax over all vertices (highest legal gain, lowest
+    id on ties), and the tail past the best prefix is undone one move at a
+    time."""
+    n = engine.n
+    side_w = np.array(
+        [float(weights[engine.side == 0].sum()), float(weights[engine.side == 1].sum())]
+    )
+    side_n = np.array([int((engine.side == 0).sum()), int((engine.side == 1).sum())])
+    cap_move = max(cap, float(side_w.sum()) / 2.0 + float(weights.max(initial=0.0)))
+
+    def flip(v: int) -> None:
+        s = int(engine.side[v])
+        engine.move(v)
+        side_w[s] -= weights[v]
+        side_w[1 - s] += weights[v]
+        side_n[s] -= 1
+        side_n[1 - s] += 1
+
+    def balanced() -> bool:
+        return bool(max(side_w[0], side_w[1]) <= cap and min(side_n[0], side_n[1]) >= min_count)
+
+    for _ in range(max_passes):
+        start_cut = engine.cut()
+        best_cut = start_cut
+        best_len = 0
+        moves: list[int] = []
+        unlocked = np.ones(n, dtype=bool)
+        while True:
+            src = engine.side
+            legal = unlocked & (side_w[1 - src] + weights <= cap_move) & (side_n[src] >= 2)
+            v = int(np.argmax(np.where(legal, engine.gains, -np.inf)))
+            if not legal[v]:
+                break
+            flip(v)
+            unlocked[v] = False
+            moves.append(v)
+            if engine.cut() < best_cut - 1e-9 and balanced():
+                best_cut = engine.cut()
+                best_len = len(moves)
+        for v in reversed(moves[best_len:]):
+            flip(v)
+        if not (best_cut < start_cut - 1e-9):
+            break
+
+
+@st.composite
+def fm_instances(draw):
+    """A random hypergraph with mixed vertex weights 1-6, a random split
+    and a cap within a few units of half the weight, so that moving a
+    heavy vertex is often illegal while a light one still fits."""
+    n = draw(st.integers(2, 24))
+    pin_sets = draw(
+        st.lists(st.sets(st.integers(0, n - 1), min_size=2, max_size=min(n, 6)), max_size=40)
+    )
+    nets = tuple(np.array(sorted(s), dtype=np.int64) for s in pin_sets)
+    costs = draw(st.lists(st.integers(1, 3), min_size=len(nets), max_size=len(nets)))
+    weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    h = Hypergraph(n, nets, np.array(costs, dtype=np.float64), np.array(weights, dtype=np.int64))
+    side = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
+    weights = h.vertex_weight.astype(np.float64)
+    cap = float(weights.sum()) / 2.0 + draw(st.integers(-2, 6))
+    min_count = draw(st.integers(1, 2))
+    passes = draw(st.integers(1, FM_PASSES))
+    return _hypergraph_nets(h), weights, side, cap, min_count, passes
+
+
+def assert_engine_matches_fresh(eng, nets):
+    fresh = HypergraphBisection(nets, eng.side)
+    assert eng._counts == fresh._counts
+    assert eng._idsums == fresh._idsums
+    assert eng.gains == fresh.gains
+    assert eng.cut() == fresh.cut()
+
+
+class TestFmPasses:
+    @settings(deadline=None, max_examples=300)
+    @given(fm_instances())
+    def test_heap_selection_matches_masked_argmax(self, instance):
+        nets, weights, side, cap, min_count, passes = instance
+        ref = HypergraphBisection(nets, side)
+        reference_fm_passes(ref, weights, cap, min_count, passes)
+        eng = HypergraphBisection(nets, side)
+        _fm_passes(eng, weights, cap, min_count, passes)
+        assert np.array_equal(eng.side, ref.side)
+        assert eng.cut() == ref.cut()
+
+    @settings(deadline=None, max_examples=150)
+    @given(fm_instances(), st.lists(st.integers(0, 23), max_size=6))
+    def test_engine_state_after_passes_matches_fresh_build(self, instance, moves):
+        # rollback by reassignment leaves counts, id sums, gains and cut as
+        # a fresh build would, and later incremental moves keep them so
+        nets, weights, side, cap, min_count, passes = instance
+        eng = HypergraphBisection(nets, side)
+        _fm_passes(eng, weights, cap, min_count, passes)
+        assert_engine_matches_fresh(eng, nets)
+        for v in moves:
+            eng.move(v % nets.n)
+            assert_engine_matches_fresh(eng, nets)
+
+    def test_move_reports_every_gain_change(self):
+        rng = np.random.default_rng(7)
+        h = build_hypergraph_model(normalize_adjacency(random_undirected(16, 0.3, 5)))
+        eng = HypergraphBisection(_hypergraph_nets(h), rng.integers(0, 2, size=16))
+        for v in rng.integers(0, 16, size=30):
+            before = list(eng.gains)
+            changed = set(eng.move(int(v)))
+            assert {u for u in range(16) if eng.gains[u] != before[u]} <= changed
 
 
 class TestPartitionerQuality:

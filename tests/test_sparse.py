@@ -36,6 +36,25 @@ class TestCsrMatrix:
         with pytest.raises(ValueError):
             CsrMatrix(1, 3, [0, 2], [2, 0], [1.0, 1.0])
 
+    def test_row_check_names_first_bad_row(self):
+        # row 0 fine, row 1 empty, row 2 repeats a column, row 4 descends;
+        # columns may drop back at a row start
+        with pytest.raises(ValueError, match="row 2 not strictly"):
+            CsrMatrix(5, 4, [0, 2, 2, 4, 5, 7], [1, 3, 2, 2, 0, 3, 1], np.ones(7))
+        with pytest.raises(ValueError, match="row 1 not strictly"):
+            CsrMatrix(3, 4, [0, 0, 2, 2], [3, 3], np.ones(2))
+        a = CsrMatrix(4, 4, [0, 2, 2, 3, 5], [1, 3, 0, 2, 3], np.ones(5))
+        assert a.nnz == 5
+
+    def test_has_full_diagonal(self):
+        assert CsrMatrix.identity(4).has_full_diagonal()
+        assert CsrMatrix.identity(0).has_full_diagonal()
+        assert not CsrMatrix.from_coo(3, 3, [0, 1, 2], [0, 1, 1]).has_full_diagonal()
+        assert not CsrMatrix.from_coo(2, 3, [0, 1], [0, 1]).has_full_diagonal()
+        full = CsrMatrix.from_coo(3, 3, [0, 0, 1, 2, 2], [0, 2, 1, 0, 2])
+        assert full.has_full_diagonal()
+        assert not CsrMatrix.from_coo(3, 3, [0, 0, 2], [0, 2, 2]).has_full_diagonal()
+
     def test_column_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             CsrMatrix.from_coo(2, 2, [0], [5])
