@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, restrict
 
 
 @dataclass(frozen=True)
@@ -262,22 +262,13 @@ def induced_pattern(a: CsrMatrix, batch: np.ndarray, add_diagonal: bool = True) 
     batch = np.asarray(batch, dtype=np.int64)
     if len(batch) == 0:
         raise ValueError("empty batch")
-    rows_out, cols_out = [], []
-    for local_i, gi in enumerate(batch):
-        cols, _ = a.row(int(gi))
-        pos = np.searchsorted(batch, cols)
-        keep = (pos < len(batch)) & (batch[np.minimum(pos, len(batch) - 1)] == cols)
-        kept = pos[keep]
-        rows_out.append(np.full(len(kept), local_i, dtype=np.int64))
-        cols_out.append(kept)
+    sub = restrict(a, batch, batch)
     if add_diagonal:
-        rows_out.append(np.arange(len(batch), dtype=np.int64))
-        cols_out.append(np.arange(len(batch), dtype=np.int64))
-    coo = CsrMatrix.from_coo(len(batch), len(batch), np.concatenate(rows_out), np.concatenate(cols_out))
-    # collapse summed duplicates (diagonal may appear twice) back to units
-    return CsrMatrix(
-        len(batch), len(batch), coo.row_offsets, coo.col_indices, np.ones(coo.nnz)
-    )
+        n = len(batch)
+        rows = np.concatenate([np.repeat(np.arange(n), sub.row_nnz()), np.arange(n)])
+        sub = CsrMatrix.from_coo(n, n, rows, np.concatenate([sub.col_indices, np.arange(n)]))
+    # unit values (from_coo sums a diagonal the batch already had to 2)
+    return CsrMatrix(sub.n_rows, sub.n_cols, sub.row_offsets, sub.col_indices, np.ones(sub.nnz))
 
 
 def build_stochastic_hypergraph(

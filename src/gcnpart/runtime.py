@@ -6,12 +6,20 @@ per-pair FIFO channels for point-to-point row transfers plus a rank-ordered
 allreduce-sum for weight gradients. Every payload is counted (rows x cols
 words), giving exact communication accounting per epoch, phase, and layer.
 
-Two schedulers run the same per-rank step functions:
+Each rank's work is written once, as a generator (the rank program). It
+yields at two kinds of sync point:
 
-* "round": single-threaded; for each layer all ranks post sends, then all
-  ranks compute and drain their receives.
+* ``None``, a send barrier: the rank has posted this layer's sends and
+  next receives what its plan promises.
+* an array, an allreduce contribution: the rank's local loss sum or dW
+  part. The rank-ordered sum of all contributions is sent back into it.
+
+Two schedulers drive the same rank programs:
+
+* "round": single-threaded; steps every program to its next sync point in
+  rank order, so all sends of a layer are posted before any receive.
 * "threads": one worker per rank with blocking receives and barrier-backed
-  allreduce.
+  allreduce; a send barrier needs no action there.
 
 Both receive in ascending sender rank and reduce in ascending rank order,
 so results are bit-identical across schedulers and reruns. (Nothing forces
@@ -37,6 +45,7 @@ from .sparse import (
     dense,
     gather_rows,
     normalize_adjacency,
+    restrict,
     spmm,
     transpose_sparse,
 )
@@ -130,9 +139,12 @@ class SimNetwork:
     def allreduce(self, rank: int, contribution: np.ndarray) -> np.ndarray:
         assert self._barrier is not None, "allreduce outside worker mode"
         self._slots[rank] = contribution
-        self._barrier.wait(timeout=WAIT_S)
-        out = allreduce_sum(self._slots)
-        self._barrier.wait(timeout=WAIT_S)
+        try:
+            self._barrier.wait(timeout=WAIT_S)
+            out = allreduce_sum(self._slots)
+            self._barrier.wait(timeout=WAIT_S)
+        except threading.BrokenBarrierError:
+            raise CommError(f"rank {rank} left an allreduce another rank never joined") from None
         return out
 
     # -- accounting --
@@ -203,34 +215,12 @@ class EpochMetrics:
     loss: float
 
 
-def _split_columns(rows: np.ndarray, a: CsrMatrix, groups: list[np.ndarray]) -> list[CsrMatrix]:
-    """Restrict the row block a[rows, :] to each column group, remapping the
-    group's (sorted) global columns to positions 0..len(group)-1."""
-    entries_r = []
-    entries_c = []
-    for local_i, gi in enumerate(rows):
-        cols, _ = a.row(int(gi))
-        entries_r.append(np.full(len(cols), local_i, dtype=np.int64))
-        entries_c.append(cols)
-    all_r = np.concatenate(entries_r) if entries_r else np.zeros(0, dtype=np.int64)
-    all_c = np.concatenate(entries_c) if entries_c else np.zeros(0, dtype=np.int64)
-    all_v_rows = []
-    for gi in rows:
-        _, vals = a.row(int(gi))
-        all_v_rows.append(vals)
-    all_v = np.concatenate(all_v_rows) if all_v_rows else np.zeros(0)
-    out = []
-    for group in groups:
-        group = np.asarray(group, dtype=np.int64)
-        if len(group) == 0:
-            out.append(CsrMatrix(len(rows), 0, np.zeros(len(rows) + 1, dtype=np.int64), [], []))
-            continue
-        pos = np.searchsorted(group, all_c)
-        keep = (pos < len(group)) & (group[np.minimum(pos, len(group) - 1)] == all_c)
-        out.append(
-            CsrMatrix.from_coo(len(rows), len(group), all_r[keep], pos[keep], all_v[keep])
-        )
-    return out
+def _split(a: CsrMatrix, plan: CommPlan, m: int, rows: np.ndarray) -> list[CsrMatrix]:
+    """Rank m's rows of a, split by column into its own rows, then each
+    sender's send list to m (ascending sender), columns renumbered by
+    position."""
+    groups = [rows] + [plan.send[n][m] for n in plan.recv_from[m]]
+    return [restrict(a, rows, group) for group in groups]
 
 
 def scatter(
@@ -254,10 +244,8 @@ def scatter(
     states = []
     for m in range(plan_fwd.p):
         rows = plan_fwd.rows_of(m)
-        fwd_groups = [rows] + [plan_fwd.send[n][m] for n in plan_fwd.recv_from[m]]
-        fwd_split = _split_columns(rows, a_hat, fwd_groups)
-        bwd_groups = [rows] + [plan_bwd.send[n][m] for n in plan_bwd.recv_from[m]]
-        bwd_split = _split_columns(rows, a_bwd, bwd_groups)
+        fwd_split = _split(a_hat, plan_fwd, m, rows)
+        bwd_split = _split(a_bwd, plan_bwd, m, rows) if directed else fwd_split
         states.append(
             ProcState(
                 rank=m,
@@ -279,32 +267,37 @@ def scatter(
 
 
 # ---------------------------------------------------------------------------
-# per-rank step functions (shared by both schedulers)
+# per-rank helpers: array locals live here, not in the suspended rank program
 
 
-def _reset_trace(st: ProcState) -> None:
-    L = st.n_layers
-    st.h = [st.h0] + [None] * L
-    st.z = [None] * (L + 1)
-    st.g = [None] * (L + 1)
-
-
-def _fwd_send(st: ProcState, net: SimNetwork, k: int, tag) -> None:
-    block = RowBlock(st.global_rows, st.h[k - 1])
-    for dst in range(st.plan_fwd.p):
-        ids = st.plan_fwd.send[st.rank][dst]
+def _send_rows(st: ProcState, net: SimNetwork, plan: CommPlan, values: np.ndarray, tag) -> None:
+    block = RowBlock(st.global_rows, values)
+    for dst in range(plan.p):
+        ids = plan.send[st.rank][dst]
         if len(ids):
             net.send(st.rank, dst, gather_rows(block, ids), tag)
 
 
+def _terms(st: ProcState, net: SimNetwork, x: np.ndarray, tag):
+    """Yield A_local x, then A_src payload for each sender in ascending
+    rank, receiving each payload only when its term is taken. The phase in
+    tag picks the plan and the split operands."""
+    fwd = tag[2] == "fwd"
+    plan = st.plan_fwd if fwd else st.plan_bwd
+    a_recv = st.a_fwd_recv if fwd else st.a_bwd_recv
+    yield spmm(st.a_fwd_local if fwd else st.a_bwd_local, x)
+    for src in plan.recv_from[st.rank]:
+        src = int(src)
+        payload = net.recv(st.rank, src, tag, (len(plan.send[src][st.rank]), x.shape[1]))
+        yield spmm(a_recv[src], payload)
+
+
 def _fwd_compute(st: ProcState, net: SimNetwork, k: int, tag) -> None:
     w = st.weights[k - 1]
-    z = spmm(st.a_fwd_local, st.h[k - 1]) @ w
-    for src in st.plan_fwd.recv_from[st.rank]:
-        src = int(src)
-        n_rows = len(st.plan_fwd.send[src][st.rank])
-        payload = net.recv(st.rank, src, tag, (n_rows, st.dims[k - 1]))
-        z = z + spmm(st.a_fwd_recv[src], payload) @ w
+    terms = _terms(st, net, st.h[k - 1], tag)
+    z = next(terms) @ w
+    for t in terms:
+        z = z + t @ w
     st.z[k] = z
     st.h[k], _ = activation_and_derivative(st.activation, z)
 
@@ -336,22 +329,12 @@ def _local_loss_grad(st: ProcState, labels: LabelSet, n_labeled_global: int):
     return np.array([[local_sum]])
 
 
-def _bwd_send(st: ProcState, net: SimNetwork, k: int, tag) -> None:
-    block = RowBlock(st.global_rows, st.g[k])
-    for dst in range(st.plan_bwd.p):
-        ids = st.plan_bwd.send[st.rank][dst]
-        if len(ids):
-            net.send(st.rank, dst, gather_rows(block, ids), tag)
-
-
 def _bwd_compute(st: ProcState, net: SimNetwork, k: int, tag) -> np.ndarray:
     """Aggregate A_m G^k, derive G^{k-1}, return the local dW^k part."""
-    aggregated = spmm(st.a_bwd_local, st.g[k])
-    for src in st.plan_bwd.recv_from[st.rank]:
-        src = int(src)
-        n_rows = len(st.plan_bwd.send[src][st.rank])
-        payload = net.recv(st.rank, src, tag, (n_rows, st.dims[k]))
-        aggregated = aggregated + spmm(st.a_bwd_recv[src], payload)
+    terms = _terms(st, net, st.g[k], tag)
+    aggregated = next(terms)
+    for t in terms:
+        aggregated = aggregated + t
     if k > 1:
         s = aggregated @ st.weights[k - 1].T
         _, d_prev = activation_and_derivative(st.activation, st.z[k - 1])
@@ -359,54 +342,73 @@ def _bwd_compute(st: ProcState, net: SimNetwork, k: int, tag) -> np.ndarray:
     return st.h[k - 1].T @ aggregated
 
 
-def _apply_update(st: ProcState, k: int, dw: np.ndarray) -> None:
-    st.weights[k - 1] = st.weights[k - 1] - st.learning_rate * dw
-
-
 # ---------------------------------------------------------------------------
-# schedulers
+# the rank program and its two schedulers
 
 
-def _run_epoch_round(states, net, labels, n_labeled_global, epoch, step) -> float:
-    L = states[0].n_layers
-    for st in states:
-        _reset_trace(st)
-    for k in range(1, L + 1):
-        tag = (epoch, step, "fwd", k)
-        for st in states:
-            _fwd_send(st, net, k, tag)
-        for st in states:
-            _fwd_compute(st, net, k, tag)
-    sums = [_local_loss_grad(st, labels, n_labeled_global) for st in states]
-    total = allreduce_sum(sums)
-    loss = float(total[0, 0]) / n_labeled_global if n_labeled_global else 0.0
-    for k in range(L, 0, -1):
-        tag = (epoch, step, "bwd", k)
-        for st in states:
-            _bwd_send(st, net, k, tag)
-        parts = [_bwd_compute(st, net, k, tag) for st in states]
-        dw = allreduce_sum(parts)
-        for st in states:
-            _apply_update(st, k, dw)
-    return loss
-
-
-def _rank_epoch_threaded(st, net, labels, n_labeled_global, epoch, step, losses) -> None:
+def _rank_forward(st: ProcState, net: SimNetwork, epoch: int, step: int):
+    """Forward sweep; per layer: post sends, send barrier, receive and compute."""
     L = st.n_layers
-    _reset_trace(st)
+    st.h = [st.h0] + [None] * L
+    st.z = [None] * (L + 1)
+    st.g = [None] * (L + 1)
     for k in range(1, L + 1):
         tag = (epoch, step, "fwd", k)
-        _fwd_send(st, net, k, tag)
+        _send_rows(st, net, st.plan_fwd, st.h[k - 1], tag)
+        yield None
         _fwd_compute(st, net, k, tag)
-    local = _local_loss_grad(st, labels, n_labeled_global)
-    total = net.allreduce(st.rank, local)
-    losses[st.rank] = float(total[0, 0]) / n_labeled_global if n_labeled_global else 0.0
-    for k in range(L, 0, -1):
+
+
+def _rank_backward(st: ProcState, net: SimNetwork, labels, n_labeled_global, epoch, step):
+    """Loss contribution, then per layer: post sends, send barrier, receive
+    and compute, dW contribution, update. Returns the global loss."""
+    total = yield _local_loss_grad(st, labels, n_labeled_global)
+    for k in range(st.n_layers, 0, -1):
         tag = (epoch, step, "bwd", k)
-        _bwd_send(st, net, k, tag)
-        part = _bwd_compute(st, net, k, tag)
-        dw = net.allreduce(st.rank, part)
-        _apply_update(st, k, dw)
+        _send_rows(st, net, st.plan_bwd, st.g[k], tag)
+        yield None
+        dw = yield _bwd_compute(st, net, k, tag)
+        st.weights[k - 1] = st.weights[k - 1] - st.learning_rate * dw
+    return float(total[0, 0]) / n_labeled_global if n_labeled_global else 0.0
+
+
+def _rank_epoch(st, net, labels, n_labeled_global, epoch, step):
+    yield from _rank_forward(st, net, epoch, step)
+    return (yield from _rank_backward(st, net, labels, n_labeled_global, epoch, step))
+
+
+def _drive_round(programs) -> list:
+    """Step every program to its next sync point in rank order; answer
+    contributions with their rank-ordered sum."""
+    results = [None] * len(programs)
+    reply = None
+    while True:
+        out = []
+        for rank, program in enumerate(programs):
+            try:
+                out.append(program.send(reply))
+            except StopIteration as stop:
+                results[rank] = stop.value
+        if not out:
+            return results
+        reply = None if out[0] is None else allreduce_sum(out)
+
+
+def _drive_threads(programs, net: SimNetwork) -> list:
+    """Run each program on its own worker; contributions go to net.allreduce."""
+    results = [None] * len(programs)
+
+    def run_rank(rank):
+        program, reply = programs[rank], None
+        try:
+            while True:
+                out = program.send(reply)
+                reply = None if out is None else net.allreduce(rank, out)
+        except StopIteration as stop:
+            results[rank] = stop.value
+
+    _run_workers(range(len(programs)), net, run_rank)
+    return results
 
 
 def _run_workers(states, net: SimNetwork, rank_fn) -> None:
@@ -437,23 +439,18 @@ def _run_workers(states, net: SimNetwork, rank_fn) -> None:
         raise failure
 
 
-def _run_epoch_threads(states, net, labels, n_labeled_global, epoch, step) -> float:
-    losses = [None] * len(states)
-    _run_workers(
-        states,
-        net,
-        lambda st: _rank_epoch_threaded(
-            st, net, labels, n_labeled_global, epoch, step, losses
-        ),
-    )
-    return losses[0]
+def _run(programs, net: SimNetwork, scheduler: str) -> list:
+    """Drive one rank program per rank; returns each program's result."""
+    if scheduler not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler {scheduler!r}")
+    if scheduler == "round":
+        return _drive_round(programs)
+    return _drive_threads(programs, net)
 
 
 def _run_epoch(states, net, labels, n_labeled_global, epoch, step, scheduler) -> float:
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler {scheduler!r}")
-    run = _run_epoch_round if scheduler == "round" else _run_epoch_threads
-    return run(states, net, labels, n_labeled_global, epoch, step)
+    programs = [_rank_epoch(st, net, labels, n_labeled_global, epoch, step) for st in states]
+    return _run(programs, net, scheduler)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -462,26 +459,7 @@ def _run_epoch(states, net, labels, n_labeled_global, epoch, step, scheduler) ->
 
 def parallel_feedforward(states, net: SimNetwork, scheduler: str = "round", epoch: int = 0):
     """One forward pass over all layers; fills each rank's h/z blocks."""
-    L = states[0].n_layers
-    if scheduler == "round":
-        for st in states:
-            _reset_trace(st)
-        for k in range(1, L + 1):
-            tag = (epoch, 0, "fwd", k)
-            for st in states:
-                _fwd_send(st, net, k, tag)
-            for st in states:
-                _fwd_compute(st, net, k, tag)
-    else:
-
-        def rank_forward(st):
-            _reset_trace(st)
-            for k in range(1, L + 1):
-                tag = (epoch, 0, "fwd", k)
-                _fwd_send(st, net, k, tag)
-                _fwd_compute(st, net, k, tag)
-
-        _run_workers(states, net, rank_forward)
+    _run([_rank_forward(st, net, epoch, 0) for st in states], net, scheduler)
     return states
 
 
@@ -494,34 +472,8 @@ def parallel_backprop(states, net: SimNetwork, labels: LabelSet, scheduler: str 
     if n_labeled_global == 0:
         raise ValueError("label set is empty")
     start = time.perf_counter()
-    L = states[0].n_layers
-    if scheduler == "round":
-        sums = [_local_loss_grad(st, labels, n_labeled_global) for st in states]
-        loss = float(allreduce_sum(sums)[0, 0]) / n_labeled_global
-        for k in range(L, 0, -1):
-            tag = (epoch, 0, "bwd", k)
-            for st in states:
-                _bwd_send(st, net, k, tag)
-            parts = [_bwd_compute(st, net, k, tag) for st in states]
-            dw = allreduce_sum(parts)
-            for st in states:
-                _apply_update(st, k, dw)
-    else:
-        losses = [None] * len(states)
-
-        def rank_backward(st):
-            local = _local_loss_grad(st, labels, n_labeled_global)
-            total = net.allreduce(st.rank, local)
-            losses[st.rank] = float(total[0, 0]) / n_labeled_global
-            for k in range(L, 0, -1):
-                tag = (epoch, 0, "bwd", k)
-                _bwd_send(st, net, k, tag)
-                part = _bwd_compute(st, net, k, tag)
-                dw = net.allreduce(st.rank, part)
-                _apply_update(st, k, dw)
-
-        _run_workers(states, net, rank_backward)
-        loss = losses[0]
+    programs = [_rank_backward(st, net, labels, n_labeled_global, epoch, 0) for st in states]
+    loss = _run(programs, net, scheduler)[0]
     wall = time.perf_counter() - start
     recs = [r for r in net.records(epoch=epoch) if r.phase == "bwd"]
     return states, _metrics_from_records(recs, len(states), wall, loss)

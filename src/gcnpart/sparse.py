@@ -2,10 +2,10 @@
 
 Every numeric path in the package runs through this module: CSR storage,
 adjacency normalization D^{-1/2}(A+I)D^{-1/2}, sparse-dense and dense-dense
-products, CSR transpose, and the row-gather primitive that assembles
-point-to-point message payloads (the copy-operator realization of the
-diagonal selector matrices, kept as index lists instead of materialized
-diagonals).
+products, CSR transpose and row/column restriction, and the row-gather
+primitive that assembles point-to-point message payloads (the
+copy-operator realization of the diagonal selector matrices, kept as index
+lists instead of materialized diagonals).
 
 All scalars are float64. Each spmm output row is one BLAS vector-matrix
 product over the row's nonzeros, handed over in ascending column order (CSR
@@ -241,6 +241,27 @@ def transpose_sparse(a: CsrMatrix) -> CsrMatrix:
     offsets = np.zeros(a.n_cols + 1, dtype=np.int64)
     np.cumsum(np.bincount(a.col_indices, minlength=a.n_cols), out=offsets[1:])
     return CsrMatrix(a.n_cols, a.n_rows, offsets, out_cols, out_vals)
+
+
+def restrict(a: CsrMatrix, rows, cols) -> CsrMatrix:
+    """a[rows, cols]: output row i is row rows[i] of a, output column j is
+    column cols[j] (cols strictly increasing, so columns stay sorted).
+    Values are copied unchanged."""
+    rows, cols = _as_index_array(rows), _as_index_array(cols)
+    if np.any(np.diff(cols) <= 0):
+        raise ValueError("cols must be strictly increasing")
+    starts = a.row_offsets[rows]
+    counts = a.row_offsets[rows + 1] - starts
+    # entry ids of the selected rows, row after row
+    idx = np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    keep = np.isin(a.col_indices[idx], cols)
+    idx = idx[keep]
+    out_rows = np.repeat(np.arange(len(rows)), counts)[keep]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(out_rows, minlength=len(rows)), out=offsets[1:])
+    # kept columns are members of cols, so insertion points are positions
+    out_cols = np.searchsorted(cols, a.col_indices[idx])
+    return CsrMatrix(len(rows), len(cols), offsets, out_cols, a.values[idx])
 
 
 def gather_rows(block: RowBlock, wanted_global_ids) -> np.ndarray:

@@ -185,6 +185,27 @@ class TestRunExperiment:
         doc = run_experiment(cfg)
         assert {r["partitioner"] for r in doc["runs"]} == {"rp", "shp"}
 
+    def test_directed_mini_report_same_under_both_schedulers(self, tmp_path):
+        path = tmp_path / "d.txt"
+        ring = [f"{i} {(i + 1) % 16}" for i in range(16)]
+        chords = [f"{i} {(i * 5 + 3) % 16}" for i in range(16)]
+        path.write_text("\n".join(ring + chords) + "\n")
+        out = tmp_path / "o"
+        argv = [
+            "--graph", str(path), "-p", "4", "--partitioner", "rp,shp", "--directed",
+            "--mode", "mini", "--batch-size", "8", "--batches", "3",
+            "--layers", "2", "--dims", "4,5,3", "--epochs", "2", "--seed", "6",
+            "--epsilon", "0.5", "--out", str(out),
+        ]
+        docs = []
+        for scheduler in ("round", "threads"):
+            assert main(argv + ["--scheduler", scheduler]) == 0
+            doc = json.loads((out / "report.json").read_text())
+            assert doc["config"].pop("scheduler") == scheduler
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert any(e["total_words"] for r in docs[0]["runs"] for e in r["epochs"])
+
 
 class TestMainExitCodes:
     def test_success_is_zero(self, tmp_path):

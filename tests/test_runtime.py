@@ -1,6 +1,8 @@
 """Simulated runtime: serial equivalence, exact communication accounting,
 scheduler agreement, and mini-batch behavior."""
 
+import dataclasses
+import threading
 import time
 
 import numpy as np
@@ -53,6 +55,15 @@ def build_instance(n, dims, seed, directed=False, density=0.2):
 
 def partition_for(a_hat, p, seed, eps=0.5):
     return random_partition(a_hat.row_nnz(), PartitionConfig(p=p, seed=seed, epsilon=eps))
+
+
+def sorted_records(net):
+    return sorted(net.log, key=dataclasses.astuple)
+
+
+def scheduler_case(scheduler, directed, mini):
+    words = [scheduler] + ["directed"] * directed + ["mini"] * mini
+    return pytest.param(scheduler, directed, mini, id="-".join(words))
 
 
 def assemble(states, key, layer=None):
@@ -172,6 +183,24 @@ class TestParallelBackprop:
         )
         assert len(bwd) == nonempty_pairs * model.n_layers
 
+    def test_split_ops_agree_across_schedulers(self):
+        _, a_hat, h0, labels, model = build_instance(18, (3, 4, 2), 21, directed=True)
+        pi = partition_for(a_hat, 4, 21)
+        runs = []
+        for scheduler in ("round", "threads"):
+            net = SimNetwork(4)
+            states = scatter(a_hat, h0, pi, model, directed=True)
+            parallel_feedforward(states, net, scheduler=scheduler)
+            _, metrics = parallel_backprop(states, net, labels, scheduler=scheduler)
+            runs.append((metrics, states, net))
+        (m1, st1, net1), (m2, st2, net2) = runs
+        assert m1.loss == m2.loss
+        for a, b in zip(st1, st2):
+            for wa, wb in zip(a.weights, b.weights):
+                assert np.array_equal(wa, wb)
+        assert len(net1.log) > 0
+        assert sorted_records(net1) == sorted_records(net2)
+
 
 class TestAllreduce:
     def test_single_contribution_identity(self):
@@ -278,20 +307,64 @@ class TestTrainEpochs:
                     assert all(c == 1 for c in per_pair.values())
                     assert all(c <= p - 1 for c in per_src.values())
 
-    @pytest.mark.parametrize("scheduler", ["round", "threads"])
-    def test_schedulers_bit_identical(self, scheduler):
-        _, a_hat, h0, labels, model = build_instance(18, (3, 4, 2), 16)
+    @pytest.mark.parametrize(
+        "scheduler,directed,mini",
+        [
+            scheduler_case(s, d, m)
+            for d in (False, True)
+            for m in (False, True)
+            for s in ("round", "threads")
+        ],
+    )
+    def test_schedulers_bit_identical(self, scheduler, directed, mini):
+        raw, a_hat, h0, labels, model = build_instance(18, (3, 4, 2), 16, directed=directed)
         pi = partition_for(a_hat, 4, 16)
-        net1 = SimNetwork(4)
-        st1 = scatter(a_hat, h0, pi, model)
-        m1 = train_epochs(st1, net1, labels, 2, scheduler="round")
-        net2 = SimNetwork(4)
-        st2 = scatter(a_hat, h0, pi, model)
-        m2 = train_epochs(st2, net2, labels, 2, scheduler=scheduler)
+        mode = FullBatch()
+        if mini:
+            mode = MiniBatch(
+                spec=MiniBatchSpec(10),
+                batches_per_epoch=2,
+                seed=3,
+                adjacency=raw,
+                features=h0,
+                owner=pi.assignment,
+                directed=directed,
+            )
+        runs = []
+        for sched in ("round", scheduler):
+            net = SimNetwork(4)
+            states = scatter(a_hat, h0, pi, model, directed=directed)
+            metrics = train_epochs(states, net, labels, 2, mode, scheduler=sched)
+            runs.append((metrics, states, net))
+        (m1, st1, net1), (m2, st2, net2) = runs
         assert [m.loss for m in m1] == [m.loss for m in m2]
         for a, b in zip(st1, st2):
             for wa, wb in zip(a.weights, b.weights):
                 assert np.array_equal(wa, wb)
+        assert len(net1.log) > 0
+        assert sorted_records(net1) == sorted_records(net2)
+
+    @pytest.mark.parametrize("scheduler", ["round", "threads"])
+    def test_dropped_message_raises(self, scheduler, monkeypatch):
+        monkeypatch.setattr(runtime, "WAIT_S", 0.05)
+        _, a_hat, h0, labels, model = build_instance(18, (3, 4, 2), 22)
+        pi = partition_for(a_hat, 4, 22)
+        net = SimNetwork(4)
+        states = scatter(a_hat, h0, pi, model)
+        send, lock, dropped = net.send, threading.Lock(), []
+
+        def lossy_send(src, dst, payload, tag):
+            with lock:
+                drop = tag[2] == "bwd" and not dropped
+                if drop:
+                    dropped.append(tag)
+            if not drop:
+                send(src, dst, payload, tag)
+
+        monkeypatch.setattr(net, "send", lossy_send)
+        with pytest.raises(CommError):
+            train_epochs(states, net, labels, 1, scheduler=scheduler)
+        assert len(dropped) == 1
 
     def test_missing_message_raises_comm_error(self):
         net = SimNetwork(2)
@@ -317,6 +390,16 @@ class TestTrainEpochs:
         states = scatter(a_hat, h0, partition_for(a_hat, 2, 17), model)
         with pytest.raises(ValueError):
             train_epochs(states, net, labels, 1, scheduler="eager")
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            parallel_feedforward(states, net, scheduler="eager")
+        assert net.log == []
+        parallel_feedforward(states, net)
+        n_fwd = len(net.log)
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            parallel_backprop(states, net, labels, scheduler="eager")
+        assert len(net.log) == n_fwd
+        for w0, w in zip(model.weights, states[0].weights):
+            assert np.array_equal(w0, w)
 
 
 class TestMiniBatch:

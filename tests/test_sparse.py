@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcnpart import (
     CsrMatrix,
@@ -13,6 +15,7 @@ from gcnpart import (
     spmm,
     transpose_sparse,
 )
+from gcnpart.sparse import restrict
 
 from helpers import dense_spmm_oracle, random_undirected, triple_loop_dmm_oracle
 
@@ -202,6 +205,40 @@ class TestTranspose:
         assert np.array_equal(a.row_offsets, tt.row_offsets)
         assert np.array_equal(a.col_indices, tt.col_indices)
         assert np.array_equal(a.values, tt.values)
+
+
+@st.composite
+def restrict_instances(draw):
+    """Random CSR (empty rows likely), rows in any order with repeats, and
+    a sorted column subset that may be empty."""
+    n_rows, n_cols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    mask = draw(st.lists(st.booleans(), min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+    values = draw(
+        st.lists(
+            st.floats(-4, 4, allow_nan=False).filter(lambda v: v != 0),
+            min_size=n_rows * n_cols,
+            max_size=n_rows * n_cols,
+        )
+    )
+    d = (np.array(mask, dtype=bool) * np.array(values, dtype=float)).reshape(n_rows, n_cols)
+    rows = draw(st.lists(st.integers(0, n_rows - 1), max_size=8)) if n_rows else []
+    cols = sorted(draw(st.sets(st.integers(0, n_cols - 1))))
+    return CsrMatrix.from_dense(d), np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+
+
+class TestRestrict:
+    @settings(deadline=None, max_examples=300)
+    @given(restrict_instances())
+    def test_matches_dense_fancy_indexing(self, inst):
+        a, rows, cols = inst
+        got = restrict(a, rows, cols)
+        assert got.shape == (len(rows), len(cols))
+        assert np.array_equal(got.to_dense(), a.to_dense()[np.ix_(rows, cols)])
+        assert got.nnz == np.count_nonzero(a.to_dense()[np.ix_(rows, cols)])
+
+    def test_unsorted_columns_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            restrict(CsrMatrix.identity(3), [0, 1], [2, 0])
 
 
 class TestGatherRows:
