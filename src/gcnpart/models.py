@@ -204,9 +204,12 @@ def evaluate_graph_cut(g: UGraph, pi: Partition) -> CutReport:
 def net_connectivity(h: Hypergraph, pi: Partition) -> np.ndarray:
     """lambda(n_j): number of distinct parts touched by each net's pins."""
     _check_assignment(h.n_vertices, pi)
-    return np.array(
-        [len(np.unique(pi.assignment[pins])) for pins in h.nets], dtype=np.int64
-    )
+    if not h.n_nets:
+        return np.zeros(0, dtype=np.int64)
+    net_of = np.repeat(np.arange(h.n_nets), [len(pins) for pins in h.nets])
+    # one key per distinct (net, part) pair
+    keys = np.unique(net_of * pi.p + pi.assignment[np.concatenate(h.nets)])
+    return np.bincount(keys // pi.p, minlength=h.n_nets)
 
 
 def evaluate_hypergraph_cut(h: Hypergraph, pi: Partition) -> CutReport:

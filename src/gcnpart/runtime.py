@@ -176,8 +176,11 @@ def allreduce_sum(contributions) -> np.ndarray:
 class ProcState:
     """Everything one simulated processor stores.
 
-    Row blocks follow the partition; the split CSR operands index received
-    payload rows positionally against the sorted send lists of the plan.
+    Row blocks follow the partition. Each phase has one halo operand
+    A_ext = A[rows, ext], where ext lists the rank's own rows, then each
+    sender's send list to it in ascending sender rank; its columns index
+    the rows of [own block; payloads in that order]. send_fwd/send_bwd map
+    each destination to the local positions of the rows sent there.
     Weight replicas are private copies, kept identical across ranks by the
     deterministic allreduce.
     """
@@ -186,10 +189,10 @@ class ProcState:
     global_rows: np.ndarray
     plan_fwd: CommPlan
     plan_bwd: CommPlan
-    a_fwd_local: CsrMatrix
-    a_fwd_recv: dict[int, CsrMatrix]
-    a_bwd_local: CsrMatrix
-    a_bwd_recv: dict[int, CsrMatrix]
+    a_fwd: CsrMatrix
+    a_bwd: CsrMatrix
+    send_fwd: dict[int, np.ndarray]
+    send_bwd: dict[int, np.ndarray]
     dims: tuple[int, ...]
     activation: str
     learning_rate: float
@@ -215,12 +218,23 @@ class EpochMetrics:
     loss: float
 
 
-def _split(a: CsrMatrix, plan: CommPlan, m: int, rows: np.ndarray) -> list[CsrMatrix]:
-    """Rank m's rows of a, split by column into its own rows, then each
-    sender's send list to m (ascending sender), columns renumbered by
-    position."""
-    groups = [rows] + [plan.send[n][m] for n in plan.recv_from[m]]
-    return [restrict(a, rows, group) for group in groups]
+def _halo_operand(a: CsrMatrix, plan: CommPlan, m: int, rows: np.ndarray) -> CsrMatrix:
+    """A[rows, ext] for rank m, ext = its own rows, then each sender's send
+    list to m (ascending sender); column j is position j of ext."""
+    ext = np.concatenate([rows] + [plan.send[n][m] for n in plan.recv_from[m]])
+    order = np.argsort(ext)
+    sub = restrict(a, rows, ext[order])
+    cols = order[sub.col_indices]
+    row_of = np.repeat(np.arange(sub.n_rows), sub.row_nnz())
+    within = np.lexsort((cols, row_of))
+    return CsrMatrix(sub.n_rows, len(ext), sub.row_offsets, cols[within], sub.values[within])
+
+
+def _send_positions(plan: CommPlan, m: int, rows: np.ndarray) -> dict[int, np.ndarray]:
+    """Local positions of rank m's send lists, by destination; gather_rows
+    raises KeyError for a listed row that m does not own."""
+    index = RowBlock(rows, np.arange(len(rows)).reshape(-1, 1))
+    return {dst: gather_rows(index, ids)[:, 0] for dst, ids in enumerate(plan.send[m]) if len(ids)}
 
 
 def scatter(
@@ -244,18 +258,18 @@ def scatter(
     states = []
     for m in range(plan_fwd.p):
         rows = plan_fwd.rows_of(m)
-        fwd_split = _split(a_hat, plan_fwd, m, rows)
-        bwd_split = _split(a_bwd, plan_bwd, m, rows) if directed else fwd_split
+        a_fwd = _halo_operand(a_hat, plan_fwd, m, rows)
+        send_fwd = _send_positions(plan_fwd, m, rows)
         states.append(
             ProcState(
                 rank=m,
                 global_rows=rows,
                 plan_fwd=plan_fwd,
                 plan_bwd=plan_bwd,
-                a_fwd_local=fwd_split[0],
-                a_fwd_recv=dict(zip(map(int, plan_fwd.recv_from[m]), fwd_split[1:])),
-                a_bwd_local=bwd_split[0],
-                a_bwd_recv=dict(zip(map(int, plan_bwd.recv_from[m]), bwd_split[1:])),
+                a_fwd=a_fwd,
+                a_bwd=_halo_operand(a_bwd, plan_bwd, m, rows) if directed else a_fwd,
+                send_fwd=send_fwd,
+                send_bwd=_send_positions(plan_bwd, m, rows) if directed else send_fwd,
                 dims=model.dims,
                 activation=model.activation,
                 learning_rate=model.learning_rate,
@@ -270,34 +284,24 @@ def scatter(
 # per-rank helpers: array locals live here, not in the suspended rank program
 
 
-def _send_rows(st: ProcState, net: SimNetwork, plan: CommPlan, values: np.ndarray, tag) -> None:
-    block = RowBlock(st.global_rows, values)
-    for dst in range(plan.p):
-        ids = plan.send[st.rank][dst]
-        if len(ids):
-            net.send(st.rank, dst, gather_rows(block, ids), tag)
+def _send_rows(st: ProcState, net: SimNetwork, send: dict, values: np.ndarray, tag) -> None:
+    for dst, pos in send.items():
+        net.send(st.rank, dst, values[pos], tag)
 
 
-def _terms(st: ProcState, net: SimNetwork, x: np.ndarray, tag):
-    """Yield A_local x, then A_src payload for each sender in ascending
-    rank, receiving each payload only when its term is taken. The phase in
-    tag picks the plan and the split operands."""
-    fwd = tag[2] == "fwd"
-    plan = st.plan_fwd if fwd else st.plan_bwd
-    a_recv = st.a_fwd_recv if fwd else st.a_bwd_recv
-    yield spmm(st.a_fwd_local if fwd else st.a_bwd_local, x)
-    for src in plan.recv_from[st.rank]:
-        src = int(src)
-        payload = net.recv(st.rank, src, tag, (len(plan.send[src][st.rank]), x.shape[1]))
-        yield spmm(a_recv[src], payload)
+def _halo(st: ProcState, net: SimNetwork, x: np.ndarray, tag) -> np.ndarray:
+    """[x; payload of each sender in ascending rank], the operand that the
+    phase's A_ext multiplies. The phase in tag picks the plan."""
+    plan = st.plan_fwd if tag[2] == "fwd" else st.plan_bwd
+    payloads = [
+        net.recv(st.rank, int(src), tag, (len(plan.send[src][st.rank]), x.shape[1]))
+        for src in plan.recv_from[st.rank]
+    ]
+    return np.concatenate([x] + payloads)
 
 
 def _fwd_compute(st: ProcState, net: SimNetwork, k: int, tag) -> None:
-    w = st.weights[k - 1]
-    terms = _terms(st, net, st.h[k - 1], tag)
-    z = next(terms) @ w
-    for t in terms:
-        z = z + t @ w
+    z = spmm(st.a_fwd, _halo(st, net, st.h[k - 1], tag)) @ st.weights[k - 1]
     st.z[k] = z
     st.h[k], _ = activation_and_derivative(st.activation, z)
 
@@ -331,10 +335,7 @@ def _local_loss_grad(st: ProcState, labels: LabelSet, n_labeled_global: int):
 
 def _bwd_compute(st: ProcState, net: SimNetwork, k: int, tag) -> np.ndarray:
     """Aggregate A_m G^k, derive G^{k-1}, return the local dW^k part."""
-    terms = _terms(st, net, st.g[k], tag)
-    aggregated = next(terms)
-    for t in terms:
-        aggregated = aggregated + t
+    aggregated = spmm(st.a_bwd, _halo(st, net, st.g[k], tag))
     if k > 1:
         s = aggregated @ st.weights[k - 1].T
         _, d_prev = activation_and_derivative(st.activation, st.z[k - 1])
@@ -354,7 +355,7 @@ def _rank_forward(st: ProcState, net: SimNetwork, epoch: int, step: int):
     st.g = [None] * (L + 1)
     for k in range(1, L + 1):
         tag = (epoch, step, "fwd", k)
-        _send_rows(st, net, st.plan_fwd, st.h[k - 1], tag)
+        _send_rows(st, net, st.send_fwd, st.h[k - 1], tag)
         yield None
         _fwd_compute(st, net, k, tag)
 
@@ -365,7 +366,7 @@ def _rank_backward(st: ProcState, net: SimNetwork, labels, n_labeled_global, epo
     total = yield _local_loss_grad(st, labels, n_labeled_global)
     for k in range(st.n_layers, 0, -1):
         tag = (epoch, step, "bwd", k)
-        _send_rows(st, net, st.plan_bwd, st.g[k], tag)
+        _send_rows(st, net, st.send_bwd, st.g[k], tag)
         yield None
         dw = yield _bwd_compute(st, net, k, tag)
         st.weights[k - 1] = st.weights[k - 1] - st.learning_rate * dw

@@ -7,13 +7,12 @@ primitive that assembles point-to-point message payloads (the
 copy-operator realization of the diagonal selector matrices, kept as index
 lists instead of materialized diagonals).
 
-All scalars are float64. Each spmm output row is one BLAS vector-matrix
-product over the row's nonzeros, handed over in ascending column order (CSR
-columns are sorted). The order in which BLAS sums those products is its
-own, so a row may differ in its last bits from a sequential ascending sum
-and between BLAS builds. For a fixed numpy/BLAS build and thread setting
-the same operands give the same bits, so repeated runs, and the two
-schedulers, are bit-identical.
+All scalars are float64. Each spmm output row is the sequential sum of its
+products in ascending column order (CSR columns are sorted), built from
+elementwise numpy operations, so it is the same to the last bit on every
+BLAS build. Dense products (dmm) go through BLAS; for a fixed numpy/BLAS
+build and thread setting the same operands give the same bits, so
+repeated runs, and the two schedulers, are bit-identical.
 """
 
 from __future__ import annotations
@@ -200,19 +199,25 @@ def normalize_adjacency(a: CsrMatrix, add_self_loops: bool = True) -> CsrMatrix:
 
 
 def spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
-    """Sparse @ dense. Row i is one BLAS product of its nonzero values with
-    the matching rows of h, in ascending column order; BLAS picks the
-    summation order (deterministic for a fixed BLAS build and thread
-    setting, not necessarily a sequential ascending sum)."""
+    """Sparse @ dense as the sequential ascending-column sum of each row:
+    out[i] = ((0 + v_0 h[c_0]) + v_1 h[c_1]) + ..., bit for bit.
+
+    Step k adds entry k of every row that has more than k entries. Rows
+    are ordered by descending entry count, so those rows are a prefix."""
     h = dense(h)
     if a.n_cols != h.shape[0]:
         raise ValueError(f"spmm shape mismatch: {a.shape} @ {h.shape}")
     out = np.zeros((a.n_rows, h.shape[1]))
-    ro, ci, v = a.row_offsets, a.col_indices, a.values
-    for i in range(a.n_rows):
-        s, e = ro[i], ro[i + 1]
-        if s != e:
-            out[i] = v[s:e] @ h[ci[s:e]]
+    prod = a.values[:, None] * h[a.col_indices]
+    counts = a.row_nnz()
+    order = np.argsort(-counts, kind="stable")
+    starts = a.row_offsets[order]
+    # longer[k]: number of rows with more than k entries
+    longer = a.n_rows - np.cumsum(np.bincount(counts))
+    acc = np.zeros_like(out)
+    for k, m in enumerate(longer[:-1]):
+        acc[:m] += prod[starts[:m] + k]
+    out[order] = acc
     return out
 
 

@@ -1,10 +1,15 @@
 """Experiment driver: config validation, end-to-end runs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gcnpart
 from gcnpart.cli import ExperimentConfig, main, parse_args, run_experiment
 
 from helpers import grid_graph
@@ -257,3 +262,13 @@ class TestDirectedValidation:
         cfg.directed = True
         doc = run_experiment(cfg)
         assert doc["runs"][0]["partitioner"] == "rp"
+
+
+def test_import_leaves_scipy_out():
+    # numpy is the only dependency; importing scipy.sparse alone adds about
+    # 20 MiB of peak RSS to every run
+    src = str(Path(gcnpart.__file__).resolve().parents[1])
+    code = "import sys, gcnpart, gcnpart.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcnpart import (
     CsrMatrix,
@@ -175,6 +177,29 @@ class TestHypergraphCut:
         assert rep.cut_value == brute_force_hypergraph_cut(nets, assignment)
         for j, pins in enumerate(nets):
             assert rep.per_net_lambda[j] == brute_force_lambda(pins, assignment)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.data())
+    def test_connectivity_matches_per_net_reference(self, data):
+        p = data.draw(st.integers(1, 5))
+        n = data.draw(st.integers(p, 14))
+        # every part non-empty, the rest drawn freely
+        assignment = np.array(
+            list(range(p)) + data.draw(st.lists(st.integers(0, p - 1), min_size=n - p, max_size=n - p))
+        )
+        assignment = assignment[np.array(data.draw(st.permutations(range(n))))]
+        nets = [
+            np.array(sorted(pins))
+            for pins in data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=12))
+        ]
+        # a net whose pins all sit in one part
+        nets.append(np.flatnonzero(assignment == data.draw(st.integers(0, p - 1))))
+        h = Hypergraph(n, tuple(nets), np.ones(len(nets)), np.ones(n, dtype=np.int64))
+        lam = net_connectivity(h, make_partition(assignment, h.vertex_weight, p))
+        assert lam.dtype == np.int64
+        want = [len(np.unique(assignment[pins])) for pins in nets]
+        assert lam.tolist() == want
+        assert lam[-1] == 1
 
 
 class TestPredictedVolume:

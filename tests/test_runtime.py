@@ -66,6 +66,12 @@ def scheduler_case(scheduler, directed, mini):
     return pytest.param(scheduler, directed, mini, id="-".join(words))
 
 
+def ext_of(st):
+    """Global row ids of the columns of st's forward halo operand."""
+    plan = st.plan_fwd
+    return np.concatenate([st.global_rows] + [plan.send[n][st.rank] for n in plan.recv_from[st.rank]])
+
+
 def assemble(states, key, layer=None):
     rows = np.concatenate([st.global_rows for st in states])
     if key == "h0":
@@ -89,16 +95,58 @@ class TestScatter:
         pi = partition_for(a_hat, 3, 1)
         states = scatter(a_hat, h0, pi, model)
         assert np.array_equal(assemble(states, "h0"), h0)
-        # undo the per-rank column remapping: every entry of a_hat appears
-        # in exactly one split block, with its exact value
+        # undo the ext numbering: every entry of a_hat appears in exactly
+        # one rank's halo operand, with its exact value
         rebuilt = np.zeros((12, 12))
         for st in states:
-            local = st.a_fwd_local.to_dense()
-            rebuilt[np.ix_(st.global_rows, st.global_rows)] += local
-            for src, sub in st.a_fwd_recv.items():
-                cols = st.plan_fwd.send[src][st.rank]
-                rebuilt[np.ix_(st.global_rows, cols)] += sub.to_dense()
+            rebuilt[np.ix_(st.global_rows, ext_of(st))] += st.a_fwd.to_dense()
         assert np.array_equal(rebuilt, a_hat.to_dense())
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_ext_is_own_rows_then_senders_ascending(self, directed):
+        _, a_hat, h0, _, model = build_instance(24, (3, 2), 4, directed=directed)
+        pi = partition_for(a_hat, 4, 4)
+        states = scatter(a_hat, h0, pi, model, directed=directed)
+        a_bwd = transpose_sparse(a_hat) if directed else a_hat
+        for a, plan_key, op_key in ((a_hat, "plan_fwd", "a_fwd"), (a_bwd, "plan_bwd", "a_bwd")):
+            plan = build_comm_plan(a, pi)
+            for st in states:
+                senders = [n for n in range(4) if len(plan.send[n][st.rank])]
+                assert list(getattr(st, plan_key).recv_from[st.rank]) == senders
+                ext = np.concatenate([st.global_rows] + [plan.send[n][st.rank] for n in senders])
+                op = getattr(st, op_key)
+                assert op.shape == (len(st.global_rows), len(ext))
+                dense_rows = a.to_dense()[st.global_rows]
+                assert np.array_equal(op.to_dense(), dense_rows[:, ext])
+                # no entry of the rank's rows falls outside ext
+                assert np.count_nonzero(dense_rows) == op.nnz
+
+    def test_send_positions_select_send_lists(self):
+        _, a_hat, h0, _, model = build_instance(20, (3, 2), 6)
+        states = scatter(a_hat, h0, partition_for(a_hat, 4, 6), model)
+        for st in states:
+            lists = st.plan_fwd.send[st.rank]
+            assert sorted(st.send_fwd) == [d for d in range(4) if len(lists[d])]
+            for dst, pos in st.send_fwd.items():
+                assert np.array_equal(st.global_rows[pos], lists[dst])
+
+    def test_send_list_row_not_owned_raises_at_scatter(self, monkeypatch):
+        _, a_hat, h0, _, model = build_instance(20, (3, 2), 6)
+        pi = partition_for(a_hat, 4, 6)
+        plan = build_comm_plan(a_hat, pi)
+        src, dst = next((m, n) for m in range(4) for n in range(4) if len(plan.send[m][n]))
+        # a row of a third rank that no list to dst names yet, so only the
+        # sender's ownership check can object to it
+        listed = np.concatenate([plan.send[n][dst] for n in range(4)])
+        foreign = next(
+            v for v in range(20) if pi.assignment[v] not in (src, dst) and v not in listed
+        )
+        send = [list(row) for row in plan.send]
+        send[src][dst] = np.sort(np.append(send[src][dst], foreign))
+        bad = dataclasses.replace(plan, send=tuple(map(tuple, send)))
+        monkeypatch.setattr(runtime, "build_comm_plan", lambda *args: bad)
+        with pytest.raises(KeyError, match=f"row {foreign} is not owned"):
+            scatter(a_hat, h0, pi, model)
 
     def test_three_processor_block_rows(self):
         a, assignment = three_processor_transfer_instance()
@@ -317,32 +365,40 @@ class TestTrainEpochs:
         ],
     )
     def test_schedulers_bit_identical(self, scheduler, directed, mini):
-        raw, a_hat, h0, labels, model = build_instance(18, (3, 4, 2), 16, directed=directed)
-        pi = partition_for(a_hat, 4, 16)
-        mode = FullBatch()
-        if mini:
-            mode = MiniBatch(
-                spec=MiniBatchSpec(10),
-                batches_per_epoch=2,
-                seed=3,
-                adjacency=raw,
-                features=h0,
-                owner=pi.assignment,
-                directed=directed,
-            )
-        runs = []
-        for sched in ("round", scheduler):
-            net = SimNetwork(4)
-            states = scatter(a_hat, h0, pi, model, directed=directed)
-            metrics = train_epochs(states, net, labels, 2, mode, scheduler=sched)
-            runs.append((metrics, states, net))
-        (m1, st1, net1), (m2, st2, net2) = runs
-        assert [m.loss for m in m1] == [m.loss for m in m2]
-        for a, b in zip(st1, st2):
-            for wa, wb in zip(a.weights, b.weights):
-                assert np.array_equal(wa, wb)
-        assert len(net1.log) > 0
-        assert sorted_records(net1) == sorted_records(net2)
+        # Every vertex is labelled and each rank holds about ten rows, so
+        # most dW sums have four nonzero contributions whose order shows in
+        # the bits. The large step carries those bits into the weights, and
+        # three instances make it unlikely that all of them hide it.
+        n = 40
+        for seed in (16, 17, 18):
+            raw, a_hat, h0, _, _ = build_instance(n, (3, 4, 2), seed, directed=directed)
+            model = init_model((3, 4, 2), seed=seed, learning_rate=4.0)
+            labels = random_labels(n, 2, n, seed)
+            pi = partition_for(a_hat, 4, seed)
+            mode = FullBatch()
+            if mini:
+                mode = MiniBatch(
+                    spec=MiniBatchSpec(24),
+                    batches_per_epoch=2,
+                    seed=3,
+                    adjacency=raw,
+                    features=h0,
+                    owner=pi.assignment,
+                    directed=directed,
+                )
+            runs = []
+            for sched in ("round", scheduler):
+                net = SimNetwork(4)
+                states = scatter(a_hat, h0, pi, model, directed=directed)
+                metrics = train_epochs(states, net, labels, 2, mode, scheduler=sched)
+                runs.append((metrics, states, net))
+            (m1, st1, net1), (m2, st2, net2) = runs
+            assert [m.loss for m in m1] == [m.loss for m in m2]
+            for a, b in zip(st1, st2):
+                for wa, wb in zip(a.weights, b.weights):
+                    assert np.array_equal(wa, wb)
+            assert len(net1.log) > 0
+            assert sorted_records(net1) == sorted_records(net2)
 
     @pytest.mark.parametrize("scheduler", ["round", "threads"])
     def test_dropped_message_raises(self, scheduler, monkeypatch):

@@ -108,7 +108,45 @@ class TestNormalizeAdjacency:
         assert normalize_adjacency(a).has_full_diagonal()
 
 
+def sequential_spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
+    """Row i as ((0 + v_0 h[c_0]) + v_1 h[c_1]) + ..., one entry at a time."""
+    out = np.zeros((a.n_rows, h.shape[1]))
+    for i in range(a.n_rows):
+        acc = np.zeros(h.shape[1])
+        for c, v in zip(*a.row(i)):
+            acc = acc + v * h[c]
+        out[i] = acc
+    return out
+
+
+@st.composite
+def spmm_instances(draw):
+    """CSR operands where empty rows are likely and 0 rows, 0 nnz and one
+    column all occur, optionally with one row far denser than the rest.
+    Entries span many magnitudes, so a different summation order shows."""
+    n_rows = draw(st.integers(0, 8))
+    n_cols = draw(st.sampled_from([1, 2, 5, 40]))
+    density = draw(st.sampled_from([0.0, 0.15, 0.6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((n_rows, n_cols)) < density
+    if n_rows and draw(st.booleans()):
+        mask[draw(st.integers(0, n_rows - 1))] = True
+    scale = 10.0 ** rng.integers(-8, 9, (n_rows, n_cols))
+    d = mask * rng.standard_normal((n_rows, n_cols)) * scale
+    width = draw(st.integers(1, 4))
+    h = rng.standard_normal((n_cols, width)) * 10.0 ** rng.integers(-8, 9, (n_cols, width))
+    return CsrMatrix.from_dense(d), h
+
+
 class TestSpmm:
+    @settings(deadline=None, max_examples=300)
+    @given(spmm_instances())
+    def test_bit_equal_to_sequential_ascending_sum(self, inst):
+        a, h = inst
+        got = spmm(a, h)
+        assert got.shape == (a.n_rows, h.shape[1])
+        assert np.array_equal(got, sequential_spmm(a, h))
+
     def test_identity(self):
         h = np.random.default_rng(1).standard_normal((5, 3))
         assert np.array_equal(spmm(CsrMatrix.identity(5), h), h)
