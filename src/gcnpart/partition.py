@@ -1,32 +1,48 @@
-"""Balanced p-way partitioners: random placement and recursive-bisection FM.
+"""Balanced p-way partitioners: random placement and multilevel recursive
+bisection.
 
-Every FM partitioner minimizes the same objective with the same engine: the
-connectivity-1 cut of a hypergraph whose pins are stored in CSR form (net j
-pins ``pins[offsets[j]:offsets[j+1]]``). The graph partitioner hands its
-undirected edges over as 2-pin nets, whose connectivity-1 cut is exactly
-the edge cut; the hypergraph and stochastic partitioners hand over their
-nets as they are.
+Every bisection partitioner minimizes the same objective with the same
+engine: the connectivity-1 cut of a hypergraph whose pins are stored in CSR
+form (net j pins ``pins[offsets[j]:offsets[j+1]]``). The graph partitioner
+hands its undirected edges over as 2-pin nets, whose connectivity-1 cut is
+exactly the edge cut; the hypergraph and stochastic partitioners hand over
+their nets as they are.
 
 Recursive bisection restricts the pins to the vertices being split once per
 level (p restricted to powers of two; arbitrary p comes in via external
-partition files). Each bisection is a seeded BFS region-growing split
-followed by flat Fiduccia-Mattheyses passes: best-gain moves under the
-balance cap, every vertex moved at most once per pass, rollback to the best
-prefix. Per-net side pin counts make move gains the exact change of the cut.
-Moves come from lazy gain heaps, one per (side, vertex-weight class), and
-a pass is rolled back by one reassignment of its best side vector.
+partition files). Each bisection is a multilevel V-cycle (Catalyurek &
+Aykanat, IEEE TPDS 1999; Karypis et al., DAC 1997):
 
-Each bisection side holding q leaf parts is capped at q * (1+eps) * W_avg
-(its true leaf budget, so integer vertex weights never make intermediate
-levels spuriously infeasible); a final k-way weight repair mops up
-borderline leaves and the result is verified against the global cap.
+* coarsen: seeded heavy-connectivity matching pairs vertices, clusters
+  are contracted, single-pin nets dropped and identical nets merged by
+  summing their costs (both exact for the connectivity-1 cut), until about
+  COARSEN_TO vertices remain or a level shrinks by less than 10%. A
+  cluster never outweighs the window of balanced side weights;
+* split the coarsest level: the best of RESTARTS seeded BFS region-growing
+  splits, each refined by Fiduccia-Mattheyses passes;
+* uncoarsen: project the split onto each finer level and refine it with
+  FM passes.
+
+An FM pass makes best-gain moves under the balance cap, every vertex at
+most once, and rolls back to its best prefix; it ends early after
+max(100, n // 20) moves without a new best prefix. Per-net side pin counts
+make move gains the exact change of the cut. Moves come from lazy gain
+heaps, one per (side, vertex-weight class), with weights bucketed by their
+leading bits so coarse levels keep few classes, and a pass is rolled back
+by one reassignment of its best side vector.
+
+A side of a bisection toward q leaf parts may hold at most q * (1+eps) *
+W_avg (its true leaf budget); the bisection itself is held to an even
+share of that ratio per remaining level (_side_cap), which leaves slack for
+the levels below. A final k-way weight repair mops up borderline leaves and
+the result is verified against the global cap.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +57,11 @@ from .models import (
 from .sparse import CsrMatrix
 
 FM_PASSES = 8  # refinement passes per bisection; a pass that gains nothing ends them
-RESTARTS = 3  # BFS seeds tried per bisection; best refined cut wins
+RESTARTS = 3  # BFS seeds tried on the coarsest level; best refined cut wins
+COARSEN_TO = 100  # coarsening stops at about this many vertices...
+MIN_SHRINK = 0.9  # ...or once a level keeps more than this share of them
+MATCH_NET_LIMIT = 64  # wider nets are ignored by matching
+WEIGHT_CLASS_BITS = 3  # leading bits of a vertex weight that pick its FM class
 
 
 class BalanceInfeasibleError(ValueError):
@@ -137,6 +157,7 @@ class HypergraphBisection:
             ([0], np.cumsum(np.bincount(nets.pins, minlength=self.n)))
         ).tolist()
         self._vtx_nets = self._net_of_pin[order].tolist()
+        self._neighbors: dict[int, list[int]] = {}
         self.assign(side)
 
     def assign(self, side: np.ndarray) -> None:
@@ -165,12 +186,15 @@ class HypergraphBisection:
         return self._cut
 
     def neighbors(self, v: int) -> list[int]:
-        """The distinct vertices sharing a net with v, ascending."""
-        found = set()
-        for j in self._vtx_nets[self._vtx_offsets[v] : self._vtx_offsets[v + 1]]:
-            found.update(self._pins[self._offsets[j] : self._offsets[j + 1]])
-        found.discard(v)
-        return sorted(found)
+        """The distinct vertices sharing a net with v, ascending (kept, as
+        every restart's BFS asks again)."""
+        if v not in self._neighbors:
+            found = set()
+            for j in self._vtx_nets[self._vtx_offsets[v] : self._vtx_offsets[v + 1]]:
+                found.update(self._pins[self._offsets[j] : self._offsets[j + 1]])
+            found.discard(v)
+            self._neighbors[v] = sorted(found)
+        return self._neighbors[v]
 
     def move(self, v: int) -> list[int]:
         """Move v to the other side and return the vertices whose gain
@@ -282,64 +306,86 @@ def _repair_sides(side, weights, cap, min_count) -> None:
         w[1 - heavy] += weights[v]
 
 
+def _weight_classes(weights: np.ndarray) -> tuple[list[float], list[int]]:
+    """Each vertex weight rounded down to its leading WEIGHT_CLASS_BITS bits,
+    as ascending class floors and a class id per vertex.
+
+    Weights below 2**WEIGHT_CLASS_BITS keep one class each; above that a
+    class spans at most a quarter of its floor (four classes per doubling),
+    so the number of classes grows with the log of the weight range, not
+    with the count of distinct (coarse) weights."""
+    bits = np.frexp(weights)[1]  # bit length of each (integer) weight
+    shift = np.maximum(bits - WEIGHT_CLASS_BITS, 0)
+    floors, class_of = np.unique((weights.astype(np.int64) >> shift) << shift, return_inverse=True)
+    return floors.astype(np.float64).tolist(), class_of.tolist()
+
+
 def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
-    """Best-gain passes with rollback to the best balanced prefix.
+    """Best-gain passes with rollback to the best prefix.
 
     Each step moves the unlocked vertex of highest gain (lowest id on ties)
     whose side keeps at least one other vertex and whose target side stays
     within cap_move. Moves may overshoot the cap by one vertex weight
     mid-pass (the classic loosening; a strictly capped balanced split would
-    admit no move at all), but only prefixes meeting the cap and the side
-    minimum count are eligible as pass results, so each pass ends balanced
-    and never above its starting cut.
+    admit no move at all). A prefix is better when it is closer to balance
+    (fewer vertices missing from the smaller side below min_count, then
+    less weight above the cap), then when its cut is lower. So a balanced
+    start ends balanced and never above its starting cut, and an unbalanced
+    one (an initial or projected split) is pulled toward balance. A pass
+    ends after max(100, n // 20) moves without a new best prefix.
 
-    Candidates sit in lazy min-heaps of (-gain, id), one per (side, vertex
-    weight class); every gain change pushes a fresh entry. A step walks
-    each side's classes in ascending weight while they fit the target
-    side, drops stale tops (locked, or a gain changed since the push) and
-    takes the least top over all of them. Splitting by weight keeps heavy
-    vertices that cannot move from being rescanned at every step.
+    Candidates sit in lazy min-heaps of (-gain, id), one per (side, weight
+    class); every gain change pushes a fresh entry. A step walks each
+    side's classes in ascending floor while the floor fits the target side,
+    drops stale tops (locked, or a gain changed since the push), skips a
+    class whose valid top does not fit, and takes the least top over the
+    rest. While every class holds one weight (all weights below
+    2**WEIGHT_CLASS_BITS) that is exactly the highest legal gain.
 
     The moves past the best prefix are undone by one engine.assign().
     Vertex weights and net costs are integers in every model here, so the
     float64 sums it rebuilds equal the incremental ones exactly.
     """
     n = engine.n
+    window = max(100, n // 20)
     side_w = [float(weights[engine.side == 0].sum()), float(weights[engine.side == 1].sum())]
     side_n = [int((engine.side == 0).sum()), int((engine.side == 1).sum())]
     cap_move = max(cap, (side_w[0] + side_w[1]) / 2.0 + float(weights.max(initial=0.0)))
     weight_of = weights.tolist()
-    classes, class_of = np.unique(weights, return_inverse=True)
-    classes, class_of = classes.tolist(), class_of.tolist()
+    floors, class_of = _weight_classes(weights)
+
+    def imbalance() -> tuple[int, float]:
+        return max(0, min_count - min(side_n)), max(0.0, max(side_w) - cap)
 
     for _ in range(max_passes):
-        start_cut = engine.cut()
-        best_cut = start_cut
+        best_key, best_cut = imbalance(), engine.cut()
         best_len = 0
         best_w, best_n = side_w[:], side_n[:]
         moves: list[int] = []
         locked = [False] * n
         gains = engine.gains
         side = engine.side.tolist()  # unlocked vertices keep their side all pass
-        heaps = [[[] for _ in classes] for _ in (0, 1)]
+        heaps = [[[] for _ in floors] for _ in (0, 1)]
         home = [heaps[side[v]][class_of[v]] for v in range(n)]
-        for entry in sorted(zip([-g for g in gains], range(n))):
-            home[entry[1]].append(entry)  # a sorted list is a heap
-        while True:
+        for v in range(n):
+            home[v].append((-gains[v], v))
+        for heap in heaps[0] + heaps[1]:
+            heapify(heap)
+        while len(moves) - best_len < window:
             best = None
             for s in (0, 1):
                 if side_n[s] < 2:
                     continue
-                target_w = side_w[1 - s]
-                for w, heap in zip(classes, heaps[s]):
-                    if target_w + w > cap_move:
+                room = cap_move - side_w[1 - s]
+                for floor, heap in zip(floors, heaps[s]):
+                    if floor > room:
                         break
                     while heap:
                         key, u = top = heap[0]
                         if locked[u] or key != -gains[u]:
                             heappop(heap)
                             continue
-                        if best is None or top < best:
+                        if weight_of[u] <= room and (best is None or top < best):
                             best = top
                         break
             if best is None:
@@ -356,8 +402,9 @@ def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
             side_n[1 - s] += 1
             moves.append(v)
             cut = engine.cut()
-            if cut < best_cut - 1e-9 and max(side_w) <= cap and min(side_n) >= min_count:
-                best_cut = cut
+            key = imbalance()
+            if key < best_key or (key == best_key and cut < best_cut - 1e-9):
+                best_key, best_cut = key, cut
                 best_len = len(moves)
                 best_w, best_n = side_w[:], side_n[:]
         undo = moves[best_len:]
@@ -366,8 +413,172 @@ def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
             best_side = engine.side.copy()
             best_side[undo] = 1 - best_side[undo]
             engine.assign(best_side)
-        if not (best_cut < start_cut - 1e-9):
+        if best_len == 0:
             break
+
+
+# ---------------------------------------------------------------------------
+# coarsening
+
+
+def _select_nets(nets: Nets, which: np.ndarray, costs: np.ndarray) -> Nets:
+    """Nets `which`, in that order, with new costs."""
+    starts = nets.offsets[which]
+    sizes = nets.offsets[which + 1] - starts
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    idx = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
+    return Nets(nets.n, offsets, nets.pins[idx], costs)
+
+
+def _merge_identical_nets(nets: Nets) -> Nets:
+    """Drop nets with fewer than two pins and merge nets whose (sorted) pin
+    lists are equal into one net carrying their summed cost. Both are exact
+    for the connectivity-1 cut of every split.
+
+    Nets are grouped by size, then refined one pin position at a time;
+    step k regroups the nets with more than k pins by (group, k-th pin).
+    The merged nets come out in group order."""
+    sizes = np.diff(nets.offsets)
+    cuttable = np.flatnonzero(sizes >= 2)
+    nets = _select_nets(nets, cuttable, nets.costs[cuttable])
+    sizes = sizes[cuttable]
+    _, group = np.unique(sizes, return_inverse=True)
+    order = np.argsort(-sizes, kind="stable")
+    longer = len(sizes) - np.cumsum(np.bincount(sizes))  # nets with more than k pins
+    fresh = len(sizes)  # regrouped nets take ids above every id in use
+    for k, m in enumerate(longer[:-1]):
+        idx = order[:m]
+        _, regroup = np.unique(group[idx] * nets.n + nets.pins[nets.offsets[idx] + k],
+                               return_inverse=True)
+        group[idx] = fresh + regroup
+        fresh += m
+    _, first, merged = np.unique(group, return_index=True, return_inverse=True)
+    return _select_nets(nets, first, np.bincount(merged, weights=nets.costs))
+
+
+def _match(nets: Nets, weights: np.ndarray, max_w: float, rng) -> np.ndarray:
+    """Heavy-connectivity matching: cluster id per vertex.
+
+    Vertices are visited in a seeded order; an unmatched vertex u pairs
+    with the unmatched neighbour v of highest rating (lowest id on ties)
+    among those keeping the pair's weight within max_w. The rating is the
+    connectivity, the sum of cost / (|net| - 1) over their shared nets,
+    divided by w(u) * w(v), so that light vertices pair first and cluster
+    weights stay even (the heavy-edge rating of KaHyPar, Schlag et al.,
+    ALENEX 2016). Nets of more than MATCH_NET_LIMIT pins are ignored here:
+    they add quadratically many pairs and hardly any connectivity. Cluster
+    ids ascend with each cluster's least vertex."""
+    n = nets.n
+    sizes = np.diff(nets.offsets)
+    net_of_pin = nets.net_of_pin()
+    reps = np.where(sizes <= MATCH_NET_LIMIT, sizes, 0)[net_of_pin]
+    a = np.repeat(np.arange(len(nets.pins)), reps)  # every (pin, pin of its net)
+    b = np.repeat(nets.offsets[net_of_pin], reps) + (
+        np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps)
+    )
+    a, b = a[a != b], b[a != b]
+    u, v = nets.pins[a], nets.pins[b]
+    fits = weights[u] + weights[v] <= max_w
+    score = (nets.costs / np.maximum(sizes - 1, 1))[net_of_pin[a[fits]]]
+    pair, merged = np.unique(u[fits] * n + v[fits], return_inverse=True)
+    u, v = pair // n, pair % n
+    score = np.bincount(merged, weights=score) / (weights[u] * weights[v])
+    order = np.lexsort((v, -score, u))
+    starts = np.searchsorted(u[order], np.arange(n + 1)).tolist()
+    cand = v[order].tolist()
+    mate = list(range(n))
+    matched = [False] * n
+    for x in rng.permutation(n).tolist():
+        if matched[x]:
+            continue
+        matched[x] = True
+        for y in cand[starts[x] : starts[x + 1]]:
+            if not matched[y]:
+                matched[y] = True
+                mate[x], mate[y] = y, x
+                break
+    _, cluster_of = np.unique(np.minimum(np.arange(n), mate), return_inverse=True)
+    return cluster_of
+
+
+def _contract(nets: Nets, weights: np.ndarray, cluster_of: np.ndarray) -> tuple[Nets, np.ndarray]:
+    """The nets and vertex weights over clusters: pins renamed, repeated
+    pins dropped, then single-pin nets dropped and identical nets merged;
+    a cluster weighs the sum of its vertices."""
+    n_coarse = int(cluster_of.max()) + 1
+    pin_key = np.unique(nets.net_of_pin() * n_coarse + cluster_of[nets.pins])
+    sizes = np.bincount(pin_key // n_coarse, minlength=len(nets.costs))
+    offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
+    coarse = _merge_identical_nets(Nets(n_coarse, offsets, pin_key % n_coarse, nets.costs))
+    return coarse, np.bincount(cluster_of, weights=weights, minlength=n_coarse)
+
+
+# ---------------------------------------------------------------------------
+# multilevel bisection
+
+
+def _initial_split(nets: Nets, weights, cap, min_count, rng) -> np.ndarray:
+    """The best of RESTARTS seeded BFS splits, each repaired and refined:
+    a balanced split beats an unbalanced one, then the lowest cut wins."""
+    total = float(weights.sum())
+    engine = HypergraphBisection(nets, np.ones(nets.n, dtype=np.int8))
+    best_side = None
+    best_key = None
+    for _ in range(RESTARTS):
+        side = _grow_bfs(engine, weights, rng, min_count, total / 2.0)
+        _repair_sides(side, weights, cap, min_count)
+        engine.assign(side)
+        _fm_passes(engine, weights, cap, min_count, FM_PASSES)
+        w0 = float(weights[engine.side == 0].sum())
+        unbalanced = max(w0, total - w0) > cap
+        key = (unbalanced, engine.cut())
+        if best_key is None or key < (best_key[0], best_key[1] - 1e-9):
+            best_side = engine.side.copy()
+            best_key = key
+    return best_side
+
+
+def _bisect(nets: Nets, weights: np.ndarray, cap: float, min_count: int, rng) -> np.ndarray:
+    """Side per vertex of one bisection by a multilevel V-cycle.
+
+    Coarsen by matching until about COARSEN_TO vertices remain or a level
+    keeps more than MIN_SHRINK of its vertices; split the coarsest level;
+    then project the split onto each finer level and refine it with FM.
+    A cluster weighs at most 2 * cap - total, the width of the window of
+    balanced side weights (or the heaviest vertex, if that is more), so a
+    balanced split stays reachable on every level by filling one side
+    cluster by cluster."""
+    max_w = max(float(weights.max()), 2.0 * cap - float(weights.sum()))
+    levels = [(nets, weights, None)]
+    while nets.n > COARSEN_TO:
+        cluster_of = _match(nets, weights, max_w, rng)
+        n_coarse = int(cluster_of.max()) + 1
+        if n_coarse > MIN_SHRINK * nets.n:
+            break
+        nets, weights = _contract(nets, weights, cluster_of)
+        levels.append((nets, weights, cluster_of))
+    side = _initial_split(nets, weights, cap, min_count, rng)
+    for (nets, weights, _), (_, _, cluster_of) in zip(levels[-2::-1], levels[:0:-1]):
+        engine = HypergraphBisection(nets, side[cluster_of])
+        _fm_passes(engine, weights, cap, min_count, FM_PASSES)
+        side = engine.side
+    return side
+
+
+def _side_cap(weights: np.ndarray, p_sub: int, cap_leaf: float) -> float:
+    """The weight cap of each side when splitting toward p_sub parts.
+
+    A side's true leaf budget is (p_sub / 2) * cap_leaf. Its ratio r to
+    half the weight is spread evenly over the log2(p_sub) bisections still
+    to come: this one may use r ** (1 / log2(p_sub)) and leaves the rest as
+    slack for the sides' own splits (where a split that used all of r
+    would leave its children none, so no clusters and no moves but exact
+    halves). At p_sub = 2 it is the true budget."""
+    half = float(weights.sum()) / 2.0
+    budget = (p_sub // 2) * cap_leaf
+    if budget <= half:
+        return budget
+    return half * (budget / half) ** (1.0 / (p_sub.bit_length() - 1))
 
 
 def _recursive_bisect(
@@ -378,30 +589,12 @@ def _recursive_bisect(
     if p_sub == 1:
         assignment[ids] = part_base
         return
-    sub_w = weights[ids].astype(np.float64)
-    total = float(sub_w.sum())
-    cap = (p_sub // 2) * cap_leaf  # each side's true leaf budget
-    min_count = p_sub // 2
     if len(ids) < p_sub:
         raise BalanceInfeasibleError("fewer vertices than parts in a bisection")
-
-    engine = HypergraphBisection(nets, np.ones(len(ids), dtype=np.int8))
-    best_side = None
-    best_key = None
-    for _ in range(RESTARTS):
-        side = _grow_bfs(engine, sub_w, rng, min_count, total / 2.0)
-        _repair_sides(side, sub_w, cap, min_count)
-        engine.assign(side)
-        _fm_passes(engine, sub_w, cap, min_count, FM_PASSES)
-        # a balanced split always beats an unbalanced one, then lowest cut
-        w0 = float(sub_w[engine.side == 0].sum())
-        unbalanced = max(w0, total - w0) > cap
-        key = (unbalanced, engine.cut())
-        if best_key is None or key < (best_key[0], best_key[1] - 1e-9):
-            best_side = engine.side.copy()
-            best_key = key
+    sub_w = weights[ids].astype(np.float64)
+    side = _bisect(nets, sub_w, _side_cap(sub_w, p_sub, cap_leaf), p_sub // 2, rng)
     for s, base in ((0, part_base), (1, part_base + p_sub // 2)):
-        keep = np.flatnonzero(best_side == s)
+        keep = np.flatnonzero(side == s)
         _recursive_bisect(
             ids[keep], _restrict(nets, keep), p_sub // 2, base, assignment, weights,
             cap_leaf, rng,

@@ -64,6 +64,25 @@ def two_community_graph(side: int, seed: int, cross_edges: int = 8) -> CsrMatrix
     return CsrMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
 
 
+def chung_lu_graph(n: int, avg_degree: float, exponent: float, seed: int) -> CsrMatrix:
+    """Undirected power-law pattern after Chung & Lu (PNAS 2002).
+
+    Vertex i gets expected degree w_i proportional to (i + 1)^(-1/(exponent-1)),
+    scaled to mean avg_degree. n * avg_degree / 2 edges are drawn with
+    both endpoints chosen proportionally to w; self loops and repeated
+    edges are dropped, so degrees come out slightly below w. Vertex 0 is
+    the hub."""
+    rng = np.random.default_rng([seed, 0xC1])
+    w = (np.arange(n) + 1.0) ** (-1.0 / (exponent - 1.0))
+    w *= avg_degree * n / w.sum()
+    m = int(round(w.sum() / 2))
+    u, v = rng.choice(n, size=(2, m), p=w / w.sum())
+    keep = u != v
+    u, v = u[keep], v[keep]
+    a = CsrMatrix.from_coo(n, n, np.concatenate([u, v]), np.concatenate([v, u]))
+    return CsrMatrix(n, n, a.row_offsets, a.col_indices, np.ones(a.nnz))
+
+
 def random_undirected(n: int, density: float, seed: int) -> CsrMatrix:
     rng = np.random.default_rng([seed, 0xD1])
     mask = np.triu(rng.random((n, n)) < density, 1)

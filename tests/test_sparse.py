@@ -17,7 +17,7 @@ from gcnpart import (
 )
 from gcnpart.sparse import restrict
 
-from helpers import dense_spmm_oracle, random_undirected, triple_loop_dmm_oracle
+from helpers import chung_lu_graph, dense_spmm_oracle, random_undirected, triple_loop_dmm_oracle
 
 
 class TestCsrMatrix:
@@ -122,20 +122,29 @@ def sequential_spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
 @st.composite
 def spmm_instances(draw):
     """CSR operands where empty rows are likely and 0 rows, 0 nnz and one
-    column all occur, optionally with one row far denser than the rest.
-    Entries span many magnitudes, so a different summation order shows."""
+    column all occur, optionally with up to three rows far denser than the
+    rest (hub rows, summed on their own). Entries span many magnitudes, so
+    a different summation order shows, and some operand entries are -0.0,
+    so a sum that skips the leading 0 + shows in the sign of zero."""
     n_rows = draw(st.integers(0, 8))
-    n_cols = draw(st.sampled_from([1, 2, 5, 40]))
+    n_cols = draw(st.sampled_from([1, 2, 5, 40, 300]))
     density = draw(st.sampled_from([0.0, 0.15, 0.6]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = rng.random((n_rows, n_cols)) < density
-    if n_rows and draw(st.booleans()):
-        mask[draw(st.integers(0, n_rows - 1))] = True
+    if n_rows:
+        for _ in range(draw(st.integers(0, 3))):
+            mask[draw(st.integers(0, n_rows - 1))] = rng.random(n_cols) < 0.9
     scale = 10.0 ** rng.integers(-8, 9, (n_rows, n_cols))
     d = mask * rng.standard_normal((n_rows, n_cols)) * scale
     width = draw(st.integers(1, 4))
     h = rng.standard_normal((n_cols, width)) * 10.0 ** rng.integers(-8, 9, (n_cols, width))
+    h[rng.random((n_cols, width)) < 0.2] = -0.0
     return CsrMatrix.from_dense(d), h
+
+
+def bits(x: np.ndarray) -> np.ndarray:
+    """float64 bit patterns, so that -0.0 and 0.0 compare unequal."""
+    return np.ascontiguousarray(x).view(np.uint64)
 
 
 class TestSpmm:
@@ -145,7 +154,15 @@ class TestSpmm:
         a, h = inst
         got = spmm(a, h)
         assert got.shape == (a.n_rows, h.shape[1])
-        assert np.array_equal(got, sequential_spmm(a, h))
+        assert np.array_equal(bits(got), bits(sequential_spmm(a, h)))
+
+    def test_power_law_hub_rows_bit_equal(self):
+        # a seeded Chung-Lu graph: one hub row of several hundred entries
+        # among rows of one or two, normalized as training sees it
+        a = normalize_adjacency(chung_lu_graph(3000, 4.0, 2.1, seed=1))
+        assert a.row_nnz().max() > 100 * np.median(a.row_nnz())
+        h = np.random.default_rng(5).standard_normal((a.n_cols, 3))
+        assert np.array_equal(bits(spmm(a, h)), bits(sequential_spmm(a, h)))
 
     def test_identity(self):
         h = np.random.default_rng(1).standard_normal((5, 3))
