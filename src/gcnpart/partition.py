@@ -321,18 +321,16 @@ def _weight_classes(weights: np.ndarray) -> tuple[list[float], list[int]]:
 
 
 def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
-    """Best-gain passes with rollback to the best prefix.
+    """Best-gain passes with rollback to the best balanced prefix.
 
     Each step moves the unlocked vertex of highest gain (lowest id on ties)
     whose side keeps at least one other vertex and whose target side stays
     within cap_move. Moves may overshoot the cap by one vertex weight
     mid-pass (the classic loosening; a strictly capped balanced split would
-    admit no move at all). A prefix is better when it is closer to balance
-    (fewer vertices missing from the smaller side below min_count, then
-    less weight above the cap), then when its cut is lower. So a balanced
-    start ends balanced and never above its starting cut, and an unbalanced
-    one (an initial or projected split) is pulled toward balance. A pass
-    ends after max(100, n // 20) moves without a new best prefix.
+    admit no move at all), but only prefixes meeting the cap and the side
+    minimum count are eligible as pass results, so each pass ends balanced
+    and never above its starting cut. A pass ends after max(100, n // 20)
+    moves without a new best prefix.
 
     Candidates sit in lazy min-heaps of (-gain, id), one per (side, weight
     class); every gain change pushes a fresh entry. A step walks each
@@ -354,11 +352,9 @@ def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
     weight_of = weights.tolist()
     floors, class_of = _weight_classes(weights)
 
-    def imbalance() -> tuple[int, float]:
-        return max(0, min_count - min(side_n)), max(0.0, max(side_w) - cap)
-
     for _ in range(max_passes):
-        best_key, best_cut = imbalance(), engine.cut()
+        start_cut = engine.cut()
+        best_cut = start_cut
         best_len = 0
         best_w, best_n = side_w[:], side_n[:]
         moves: list[int] = []
@@ -402,9 +398,8 @@ def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
             side_n[1 - s] += 1
             moves.append(v)
             cut = engine.cut()
-            key = imbalance()
-            if key < best_key or (key == best_key and cut < best_cut - 1e-9):
-                best_key, best_cut = key, cut
+            if cut < best_cut - 1e-9 and max(side_w) <= cap and min(side_n) >= min_count:
+                best_cut = cut
                 best_len = len(moves)
                 best_w, best_n = side_w[:], side_n[:]
         undo = moves[best_len:]
@@ -413,7 +408,7 @@ def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
             best_side = engine.side.copy()
             best_side[undo] = 1 - best_side[undo]
             engine.assign(best_side)
-        if best_len == 0:
+        if not (best_cut < start_cut - 1e-9):
             break
 
 

@@ -295,10 +295,8 @@ def reference_fm_passes(engine, weights, cap, min_count, max_passes: int) -> Non
     """The FM pass that lazy gain heaps replaced, kept as an oracle: each
     move is a masked argmax over all vertices (highest legal gain, lowest
     id on ties), and the tail past the best prefix is undone one move at a
-    time. It shares the pass rules of _fm_passes: a prefix is better when
-    it is closer to balance (side count short of min_count, then weight
-    over cap), then when its cut is lower, and a pass ends after
-    max(100, n // 20) moves without a new best prefix."""
+    time. Like _fm_passes, a pass ends after max(100, n // 20) moves
+    without a new best prefix."""
     n = engine.n
     window = max(100, n // 20)
     side_w = np.array(
@@ -315,11 +313,12 @@ def reference_fm_passes(engine, weights, cap, min_count, max_passes: int) -> Non
         side_n[s] -= 1
         side_n[1 - s] += 1
 
-    def imbalance() -> tuple:
-        return max(0, min_count - int(side_n.min())), max(0.0, float(side_w.max()) - cap)
+    def balanced() -> bool:
+        return bool(max(side_w[0], side_w[1]) <= cap and min(side_n[0], side_n[1]) >= min_count)
 
     for _ in range(max_passes):
-        best_key, best_cut = imbalance(), engine.cut()
+        start_cut = engine.cut()
+        best_cut = start_cut
         best_len = 0
         moves: list[int] = []
         unlocked = np.ones(n, dtype=bool)
@@ -332,12 +331,12 @@ def reference_fm_passes(engine, weights, cap, min_count, max_passes: int) -> Non
             flip(v)
             unlocked[v] = False
             moves.append(v)
-            key = imbalance()
-            if key < best_key or (key == best_key and engine.cut() < best_cut - 1e-9):
-                best_key, best_cut, best_len = key, engine.cut(), len(moves)
+            if engine.cut() < best_cut - 1e-9 and balanced():
+                best_cut = engine.cut()
+                best_len = len(moves)
         for v in reversed(moves[best_len:]):
             flip(v)
-        if best_len == 0:
+        if not (best_cut < start_cut - 1e-9):
             break
 
 
