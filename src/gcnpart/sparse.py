@@ -202,13 +202,12 @@ def spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
     """Sparse @ dense as the sequential ascending-column sum of each row:
     out[i] = ((0 + v_0 h[c_0]) + v_1 h[c_1]) + ..., bit for bit.
 
-    Rows are ordered by descending entry count. The k longest are summed
-    one at a time by np.add.accumulate seeded with a zero row (sequential,
-    and 0 + x keeps the sign of zero as the sum above does); for the rest,
-    step j adds entry j of every row that has more than j entries, and
-    those rows are a prefix. k minimizes the Python-level steps, k plus
-    the longest remaining row, so one hub row costs one step, not one per
-    entry."""
+    Rows are ordered by descending entry count. Rows with more than t
+    entries are summed one at a time by np.add.accumulate seeded with a
+    zero row (sequential, and 0 + x keeps the sign of zero as the sum
+    above does); for the rest, step j adds entry j of every row that has
+    more than j entries, and those rows are a prefix. t minimizes the
+    Python-level steps, so one hub row costs one step, not one per entry."""
     h = dense(h)
     if a.n_cols != h.shape[0]:
         raise ValueError(f"spmm shape mismatch: {a.shape} @ {h.shape}")
@@ -216,18 +215,19 @@ def spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
     prod = a.values[:, None] * h[a.col_indices]
     counts = a.row_nnz()
     order = np.argsort(-counts, kind="stable")
-    counts = counts[order]
-    k = int(np.argmin(np.arange(a.n_rows + 1) + np.append(counts, 0)))
     starts = a.row_offsets[order]
+    # longer[j]: number of rows with more than j entries
+    longer = (a.n_rows - np.cumsum(np.bincount(counts, minlength=1))).tolist()
+    # steps for a cut-off t: longer[t] rows one at a time, then t positions
+    t = min(range(len(longer)), key=lambda j: (longer[j] + j, -j))
+    hubs = longer[t]
     acc = np.zeros_like(out)
-    zero = np.zeros((1, h.shape[1]))
-    for i in range(k):
-        rows = prod[starts[i] : starts[i] + counts[i]]
-        acc[i] = np.add.accumulate(np.concatenate([zero, rows]), axis=0)[-1]
-    # the remaining rows with more than j entries are acc[k:longer[j]]
-    longer = a.n_rows - np.cumsum(np.bincount(counts[k:]))
-    for j, m in enumerate(longer[:-1]):
-        acc[k:m] += prod[starts[k:m] + j]
+    for i in range(hubs):
+        terms = prod[starts[i] : starts[i] + counts[order[i]]]
+        acc[i] = np.add.accumulate(np.concatenate([np.zeros_like(terms[:1]), terms]))[-1]
+    for j in range(t):
+        m = longer[j]
+        acc[hubs:m] += prod[starts[hubs:m] + j]
     out[order] = acc
     return out
 
