@@ -17,7 +17,8 @@ Aykanat, IEEE TPDS 1999; Karypis et al., DAC 1997):
   are contracted, single-pin nets dropped and identical nets merged by
   summing their costs (both exact for the connectivity-1 cut), until about
   COARSEN_TO vertices remain or a level shrinks by less than 10%. A
-  cluster never outweighs the window of balanced side weights;
+  cluster outweighs neither the window of balanced side weights nor the
+  heaviest vertex, whichever is more;
 * split the coarsest level: the best of RESTARTS seeded BFS region-growing
   splits, each refined by Fiduccia-Mattheyses passes;
 * uncoarsen: project the split onto each finer level and refine it with
