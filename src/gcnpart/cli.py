@@ -162,18 +162,10 @@ def synth_labels(n: int, n_classes: int, seed: int, fraction: float = 0.1) -> La
 def _symmetrized(a: CsrMatrix) -> CsrMatrix:
     """Union pattern of a and a^T with unit values (model construction for
     directed inputs covers both phases with one model)."""
-    t = transpose_sparse(a)
-    rows = np.concatenate(
-        [
-            np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz()),
-            np.repeat(np.arange(t.n_rows, dtype=np.int64), t.row_nnz()),
-        ]
-    )
-    cols = np.concatenate([a.col_indices, t.col_indices])
-    merged = CsrMatrix.from_coo(a.n_rows, a.n_cols, rows, cols)
-    return CsrMatrix(
-        a.n_rows, a.n_cols, merged.row_offsets, merged.col_indices, np.ones(merged.nnz)
-    )
+    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
+    rows, cols = np.concatenate([rows, a.col_indices]), np.concatenate([a.col_indices, rows])
+    both = CsrMatrix.from_coo(a.n_rows, a.n_cols, rows, cols)
+    return CsrMatrix(a.n_rows, a.n_cols, both.row_offsets, both.col_indices, np.ones(both.nnz))
 
 
 def _build_partition(pid: str, cfg: ExperimentConfig, a_hat, graph_model, hyper_model) -> Partition:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import Hypergraph, Partition
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, unique_keys
 
 
 class GraphParseError(ValueError):
@@ -27,14 +27,14 @@ class GraphParseError(ValueError):
 
 
 def _pattern_from_pairs(n: int, pairs: list[tuple[int, int]], directed: bool) -> CsrMatrix:
+    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if len(arr) and (arr.min() < 0 or arr.max() >= n):
+        raise ValueError(f"vertex id out of range for n={n}")  # keys below would alias
+    rows, cols = arr[:, 0], arr[:, 1]
     if not directed:
-        pairs = pairs + [(v, u) for (u, v) in pairs]
-    if pairs:
-        arr = np.unique(np.asarray(pairs, dtype=np.int64), axis=0)
-        rows, cols = arr[:, 0], arr[:, 1]
-    else:
-        rows = cols = np.zeros(0, dtype=np.int64)
-    return CsrMatrix.from_coo(n, n, rows, cols, np.ones(len(rows)))
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    keys = unique_keys(rows * n + cols)  # one key per distinct entry (r, c)
+    return CsrMatrix.from_coo(n, n, keys // n, keys % n, np.ones(len(keys)))
 
 
 def read_edge_list(path, directed: bool = False) -> CsrMatrix:
@@ -51,6 +51,8 @@ def read_edge_list(path, directed: bool = False) -> CsrMatrix:
                     declared_n = int(line[2:])
                 except ValueError:
                     raise GraphParseError(path, line_no, f"bad vertex count {line!r}")
+                if max_id >= declared_n:
+                    raise GraphParseError(path, line_no, f"vertex id {max_id} seen before {line!r}")
                 continue
             parts = line.split()
             if len(parts) < 2:
@@ -109,9 +111,7 @@ def read_matrix_market(path) -> CsrMatrix:
             raise GraphParseError(path, 0, "missing size line")
     if dims[0] != dims[1]:
         raise GraphParseError(path, 0, "adjacency matrix must be square")
-    if symmetry == "symmetric":
-        entries = entries + [(j, i) for (i, j) in entries]
-    return _pattern_from_pairs(dims[0], entries, directed=True)
+    return _pattern_from_pairs(dims[0], entries, directed=symmetry == "general")
 
 
 def write_matrix_market(path, a: CsrMatrix) -> None:
@@ -141,39 +141,48 @@ def load_graph(path, fmt: str, directed: bool = False) -> CsrMatrix:
 
 
 def write_hypergraph(path, h: Hypergraph, with_weights: bool = True) -> None:
+    pins, offsets = h.pins.tolist(), h.offsets.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{h.n_vertices} {h.n_nets}\n")
-        for pins in h.nets:
-            fh.write(" ".join(str(int(v)) for v in pins) + "\n")
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            fh.write(" ".join(map(str, pins[lo:hi])) + "\n")
         if with_weights:
-            fh.write(" ".join(str(int(w)) for w in h.vertex_weight) + "\n")
+            fh.write(" ".join(map(str, h.vertex_weight.tolist())) + "\n")
 
 
 def read_hypergraph(path) -> Hypergraph:
+    """Blank lines are skipped; errors name the file line they were found on."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise GraphParseError(path, 0, "empty hypergraph file")
     try:
-        n_vertices, n_nets = (int(x) for x in lines[0].split())
+        n_vertices, n_nets = (int(x) for x in lines[0][1].split())
     except ValueError:
-        raise GraphParseError(path, 1, "header must be 'n_vertices n_nets'")
+        raise GraphParseError(path, lines[0][0], "header must be 'n_vertices n_nets'")
     if len(lines) < 1 + n_nets:
-        raise GraphParseError(path, len(lines), f"expected {n_nets} net lines")
+        raise GraphParseError(path, lines[-1][0], f"expected {n_nets} net lines")
     nets = []
-    for j in range(n_nets):
+    for line_no, line in lines[1 : 1 + n_nets]:
         try:
-            pins = np.array(sorted({int(x) for x in lines[1 + j].split()}), dtype=np.int64)
+            pins = sorted({int(x) for x in line.split()})
         except ValueError:
-            raise GraphParseError(path, 2 + j, "non-integer pin")
+            raise GraphParseError(path, line_no, "non-integer pin")
+        if pins[0] < 0 or pins[-1] >= n_vertices:
+            bad = pins[0] if pins[0] < 0 else pins[-1]
+            raise GraphParseError(path, line_no, f"pin {bad} outside 0..{n_vertices - 1}")
         nets.append(pins)
     if len(lines) > 1 + n_nets:
-        weights = np.array([int(x) for x in lines[1 + n_nets].split()], dtype=np.int64)
+        line_no, line = lines[1 + n_nets]
+        try:
+            weights = np.array([int(x) for x in line.split()], dtype=np.int64)
+        except ValueError:
+            raise GraphParseError(path, line_no, "non-integer vertex weight")
         if len(weights) != n_vertices:
-            raise GraphParseError(path, 2 + n_nets, "weight line has wrong length")
+            raise GraphParseError(path, line_no, "weight line has wrong length")
     else:
         weights = np.ones(n_vertices, dtype=np.int64)
-    return Hypergraph(n_vertices, tuple(nets), np.ones(n_nets), weights)
+    return Hypergraph.from_nets(n_vertices, nets, np.ones(n_nets), weights)
 
 
 def write_partition(path, pi: Partition) -> None:

@@ -13,6 +13,11 @@ Three models of the same row-wise distribution problem:
   sampled induced subgraphs; its cut estimates the expected per-batch
   transfer count for mini-batch training.
 
+Hypergraph stores its nets in CSR form (offsets, pins), the layout of a
+sparse matrix with one row per net: the column-net model is the pattern of
+A^T, and the partitioner levels, the file format and the cut metrics all
+work on the same two arrays.
+
 Vertex weights are row nonzero counts of the normalized matrix, which is
 the per-row multiply work, so part weights model compute load.
 """
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, restrict
+from .sparse import CsrMatrix, restrict, transpose_sparse, unique_keys
 
 
 @dataclass(frozen=True)
@@ -43,8 +48,7 @@ class UGraph:
                 raise ValueError("edges must be stored as (u, v) with u < v (no self loops)")
             if np.any(e < 0) or e.max() >= self.n_vertices:
                 raise ValueError("edge endpoint out of range")
-            uniq = np.unique(e, axis=0)
-            if len(uniq) != len(e):
+            if len(unique_keys(e[:, 0] * self.n_vertices + e[:, 1])) != len(e):
                 raise ValueError("duplicate edges")
         c = np.asarray(self.edge_cost, dtype=np.float64)
         w = np.asarray(self.vertex_weight, dtype=np.int64)
@@ -61,40 +65,77 @@ class UGraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Hypergraph:
-    """Hypergraph with sorted pin lists, per-net costs, integer vertex weights."""
+    """Hypergraph in CSR form: net j pins the vertices
+    pins[offsets[j]:offsets[j+1]] at cost net_cost[j]; vertex weights are
+    integers. Called with (n_vertices, nets, net_cost, vertex_weight), as
+    from_nets is, it takes one pin list per net. No net is empty, pins rise
+    strictly within a net and lie in [0, n_vertices), and a pin error names
+    the first bad net."""
 
     n_vertices: int
-    nets: tuple
+    offsets: np.ndarray
+    pins: np.ndarray
     net_cost: np.ndarray
     vertex_weight: np.ndarray
 
-    def __post_init__(self):
-        pins = []
-        for j, net in enumerate(self.nets):
-            p = np.asarray(net, dtype=np.int64)
-            if len(p) == 0:
+    def __init__(self, n_vertices: int, *arrays):
+        if len(arrays) == 3:  # one pin list per net
+            nets = [np.asarray(pins, dtype=np.int64) for pins in arrays[0]]
+            arrays = (np.cumsum([0] + [len(pins) for pins in nets]),
+                      np.concatenate([np.zeros(0, np.int64), *nets]), *arrays[1:])
+        offsets, pins, net_cost, vertex_weight = arrays
+        o, p = (np.ascontiguousarray(np.asarray(x, dtype=np.int64)) for x in (offsets, pins))
+        c = np.asarray(net_cost, dtype=np.float64)
+        w = np.asarray(vertex_weight, dtype=np.int64)
+        if o.ndim != 1 or p.ndim != 1 or o[:1].tolist() != [0] or o[-1] != len(p):
+            raise ValueError("offsets must start at 0 and end at len(pins)")
+        sizes = np.diff(o)
+        if np.any(sizes < 0):
+            raise ValueError("offsets must never decrease")
+        # a pin is bad when out of range, or when it neither starts its net
+        # nor exceeds the pin before it
+        starts_net = np.zeros(len(p) + 1, dtype=bool)
+        starts_net[o] = True
+        bad_pin = (p < 0) | (p >= n_vertices)
+        bad_pin[1:] |= (np.diff(p) <= 0) & ~starts_net[1:-1]
+        bad = np.concatenate([np.flatnonzero(sizes == 0)[:1],
+                              np.searchsorted(o, np.flatnonzero(bad_pin)[:1], side="right") - 1])
+        if len(bad):  # name the first bad net and its first failed check
+            j = int(bad.min())
+            net = p[o[j] : o[j + 1]]
+            if len(net) == 0:
                 raise ValueError(f"net {j} has no pins")
-            if np.any(np.diff(p) <= 0):
+            if np.any(np.diff(net) <= 0):
                 raise ValueError(f"net {j} pins must be sorted and distinct")
-            if p[0] < 0 or p[-1] >= self.n_vertices:
-                raise ValueError(f"net {j} pin out of range")
-            p.setflags(write=False)
-            pins.append(p)
-        c = np.asarray(self.net_cost, dtype=np.float64)
-        w = np.asarray(self.vertex_weight, dtype=np.int64)
-        if len(c) != len(pins) or len(w) != self.n_vertices:
+            raise ValueError(f"net {j} pin out of range")
+        if len(c) != len(sizes) or len(w) != n_vertices:
             raise ValueError("cost/weight arrays have wrong length")
-        object.__setattr__(self, "nets", tuple(pins))
-        object.__setattr__(self, "net_cost", c)
-        object.__setattr__(self, "vertex_weight", w)
-        c.setflags(write=False)
-        w.setflags(write=False)
+        for name, value in zip(self.__dataclass_fields__, (int(n_vertices), o, p, c, w)):
+            object.__setattr__(self, name, value)
+        for arr in (o, p, c, w):
+            arr.setflags(write=False)
+
+    @classmethod
+    def from_nets(cls, n_vertices: int, nets, net_cost, vertex_weight) -> "Hypergraph":
+        """From one sorted, distinct pin list per net."""
+        return cls(n_vertices, nets, net_cost, vertex_weight)
 
     @property
     def n_nets(self) -> int:
-        return len(self.nets)
+        return len(self.offsets) - 1
+
+    @property
+    def nets(self) -> tuple:
+        """Read-only views of each net's pins, for tests and tracing only."""
+        return tuple(np.split(self.pins, self.offsets[1:-1])) if self.n_nets else ()
+
+    def net_sizes(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def net_of_pin(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_nets), self.net_sizes())
 
 
 @dataclass(frozen=True)
@@ -163,16 +204,12 @@ def build_graph_model(a: CsrMatrix) -> UGraph:
     """Undirected edges = symmetrized off-diagonal pattern; w(v_i) = row nnz."""
     if a.n_rows != a.n_cols:
         raise ValueError("matrix must be square")
-    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
-    cols = a.col_indices
-    off = rows != cols
-    u = np.minimum(rows[off], cols[off])
-    v = np.maximum(rows[off], cols[off])
-    if len(u):
-        pairs = np.unique(np.stack([u, v], axis=1), axis=0)
-    else:
-        pairs = np.zeros((0, 2), dtype=np.int64)
-    return UGraph(a.n_rows, pairs, np.ones(len(pairs)), a.row_nnz())
+    n = a.n_rows
+    rows = np.repeat(np.arange(n, dtype=np.int64), a.row_nnz())
+    off = rows != a.col_indices
+    u, v = np.minimum(rows, a.col_indices)[off], np.maximum(rows, a.col_indices)[off]
+    keys = unique_keys(u * n + v)  # one key per edge, sorted as the pairs (u, v) are
+    return UGraph(n, np.stack([keys // n, keys % n], axis=1), np.ones(len(keys)), a.row_nnz())
 
 
 def build_hypergraph_model(a: CsrMatrix) -> Hypergraph:
@@ -181,13 +218,9 @@ def build_hypergraph_model(a: CsrMatrix) -> Hypergraph:
         raise ValueError("matrix must be square")
     if not a.has_full_diagonal():
         raise ValueError("column-net model requires a full diagonal (self loops)")
-    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
-    order = np.argsort(a.col_indices, kind="stable")
-    sorted_cols = a.col_indices[order]
-    sorted_rows = rows[order]
-    bounds = np.searchsorted(sorted_cols, np.arange(a.n_cols + 1))
-    nets = [np.sort(sorted_rows[bounds[j] : bounds[j + 1]]) for j in range(a.n_cols)]
-    return Hypergraph(a.n_rows, tuple(nets), np.ones(a.n_cols), a.row_nnz())
+    # the pins of net j are the columns of row j of A^T, ascending
+    t = transpose_sparse(a)
+    return Hypergraph(a.n_rows, t.row_offsets, t.col_indices, np.ones(a.n_cols), a.row_nnz())
 
 
 def evaluate_graph_cut(g: UGraph, pi: Partition) -> CutReport:
@@ -204,11 +237,8 @@ def evaluate_graph_cut(g: UGraph, pi: Partition) -> CutReport:
 def net_connectivity(h: Hypergraph, pi: Partition) -> np.ndarray:
     """lambda(n_j): number of distinct parts touched by each net's pins."""
     _check_assignment(h.n_vertices, pi)
-    if not h.n_nets:
-        return np.zeros(0, dtype=np.int64)
-    net_of = np.repeat(np.arange(h.n_nets), [len(pins) for pins in h.nets])
     # one key per distinct (net, part) pair
-    keys = np.unique(net_of * pi.p + pi.assignment[np.concatenate(h.nets)])
+    keys = unique_keys(h.net_of_pin() * pi.p + pi.assignment[h.pins])
     return np.bincount(keys // pi.p, minlength=h.n_nets)
 
 
@@ -278,15 +308,21 @@ def build_stochastic_hypergraph(
     a: CsrMatrix, sampler: MiniBatchSpec, b: int, seed: int
 ) -> Hypergraph:
     """Merged hypergraph over the full vertex set: the nets of every sampled
-    batch's column-net model concatenated, with full-batch vertex weights."""
+    batch's column-net model concatenated in batch order, pins mapped back
+    to full-graph ids, with full-batch vertex weights."""
     if a.n_rows != a.n_cols:
         raise ValueError("matrix must be square")
-    nets: list[np.ndarray] = []
+    a_t = transpose_sparse(a)
+    offsets, pins = [np.zeros(1, dtype=np.int64)], []
     for batch in sample_batches(a.n_rows, sampler, b, seed):
-        sub = induced_pattern(a, batch)
-        sub_h = build_hypergraph_model(sub)
-        nets.extend(batch[pins] for pins in sub_h.nets)
-    return Hypergraph(a.n_rows, tuple(nets), np.ones(len(nets)), a.row_nnz())
+        # the batch's column nets are the rows of A^T[batch, batch] plus the
+        # diagonal, so none is empty
+        t = induced_pattern(a_t, batch)
+        offsets.append(t.row_offsets[1:] + offsets[-1][-1])
+        pins.append(batch[t.col_indices])  # batch ascends, so pins stay sorted
+    offsets = np.concatenate(offsets)
+    return Hypergraph(a.n_rows, offsets, np.concatenate(pins), np.ones(len(offsets) - 1),
+                      a.row_nnz())
 
 
 def hoeffding_min_nets(p: int, theta: float, delta: float) -> int:

@@ -2,8 +2,9 @@
 bisection.
 
 Every bisection partitioner minimizes the same objective with the same
-engine: the connectivity-1 cut of a hypergraph whose pins are stored in CSR
-form (net j pins ``pins[offsets[j]:offsets[j+1]]``). The graph partitioner
+engine: the connectivity-1 cut of a ``models.Hypergraph``, whose pins are
+stored in CSR form (net j pins ``pins[offsets[j]:offsets[j+1]]``); every
+restricted and coarsened level is one too. The graph partitioner
 hands its undirected edges over as 2-pin nets, whose connectivity-1 cut is
 exactly the edge cut; the hypergraph and stochastic partitioners hand over
 their nets as they are.
@@ -44,8 +45,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
-
 import numpy as np
 
 from .models import (
@@ -55,7 +54,7 @@ from .models import (
     UGraph,
     build_stochastic_hypergraph,
 )
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, unique_keys
 
 FM_PASSES = 8  # refinement passes per bisection; a pass that gains nothing ends them
 RESTARTS = 3  # BFS seeds tried on the coarsest level; best refined cut wins
@@ -83,53 +82,29 @@ class PartitionConfig:
 
 
 # ---------------------------------------------------------------------------
-# pins in CSR form and the bisection engine
+# levels and the bisection engine
 
 
-class Nets(NamedTuple):
-    """n vertices and the nets over them: net j pins
-    pins[offsets[j]:offsets[j+1]] at cost costs[j]."""
-
-    n: int
-    offsets: np.ndarray
-    pins: np.ndarray
-    costs: np.ndarray
-
-    def net_of_pin(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.costs)), np.diff(self.offsets))
-
-    def per_net_sum(self, values: np.ndarray) -> np.ndarray:
-        """Integer per-pin values summed over each net."""
-        acc = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
-        return acc[self.offsets[1:]] - acc[self.offsets[:-1]]
-
-
-def _graph_nets(g: UGraph) -> Nets:
+def _graph_nets(g: UGraph) -> Hypergraph:
     """Each undirected edge as a 2-pin net."""
     offsets = np.arange(0, 2 * g.n_edges + 1, 2, dtype=np.int64)
-    return Nets(g.n_vertices, offsets, g.edges.ravel(), g.edge_cost)
+    return Hypergraph(g.n_vertices, offsets, g.edges.ravel(), g.edge_cost, g.vertex_weight)
 
 
-def _hypergraph_nets(h: Hypergraph) -> Nets:
-    sizes = [len(pins) for pins in h.nets]
-    offsets = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-    pins = np.concatenate([np.zeros(0, dtype=np.int64), *h.nets])
-    return Nets(h.n_vertices, offsets, pins, h.net_cost)
-
-
-def _restrict(nets: Nets, keep: np.ndarray) -> Nets:
-    """The nets induced by the ascending vertex ids `keep`, renumbered
+def _restrict(h: Hypergraph, keep: np.ndarray) -> Hypergraph:
+    """The hypergraph induced by the ascending vertex ids `keep`, renumbered
     0..len(keep)-1. Nets left with fewer than two pins cannot be cut and
     are dropped; the order of nets and of pins within a net is kept."""
-    local = np.full(nets.n, -1, dtype=np.int64)
+    local = np.full(h.n_vertices, -1, dtype=np.int64)
     local[keep] = np.arange(len(keep), dtype=np.int64)
-    pins = local[nets.pins]
+    pins = local[h.pins]
     kept = pins >= 0
-    net_of_pin = nets.net_of_pin()
-    sizes = np.bincount(net_of_pin[kept], minlength=len(nets.costs))
+    net_of_pin = h.net_of_pin()
+    sizes = np.bincount(net_of_pin[kept], minlength=h.n_nets)
     cuttable = sizes >= 2
     offsets = np.concatenate(([0], np.cumsum(sizes[cuttable])))
-    return Nets(len(keep), offsets, pins[kept & cuttable[net_of_pin]], nets.costs[cuttable])
+    return Hypergraph(len(keep), offsets, pins[kept & cuttable[net_of_pin]],
+                      h.net_cost[cuttable], h.vertex_weight[keep])
 
 
 class HypergraphBisection:
@@ -145,17 +120,17 @@ class HypergraphBisection:
     which also makes assign() reproduce incremental state exactly.
     """
 
-    def __init__(self, nets: Nets, side: np.ndarray):
-        self.n = nets.n
-        self._offsets = nets.offsets.tolist()
-        self._pins = nets.pins.tolist()
-        self._costs = nets.costs.tolist()
-        self._nets = nets
+    def __init__(self, h: Hypergraph, side: np.ndarray):
+        self.n = h.n_vertices
+        self._offsets = h.offsets.tolist()
+        self._pins = h.pins.tolist()
+        self._costs = h.net_cost.tolist()
+        self._h = h
         # vertex -> nets incidence, nets ascending per vertex
-        self._net_of_pin = nets.net_of_pin()
-        order = np.argsort(nets.pins, kind="stable")
+        self._net_of_pin = h.net_of_pin()
+        order = np.argsort(h.pins, kind="stable")
         self._vtx_offsets = np.concatenate(
-            ([0], np.cumsum(np.bincount(nets.pins, minlength=self.n)))
+            ([0], np.cumsum(np.bincount(h.pins, minlength=self.n)))
         ).tolist()
         self._vtx_nets = self._net_of_pin[order].tolist()
         self._neighbors: dict[int, list[int]] = {}
@@ -163,14 +138,15 @@ class HypergraphBisection:
 
     def assign(self, side: np.ndarray) -> None:
         """Put every vertex on the given side and rebuild counts, gains and cut."""
-        nets = self._nets
-        pins, costs = nets.pins, nets.costs
+        h = self._h
+        pins, costs = h.pins, h.net_cost
         self.side = np.asarray(side, dtype=np.int8).copy()
         on1 = self.side[pins].astype(np.int64)
-        count1 = nets.per_net_sum(on1)
-        count0 = np.diff(nets.offsets) - count1
-        idsum1 = nets.per_net_sum(pins * on1)
-        idsum0 = nets.per_net_sum(pins) - idsum1
+        starts = h.offsets[:-1]  # no net is empty, so reduceat sums each one
+        count1 = np.add.reduceat(on1, starts)
+        count0 = h.net_sizes() - count1
+        idsum1 = np.add.reduceat(pins * on1, starts)
+        idsum0 = np.add.reduceat(pins, starts) - idsum1
         self._counts = (count0.tolist(), count1.tolist())
         self._idsums = (idsum0.tolist(), idsum1.tolist())
         self._cut = float(costs[(count0 > 0) & (count1 > 0)].sum())
@@ -417,16 +393,16 @@ def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
 # coarsening
 
 
-def _select_nets(nets: Nets, which: np.ndarray, costs: np.ndarray) -> Nets:
+def _select_nets(h: Hypergraph, which: np.ndarray, costs: np.ndarray) -> Hypergraph:
     """Nets `which`, in that order, with new costs."""
-    starts = nets.offsets[which]
-    sizes = nets.offsets[which + 1] - starts
+    starts = h.offsets[which]
+    sizes = h.offsets[which + 1] - starts
     offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
     idx = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
-    return Nets(nets.n, offsets, nets.pins[idx], costs)
+    return Hypergraph(h.n_vertices, offsets, h.pins[idx], costs, h.vertex_weight)
 
 
-def _merge_identical_nets(nets: Nets) -> Nets:
+def _merge_identical_nets(h: Hypergraph) -> Hypergraph:
     """Drop nets with fewer than two pins and merge nets whose (sorted) pin
     lists are equal into one net carrying their summed cost. Both are exact
     for the connectivity-1 cut of every split.
@@ -434,9 +410,9 @@ def _merge_identical_nets(nets: Nets) -> Nets:
     Nets are grouped by size, then refined one pin position at a time;
     step k regroups the nets with more than k pins by (group, k-th pin).
     The merged nets come out in group order."""
-    sizes = np.diff(nets.offsets)
+    sizes = h.net_sizes()
     cuttable = np.flatnonzero(sizes >= 2)
-    nets = _select_nets(nets, cuttable, nets.costs[cuttable])
+    h = _select_nets(h, cuttable, h.net_cost[cuttable])
     sizes = sizes[cuttable]
     _, group = np.unique(sizes, return_inverse=True)
     order = np.argsort(-sizes, kind="stable")
@@ -444,15 +420,15 @@ def _merge_identical_nets(nets: Nets) -> Nets:
     fresh = len(sizes)  # regrouped nets take ids above every id in use
     for k, m in enumerate(longer[:-1]):
         idx = order[:m]
-        _, regroup = np.unique(group[idx] * nets.n + nets.pins[nets.offsets[idx] + k],
+        _, regroup = np.unique(group[idx] * h.n_vertices + h.pins[h.offsets[idx] + k],
                                return_inverse=True)
         group[idx] = fresh + regroup
         fresh += m
     _, first, merged = np.unique(group, return_index=True, return_inverse=True)
-    return _select_nets(nets, first, np.bincount(merged, weights=nets.costs))
+    return _select_nets(h, first, np.bincount(merged, weights=h.net_cost))
 
 
-def _match(nets: Nets, weights: np.ndarray, max_w: float, rng) -> np.ndarray:
+def _match(h: Hypergraph, max_w: float, rng) -> np.ndarray:
     """Heavy-connectivity matching: cluster id per vertex.
 
     Vertices are visited in a seeded order; an unmatched vertex u pairs
@@ -464,18 +440,19 @@ def _match(nets: Nets, weights: np.ndarray, max_w: float, rng) -> np.ndarray:
     ALENEX 2016). Nets of more than MATCH_NET_LIMIT pins are ignored here:
     they add quadratically many pairs and hardly any connectivity. Cluster
     ids ascend with each cluster's least vertex."""
-    n = nets.n
-    sizes = np.diff(nets.offsets)
-    net_of_pin = nets.net_of_pin()
+    n = h.n_vertices
+    weights = h.vertex_weight.astype(np.float64)
+    sizes = h.net_sizes()
+    net_of_pin = h.net_of_pin()
     reps = np.where(sizes <= MATCH_NET_LIMIT, sizes, 0)[net_of_pin]
-    a = np.repeat(np.arange(len(nets.pins)), reps)  # every (pin, pin of its net)
-    b = np.repeat(nets.offsets[net_of_pin], reps) + (
+    a = np.repeat(np.arange(len(h.pins)), reps)  # every (pin, pin of its net)
+    b = np.repeat(h.offsets[net_of_pin], reps) + (
         np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps)
     )
     a, b = a[a != b], b[a != b]
-    u, v = nets.pins[a], nets.pins[b]
+    u, v = h.pins[a], h.pins[b]
     fits = weights[u] + weights[v] <= max_w
-    score = (nets.costs / np.maximum(sizes - 1, 1))[net_of_pin[a[fits]]]
+    score = (h.net_cost / np.maximum(sizes - 1, 1))[net_of_pin[a[fits]]]
     pair, merged = np.unique(u[fits] * n + v[fits], return_inverse=True)
     u, v = pair // n, pair % n
     score = np.bincount(merged, weights=score) / (weights[u] * weights[v])
@@ -497,27 +474,30 @@ def _match(nets: Nets, weights: np.ndarray, max_w: float, rng) -> np.ndarray:
     return cluster_of
 
 
-def _contract(nets: Nets, weights: np.ndarray, cluster_of: np.ndarray) -> tuple[Nets, np.ndarray]:
-    """The nets and vertex weights over clusters: pins renamed, repeated
-    pins dropped, then single-pin nets dropped and identical nets merged;
-    a cluster weighs the sum of its vertices."""
+def _contract(h: Hypergraph, cluster_of: np.ndarray) -> Hypergraph:
+    """The hypergraph over clusters: pins renamed, repeated pins dropped,
+    then single-pin nets dropped and identical nets merged; a cluster
+    weighs the sum of its vertices."""
     n_coarse = int(cluster_of.max()) + 1
-    pin_key = np.unique(nets.net_of_pin() * n_coarse + cluster_of[nets.pins])
-    sizes = np.bincount(pin_key // n_coarse, minlength=len(nets.costs))
+    pin_key = unique_keys(h.net_of_pin() * n_coarse + cluster_of[h.pins])
+    sizes = np.bincount(pin_key // n_coarse, minlength=h.n_nets)
     offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-    coarse = _merge_identical_nets(Nets(n_coarse, offsets, pin_key % n_coarse, nets.costs))
-    return coarse, np.bincount(cluster_of, weights=weights, minlength=n_coarse)
+    weights = np.bincount(cluster_of, weights=h.vertex_weight, minlength=n_coarse)
+    return _merge_identical_nets(
+        Hypergraph(n_coarse, offsets, pin_key % n_coarse, h.net_cost, weights.astype(np.int64))
+    )
 
 
 # ---------------------------------------------------------------------------
 # multilevel bisection
 
 
-def _initial_split(nets: Nets, weights, cap, min_count, rng) -> np.ndarray:
+def _initial_split(h: Hypergraph, cap, min_count, rng) -> np.ndarray:
     """The best of RESTARTS seeded BFS splits, each repaired and refined:
     a balanced split beats an unbalanced one, then the lowest cut wins."""
+    weights = h.vertex_weight.astype(np.float64)
     total = float(weights.sum())
-    engine = HypergraphBisection(nets, np.ones(nets.n, dtype=np.int8))
+    engine = HypergraphBisection(h, np.ones(h.n_vertices, dtype=np.int8))
     best_side = None
     best_key = None
     for _ in range(RESTARTS):
@@ -534,7 +514,7 @@ def _initial_split(nets: Nets, weights, cap, min_count, rng) -> np.ndarray:
     return best_side
 
 
-def _bisect(nets: Nets, weights: np.ndarray, cap: float, min_count: int, rng) -> np.ndarray:
+def _bisect(h: Hypergraph, cap: float, min_count: int, rng) -> np.ndarray:
     """Side per vertex of one bisection by a multilevel V-cycle.
 
     Coarsen by matching until about COARSEN_TO vertices remain or a level
@@ -544,19 +524,19 @@ def _bisect(nets: Nets, weights: np.ndarray, cap: float, min_count: int, rng) ->
     balanced side weights (or the heaviest vertex, if that is more), so a
     balanced split stays reachable on every level by filling one side
     cluster by cluster."""
-    max_w = max(float(weights.max()), 2.0 * cap - float(weights.sum()))
-    levels = [(nets, weights, None)]
-    while nets.n > COARSEN_TO:
-        cluster_of = _match(nets, weights, max_w, rng)
+    max_w = max(float(h.vertex_weight.max()), 2.0 * cap - float(h.vertex_weight.sum()))
+    levels = [(h, None)]
+    while h.n_vertices > COARSEN_TO:
+        cluster_of = _match(h, max_w, rng)
         n_coarse = int(cluster_of.max()) + 1
-        if n_coarse > MIN_SHRINK * nets.n:
+        if n_coarse > MIN_SHRINK * h.n_vertices:
             break
-        nets, weights = _contract(nets, weights, cluster_of)
-        levels.append((nets, weights, cluster_of))
-    side = _initial_split(nets, weights, cap, min_count, rng)
-    for (nets, weights, _), (_, _, cluster_of) in zip(levels[-2::-1], levels[:0:-1]):
-        engine = HypergraphBisection(nets, side[cluster_of])
-        _fm_passes(engine, weights, cap, min_count, FM_PASSES)
+        h = _contract(h, cluster_of)
+        levels.append((h, cluster_of))
+    side = _initial_split(h, cap, min_count, rng)
+    for (h, _), (_, cluster_of) in zip(levels[-2::-1], levels[:0:-1]):
+        engine = HypergraphBisection(h, side[cluster_of])
+        _fm_passes(engine, h.vertex_weight.astype(np.float64), cap, min_count, FM_PASSES)
         side = engine.side
     return side
 
@@ -578,23 +558,20 @@ def _side_cap(weights: np.ndarray, p_sub: int, cap_leaf: float) -> float:
 
 
 def _recursive_bisect(
-    ids: np.ndarray, nets: Nets, p_sub: int, part_base: int, assignment, weights, cap_leaf, rng
+    ids: np.ndarray, h: Hypergraph, p_sub: int, part_base: int, assignment, cap_leaf, rng
 ) -> None:
-    """Split global vertices `ids` into p_sub parts; `nets` holds their
-    pins renumbered 0..len(ids)-1."""
+    """Split global vertices `ids` into p_sub parts; `h` is the hypergraph
+    they induce, renumbered 0..len(ids)-1."""
     if p_sub == 1:
         assignment[ids] = part_base
         return
     if len(ids) < p_sub:
         raise BalanceInfeasibleError("fewer vertices than parts in a bisection")
-    sub_w = weights[ids].astype(np.float64)
-    side = _bisect(nets, sub_w, _side_cap(sub_w, p_sub, cap_leaf), p_sub // 2, rng)
+    side = _bisect(h, _side_cap(h.vertex_weight, p_sub, cap_leaf), p_sub // 2, rng)
     for s, base in ((0, part_base), (1, part_base + p_sub // 2)):
         keep = np.flatnonzero(side == s)
-        _recursive_bisect(
-            ids[keep], _restrict(nets, keep), p_sub // 2, base, assignment, weights,
-            cap_leaf, rng,
-        )
+        _recursive_bisect(ids[keep], _restrict(h, keep), p_sub // 2, base, assignment,
+                          cap_leaf, rng)
 
 
 def _final_repair(assignment, weights, p: int, epsilon: float) -> np.ndarray:
@@ -700,11 +677,11 @@ def random_partition(weights, cfg: PartitionConfig) -> Partition:
     return Partition.from_assignment(assignment, weights, cfg.p, cfg.epsilon)
 
 
-def _partition_by_bisection(nets: Nets, weights, cfg: PartitionConfig, tag: int) -> Partition:
-    n = nets.n
+def _partition_by_bisection(h: Hypergraph, cfg: PartitionConfig, tag: int) -> Partition:
+    n = h.n_vertices
     if cfg.p > n:
         raise ValueError(f"p={cfg.p} exceeds vertex count {n}")
-    weights = np.asarray(weights, dtype=np.int64)
+    weights = h.vertex_weight
     if cfg.p == 1:
         return Partition.from_assignment(np.zeros(n, dtype=np.int64), weights, 1, cfg.epsilon)
     _require_power_of_two(cfg.p)
@@ -712,7 +689,7 @@ def _partition_by_bisection(nets: Nets, weights, cfg: PartitionConfig, tag: int)
     rng = np.random.default_rng([int(cfg.seed), tag])
     assignment = np.full(n, -1, dtype=np.int64)
     ids = np.arange(n, dtype=np.int64)
-    _recursive_bisect(ids, _restrict(nets, ids), cfg.p, 0, assignment, weights, cap_leaf, rng)
+    _recursive_bisect(ids, _restrict(h, ids), cfg.p, 0, assignment, cap_leaf, rng)
     pi = Partition.from_assignment(assignment, weights, cfg.p, cfg.epsilon)
     if not pi.is_balanced():
         assignment = _final_repair(assignment, weights, cfg.p, cfg.epsilon)
@@ -725,12 +702,12 @@ def _partition_by_bisection(nets: Nets, weights, cfg: PartitionConfig, tag: int)
 def partition_graph_fm(g: UGraph, cfg: PartitionConfig) -> Partition:
     """Recursive bisection minimizing the edge cut, run as the
     connectivity-1 cut of the edges taken as 2-pin nets."""
-    return _partition_by_bisection(_graph_nets(g), g.vertex_weight, cfg, 0x4750)
+    return _partition_by_bisection(_graph_nets(g), cfg, 0x4750)
 
 
 def partition_hypergraph_fm(h: Hypergraph, cfg: PartitionConfig) -> Partition:
     """Recursive bisection minimizing the connectivity-1 cut."""
-    return _partition_by_bisection(_hypergraph_nets(h), h.vertex_weight, cfg, 0x4850)
+    return _partition_by_bisection(h, cfg, 0x4850)
 
 
 def partition_stochastic(

@@ -26,6 +26,13 @@ def _as_index_array(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=np.int64))
 
 
+def unique_keys(keys) -> np.ndarray:
+    """np.unique of non-negative integer keys, by one sort: numpy 2's
+    hash-table np.unique takes about 20x a sort on int64 keys."""
+    keys = np.sort(np.asarray(keys, dtype=np.int64))
+    return keys[np.diff(keys, prepend=-1) != 0]
+
+
 def dense(x) -> np.ndarray:
     """Coerce to a 2-D float64 C-contiguous array (the dense matrix type)."""
     a = np.ascontiguousarray(np.asarray(x, dtype=np.float64))

@@ -1,11 +1,16 @@
 """Graph, hypergraph, and partition file formats."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcnpart import CsrMatrix, Hypergraph, Partition
 from gcnpart.graphio import (
     GraphParseError,
+    _pattern_from_pairs,
     load_graph,
     read_edge_list,
     read_hypergraph,
@@ -97,6 +102,40 @@ class TestMatrixMarket:
         with pytest.raises(GraphParseError, match="header"):
             read_matrix_market(path)
 
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40),
+                st.booleans(),
+            )
+        )
+    )
+    def test_dedup_on_keys_matches_unique_rows(self, instance):
+        n, pairs, directed = instance
+        got = _pattern_from_pairs(n, pairs, directed)
+        # the np.unique(axis=0) build that 1-D keys replaced
+        both = pairs if directed else pairs + [(v, u) for (u, v) in pairs]
+        arr = np.unique(np.asarray(both, dtype=np.int64).reshape(-1, 2), axis=0)
+        want = CsrMatrix.from_coo(n, n, arr[:, 0], arr[:, 1], np.ones(len(arr)))
+        assert np.array_equal(got.row_offsets, want.row_offsets)
+        assert np.array_equal(got.col_indices, want.col_indices)
+        assert np.array_equal(got.values, want.values)
+
+    def test_late_vertex_count_below_seen_ids_carries_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text("0 5\n1 2\nn=3\n")
+        with pytest.raises(GraphParseError, match=":3: vertex id 5 seen before 'n=3'"):
+            read_edge_list(path)
+
+    def test_pairs_out_of_range_rejected(self):
+        # a key r * n + c would alias an out-of-range pair onto another entry
+        with pytest.raises(ValueError, match="out of range"):
+            _pattern_from_pairs(3, [(0, 5)], directed=True)
+        with pytest.raises(ValueError, match="out of range"):
+            _pattern_from_pairs(3, [(-1, 2)], directed=False)
+
     def test_load_graph_dispatch(self, tmp_path):
         path = tmp_path / "g.txt"
         path.write_text("0 1\n")
@@ -107,7 +146,7 @@ class TestMatrixMarket:
 
 class TestHypergraphFormat:
     def test_round_trip(self, tmp_path):
-        h = Hypergraph(
+        h = Hypergraph.from_nets(
             4,
             (np.array([0, 1]), np.array([1, 2, 3]), np.array([2])),
             np.ones(3),
@@ -126,6 +165,26 @@ class TestHypergraphFormat:
         path.write_text("3 1\n0 2\n")
         h = read_hypergraph(path)
         assert np.array_equal(h.vertex_weight, np.ones(3, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("3 2\n\n0 1\n1 x\n", ":4: non-integer pin"),  # the blank line counts
+            ("3 2\n0 1\n1 7\n", ":3: pin 7 outside 0..2"),
+            ("3 2\n0 1\n\n-1 2\n", ":4: pin -1 outside 0..2"),
+            ("3 1\n0 2\n\n1 1\n", ":4: weight line has wrong length"),
+            ("3 1\n0 2\n1 x 1\n", ":3: non-integer vertex weight"),
+            ("\n3\n0 2\n", ":2: header must be"),
+            ("3 2\n0 2\n\n", ":2: expected 2 net lines"),
+        ],
+        ids=["blank-line", "out-of-range", "negative", "weight-length", "weight-int",
+             "header", "missing-net"],
+    )
+    def test_errors_carry_file_line(self, tmp_path, text, where):
+        path = tmp_path / "h.txt"
+        path.write_text(text)
+        with pytest.raises(GraphParseError, match="^" + re.escape(f"{path}{where}")):
+            read_hypergraph(path)
 
 
 class TestPartitionFormat:

@@ -13,6 +13,7 @@ from gcnpart import (
     Hypergraph,
     MiniBatchSpec,
     Partition,
+    UGraph,
     build_graph_model,
     build_hypergraph_model,
     build_stochastic_hypergraph,
@@ -90,6 +91,20 @@ class TestGraphModel:
         with pytest.raises(ValueError):
             build_graph_model(CsrMatrix.from_coo(2, 3, [0], [2]))
 
+    def test_ugraph_rejects_bad_edges(self):
+        ones = np.ones(3, dtype=np.int64)
+        with pytest.raises(ValueError, match="u < v"):
+            UGraph(3, np.array([[1, 0]]), np.ones(1), ones)
+        with pytest.raises(ValueError, match="u < v"):
+            UGraph(3, np.array([[1, 1]]), np.ones(1), ones)
+        with pytest.raises(ValueError, match="out of range"):
+            UGraph(3, np.array([[0, 3]]), np.ones(1), ones)
+        with pytest.raises(ValueError, match="out of range"):
+            UGraph(3, np.array([[-1, 2]]), np.ones(1), ones)
+        with pytest.raises(ValueError, match="duplicate"):
+            UGraph(3, np.array([[0, 2], [1, 2], [0, 2]]), np.ones(3), ones)
+        assert UGraph(3, np.array([[0, 1], [0, 2], [1, 2]]), np.ones(3), ones).n_edges == 3
+
 
 class TestHypergraphModel:
     def test_identity_gives_singleton_nets(self):
@@ -113,6 +128,177 @@ class TestHypergraphModel:
         a = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0])
         with pytest.raises(ValueError):
             build_hypergraph_model(a)
+
+
+def reference_net_error(n_vertices, nets):
+    """The net-by-net check the vectorized one replaced, kept as an oracle:
+    the error for the first bad net, or None."""
+    for j, net in enumerate(nets):
+        pins = np.asarray(net, dtype=np.int64)
+        if len(pins) == 0:
+            return f"net {j} has no pins"
+        if np.any(np.diff(pins) <= 0):
+            return f"net {j} pins must be sorted and distinct"
+        if pins[0] < 0 or pins[-1] >= n_vertices:
+            return f"net {j} pin out of range"
+    return None
+
+
+def unit_hypergraph(n, nets):
+    return Hypergraph.from_nets(n, nets, np.ones(len(nets)), np.ones(n, dtype=np.int64))
+
+
+class TestHypergraphType:
+    def test_csr_fields_and_per_net_views(self):
+        h = Hypergraph(4, [0, 2, 5, 6], [0, 3, 0, 1, 2, 3], [1.0, 2.0, 3.0], [1, 2, 3, 4])
+        assert h.n_nets == 3
+        assert [list(pins) for pins in h.nets] == [[0, 3], [0, 1, 2], [3]]
+        assert list(h.net_of_pin()) == [0, 0, 1, 1, 1, 2]
+        assert h.offsets.dtype == h.pins.dtype == h.vertex_weight.dtype == np.int64
+        assert h.net_cost.dtype == np.float64
+        for arr in (h.offsets, h.pins, h.net_cost, h.vertex_weight, *h.nets):
+            assert not arr.flags.writeable
+
+    def test_four_argument_form_is_from_nets(self):
+        nets = (np.array([0, 3]), np.array([0, 1, 2]))
+        a = Hypergraph(4, nets, np.ones(2), np.ones(4, dtype=np.int64))
+        b = Hypergraph.from_nets(4, nets, np.ones(2), np.ones(4, dtype=np.int64))
+        assert np.array_equal(a.offsets, b.offsets) and np.array_equal(a.pins, b.pins)
+        assert list(a.offsets) == [0, 2, 5]
+
+    def test_no_nets(self):
+        h = unit_hypergraph(3, ())
+        assert h.n_nets == 0 and h.nets == () and list(h.offsets) == [0]
+
+    @pytest.mark.parametrize(
+        "nets, message",
+        [
+            (([0, 1], []), "net 1 has no pins"),
+            (([0, 1], [2, 1]), "net 1 pins must be sorted and distinct"),
+            (([0, 1], [1, 1]), "net 1 pins must be sorted and distinct"),
+            (([0, 1], [1, 3]), "net 1 pin out of range"),
+            (([0, 1], [-1, 2]), "net 1 pin out of range"),
+        ],
+    )
+    def test_rejects_bad_net(self, nets, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            unit_hypergraph(3, nets)
+
+    def test_error_names_the_first_bad_net(self):
+        # net 1 is out of range, net 2 empty, net 3 unsorted: net 1 is named
+        with pytest.raises(ValueError, match="^net 1 pin out of range$"):
+            unit_hypergraph(3, ([0], [1, 5], [], [2, 0]))
+        # a net failing two checks names the first of them, as the
+        # net-by-net check did
+        with pytest.raises(ValueError, match="^net 0 pins must be sorted and distinct$"):
+            unit_hypergraph(3, ([7, 1], [9]))
+
+    def test_rejects_bad_offsets(self):
+        with pytest.raises(ValueError, match="start at 0"):
+            Hypergraph(3, [1, 2], [0, 1], [1.0], [1, 1, 1])
+        with pytest.raises(ValueError, match="end at len"):
+            Hypergraph(3, [0, 1], [0, 1], [1.0], [1, 1, 1])
+        with pytest.raises(ValueError, match="never decrease"):
+            Hypergraph(3, [0, 2, 1, 2], [0, 1], [1.0, 1.0, 1.0], [1, 1, 1])
+
+    def test_rejects_wrong_lengths(self):
+        with pytest.raises(ValueError, match="wrong length"):
+            Hypergraph.from_nets(3, ([0, 1],), np.ones(2), np.ones(3, dtype=np.int64))
+        with pytest.raises(ValueError, match="wrong length"):
+            Hypergraph.from_nets(3, ([0, 1],), np.ones(1), np.ones(2, dtype=np.int64))
+
+    def test_rejects_wrong_argument_count(self):
+        with pytest.raises(ValueError):
+            Hypergraph(3, [0, 1], [0])
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.lists(st.integers(-1, n), max_size=4), max_size=6),
+            )
+        )
+    )
+    def test_errors_match_the_net_by_net_check(self, instance):
+        n, nets = instance
+        want = reference_net_error(n, nets)
+        if want is None:
+            h = unit_hypergraph(n, nets)
+            assert [list(pins) for pins in h.nets] == nets
+        else:
+            with pytest.raises(ValueError) as err:
+                unit_hypergraph(n, nets)
+            assert str(err.value) == want
+
+
+def reference_column_nets(a):
+    """The per-column build that the transpose replaced, kept as an oracle:
+    entries sorted by column, cut at each column, rows sorted per net."""
+    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
+    order = np.argsort(a.col_indices, kind="stable")
+    bounds = np.searchsorted(a.col_indices[order], np.arange(a.n_cols + 1))
+    return [np.sort(rows[order][bounds[j] : bounds[j + 1]]) for j in range(a.n_cols)]
+
+
+def reference_graph_edges(a):
+    """The np.unique(axis=0) edge build that 1-D keys replaced."""
+    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
+    off = rows != a.col_indices
+    u = np.minimum(rows[off], a.col_indices[off])
+    v = np.maximum(rows[off], a.col_indices[off])
+    if not len(u):
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.unique(np.stack([u, v], axis=1), axis=0)
+
+
+@st.composite
+def square_patterns(draw, full_diagonal=True):
+    """Random n x n pattern; with full_diagonal, every diagonal entry is
+    set and many columns hold nothing else."""
+    n = draw(st.integers(1, 16))
+    cells = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    )
+    rows = [i for i, _ in cells] + (list(range(n)) if full_diagonal else [])
+    cols = [j for _, j in cells] + (list(range(n)) if full_diagonal else [])
+    return CsrMatrix.from_coo(n, n, rows, cols)
+
+
+def assert_same_nets(h, nets):
+    assert h.n_nets == len(nets)
+    assert all(np.array_equal(a, b) for a, b in zip(h.nets, nets))
+    assert np.array_equal(h.net_cost, np.ones(len(nets)))
+
+
+class TestBuildsMatchReference:
+    @settings(deadline=None, max_examples=200)
+    @given(square_patterns())
+    def test_column_net_model_matches_per_column_build(self, a):
+        h = build_hypergraph_model(a)
+        assert h.n_vertices == a.n_rows
+        assert_same_nets(h, reference_column_nets(a))
+        assert np.array_equal(h.vertex_weight, a.row_nnz())
+
+    @settings(deadline=None, max_examples=100)
+    @given(square_patterns(), st.integers(1, 16), st.integers(1, 4), st.integers(0, 99))
+    def test_stochastic_model_matches_per_batch_concatenation(self, a, size, b, seed):
+        spec = MiniBatchSpec(min(size, a.n_rows))
+        merged = build_stochastic_hypergraph(a, spec, b, seed)
+        nets = []
+        for batch in sample_batches(a.n_rows, spec, b, seed):
+            nets.extend(batch[pins] for pins in reference_column_nets(induced_pattern(a, batch)))
+        assert merged.n_vertices == a.n_rows
+        assert_same_nets(merged, nets)
+        assert np.array_equal(merged.vertex_weight, a.row_nnz())
+
+    @settings(deadline=None, max_examples=200)
+    @given(square_patterns(full_diagonal=False))
+    def test_graph_model_matches_unique_rows_build(self, a):
+        g = build_graph_model(a)
+        assert np.array_equal(g.edges, reference_graph_edges(a))
+        assert np.array_equal(g.edge_cost, np.ones(g.n_edges))
+        assert np.array_equal(g.vertex_weight, a.row_nnz())
 
 
 class TestGraphCut:
@@ -157,7 +343,7 @@ class TestHypergraphCut:
         assert np.array_equal(rep.per_net_lambda, np.ones(6, dtype=np.int64))
 
     def test_net_spanning_three_parts(self):
-        h = Hypergraph(3, (np.array([0, 1, 2]),), np.ones(1), np.ones(3, dtype=np.int64))
+        h = Hypergraph.from_nets(3, (np.array([0, 1, 2]),), np.ones(1), np.ones(3, dtype=np.int64))
         rep = evaluate_hypergraph_cut(h, make_partition([0, 1, 2], h.vertex_weight, 3))
         assert rep.cut_value == 2
 
@@ -168,7 +354,7 @@ class TestHypergraphCut:
             np.sort(rng.choice(12, size=rng.integers(2, 6), replace=False))
             for _ in range(10)
         )
-        h = Hypergraph(12, nets, np.ones(10), np.ones(12, dtype=np.int64))
+        h = Hypergraph.from_nets(12, nets, np.ones(10), np.ones(12, dtype=np.int64))
         assignment = rng.integers(0, 4, size=12)
         while len(np.unique(assignment)) < 4:
             assignment = rng.integers(0, 4, size=12)
@@ -194,7 +380,7 @@ class TestHypergraphCut:
         ]
         # a net whose pins all sit in one part
         nets.append(np.flatnonzero(assignment == data.draw(st.integers(0, p - 1))))
-        h = Hypergraph(n, tuple(nets), np.ones(len(nets)), np.ones(n, dtype=np.int64))
+        h = Hypergraph.from_nets(n, tuple(nets), np.ones(len(nets)), np.ones(n, dtype=np.int64))
         lam = net_connectivity(h, make_partition(assignment, h.vertex_weight, p))
         assert lam.dtype == np.int64
         want = [len(np.unique(assignment[pins])) for pins in nets]
@@ -210,7 +396,7 @@ class TestPredictedVolume:
         assert predicted_total_volume(h, pi, (4, 2)) == 0
 
     def test_one_cut_net_single_layer(self):
-        h = Hypergraph(2, (np.array([0, 1]),), np.ones(1), np.ones(2, dtype=np.int64))
+        h = Hypergraph.from_nets(2, (np.array([0, 1]),), np.ones(1), np.ones(2, dtype=np.int64))
         pi = make_partition([0, 1], h.vertex_weight, 2)
         assert predicted_total_volume(h, pi, (4, 2)) == 6
 

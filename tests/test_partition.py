@@ -2,6 +2,8 @@
 instances are compared against exhaustive search, and structured instances
 beat random placement."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,11 +32,9 @@ from gcnpart.partition import (
     FM_PASSES,
     MATCH_NET_LIMIT,
     HypergraphBisection,
-    Nets,
     _contract,
     _fm_passes,
     _graph_nets,
-    _hypergraph_nets,
     _match,
     _merge_identical_nets,
 )
@@ -158,7 +158,7 @@ class TestHypergraphFm:
             np.sort(rng.choice(8, size=rng.integers(2, 5), replace=False))
             for _ in range(10)
         )
-        h = Hypergraph(8, nets, np.ones(10), np.ones(8, dtype=np.int64))
+        h = Hypergraph.from_nets(8, nets, np.ones(10), np.ones(8, dtype=np.int64))
         cfg = PartitionConfig(p=2, seed=seed)
         pi = partition_hypergraph_fm(h, cfg)
         got = evaluate_hypergraph_cut(h, pi).cut_value
@@ -207,28 +207,28 @@ class TestStochasticPartitioner:
         assert shp_cut <= hp_cut
 
 
-def recomputed_cut(nets, side) -> float:
+def recomputed_cut(h, side) -> float:
     """Connectivity-1 cut of a bisection, straight from the pin lists."""
     total = 0.0
-    for j, c in enumerate(nets.costs):
-        sides = {int(side[u]) for u in nets.pins[nets.offsets[j] : nets.offsets[j + 1]]}
+    for j, c in enumerate(h.net_cost):
+        sides = {int(side[u]) for u in h.pins[h.offsets[j] : h.offsets[j + 1]]}
         if len(sides) == 2:
             total += c
     return total
 
 
-def assert_exact_under_moves(nets, side, moves):
+def assert_exact_under_moves(h, side, moves):
     """Each move changes the cut by exactly the moved vertex's gain, the
     cut matches a recount, gains match a fresh engine, and move(v) twice
     restores side, gains and cut (the FM rollback contract)."""
-    eng = HypergraphBisection(nets, side)
+    eng = HypergraphBisection(h, side)
     for v in moves:
         v = int(v)
         side0, gains0, cut0 = eng.side.copy(), eng.gains.copy(), eng.cut()
         eng.move(v)
         assert eng.cut() == cut0 - gains0[v]
-        assert eng.cut() == recomputed_cut(nets, eng.side)
-        fresh = HypergraphBisection(nets, eng.side)
+        assert eng.cut() == recomputed_cut(h, eng.side)
+        fresh = HypergraphBisection(h, eng.side)
         assert np.array_equal(eng.gains, fresh.gains)
         assert fresh.cut() == eng.cut()
         eng.move(v)
@@ -248,10 +248,12 @@ def bisection_instances(draw):
     )
     nets = tuple(np.array(sorted(s), dtype=np.int64) for s in pin_sets)
     costs = draw(st.lists(st.integers(1, 3), min_size=len(nets), max_size=len(nets)))
-    h = Hypergraph(n, nets, np.array(costs, dtype=np.float64), np.ones(n, dtype=np.int64))
+    h = Hypergraph.from_nets(
+        n, nets, np.array(costs, dtype=np.float64), np.ones(n, dtype=np.int64)
+    )
     side = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
     moves = draw(st.lists(st.integers(0, n - 1), max_size=30))
-    return _hypergraph_nets(h), side, moves
+    return h, side, moves
 
 
 class TestFmEngineExactness:
@@ -271,7 +273,7 @@ class TestFmEngineExactness:
         rng = np.random.default_rng([seed, 32])
         h = build_hypergraph_model(normalize_adjacency(random_undirected(10, 0.3, seed)))
         side = rng.integers(0, 2, size=10).astype(np.int8)
-        assert_exact_under_moves(_hypergraph_nets(h), side, rng.integers(0, 10, size=40))
+        assert_exact_under_moves(h, side, rng.integers(0, 10, size=40))
 
     @settings(deadline=None, max_examples=150)
     @given(bisection_instances())
@@ -284,7 +286,7 @@ class TestFmEngineExactness:
         a = normalize_adjacency(random_undirected(20, 0.2, 17))
         h = build_hypergraph_model(a)
         side = rng.integers(0, 2, size=20).astype(np.int8)
-        eng = HypergraphBisection(_hypergraph_nets(h), side)
+        eng = HypergraphBisection(h, side)
         weights = h.vertex_weight.astype(float)
         start = eng.cut()
         _fm_passes(eng, weights, cap=weights.sum(), min_count=1, max_passes=4)
@@ -352,17 +354,19 @@ def fm_instances(draw):
     nets = tuple(np.array(sorted(s), dtype=np.int64) for s in pin_sets)
     costs = draw(st.lists(st.integers(1, 3), min_size=len(nets), max_size=len(nets)))
     weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    h = Hypergraph(n, nets, np.array(costs, dtype=np.float64), np.array(weights, dtype=np.int64))
+    h = Hypergraph.from_nets(
+        n, nets, np.array(costs, dtype=np.float64), np.array(weights, dtype=np.int64)
+    )
     side = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
     weights = h.vertex_weight.astype(np.float64)
     cap = float(weights.sum()) / 2.0 + draw(st.integers(-2, 6))
     min_count = draw(st.integers(1, 2))
     passes = draw(st.integers(1, FM_PASSES))
-    return _hypergraph_nets(h), weights, side, cap, min_count, passes
+    return h, weights, side, cap, min_count, passes
 
 
-def assert_engine_matches_fresh(eng, nets):
-    fresh = HypergraphBisection(nets, eng.side)
+def assert_engine_matches_fresh(eng, h):
+    fresh = HypergraphBisection(h, eng.side)
     assert eng._counts == fresh._counts
     assert eng._idsums == fresh._idsums
     assert eng.gains == fresh.gains
@@ -391,7 +395,7 @@ class TestFmPasses:
         _fm_passes(eng, weights, cap, min_count, passes)
         assert_engine_matches_fresh(eng, nets)
         for v in moves:
-            eng.move(v % nets.n)
+            eng.move(v % nets.n_vertices)
             assert_engine_matches_fresh(eng, nets)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -403,10 +407,9 @@ class TestFmPasses:
         weights = rng.integers(1, 7, size=n).astype(np.float64)
         side = rng.integers(0, 2, size=n).astype(np.int8)
         cap = float(weights.sum()) / 2.0 + float(rng.integers(0, 6))
-        nets = _hypergraph_nets(h)
-        ref = HypergraphBisection(nets, side)
+        ref = HypergraphBisection(h, side)
         reference_fm_passes(ref, weights, cap, 1, FM_PASSES)
-        eng = HypergraphBisection(nets, side)
+        eng = HypergraphBisection(h, side)
         _fm_passes(eng, weights, cap, 1, FM_PASSES)
         assert np.array_equal(eng.side, ref.side)
         assert eng.cut() == ref.cut()
@@ -436,7 +439,7 @@ class TestFmPasses:
     def test_move_reports_every_gain_change(self):
         rng = np.random.default_rng(7)
         h = build_hypergraph_model(normalize_adjacency(random_undirected(16, 0.3, 5)))
-        eng = HypergraphBisection(_hypergraph_nets(h), rng.integers(0, 2, size=16))
+        eng = HypergraphBisection(h, rng.integers(0, 2, size=16))
         for v in rng.integers(0, 16, size=30):
             before = list(eng.gains)
             changed = set(eng.move(int(v)))
@@ -456,19 +459,19 @@ def coarsening_instances(draw):
     nets = tuple(np.array(sorted(s), dtype=np.int64) for s in pin_sets)
     costs = draw(st.lists(st.integers(1, 4), min_size=len(nets), max_size=len(nets)))
     weights = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=np.float64)
-    h = Hypergraph(n, nets, np.array(costs, dtype=np.float64), weights.astype(np.int64))
+    h = Hypergraph.from_nets(n, nets, np.array(costs, dtype=np.float64), weights.astype(np.int64))
     max_w = float(draw(st.integers(1, 12)))
     rng = np.random.default_rng(draw(st.integers(0, 99)))
-    cluster_of = _match(_hypergraph_nets(h), weights, max_w, rng)
+    cluster_of = _match(h, max_w, rng)
     coarse_side = np.array(
         draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8
     )[: int(cluster_of.max()) + 1]
-    return _hypergraph_nets(h), weights, max_w, cluster_of, coarse_side
+    return h, weights, max_w, cluster_of, coarse_side
 
 
-def pin_lists(nets: Nets) -> list[tuple]:
-    bounds = zip(nets.offsets[:-1], nets.offsets[1:])
-    return [tuple(nets.pins[lo:hi]) for lo, hi in bounds]
+def pin_lists(h: Hypergraph) -> list[tuple]:
+    bounds = zip(h.offsets[:-1], h.offsets[1:])
+    return [tuple(h.pins[lo:hi]) for lo, hi in bounds]
 
 
 class TestCoarsening:
@@ -476,7 +479,7 @@ class TestCoarsening:
     @given(coarsening_instances())
     def test_coarse_cut_equals_fine_cut_of_projection(self, inst):
         nets, weights, _, cluster_of, coarse_side = inst
-        coarse, _ = _contract(nets, weights, cluster_of)
+        coarse = _contract(nets, cluster_of)
         fine_side = coarse_side[cluster_of]
         assert recomputed_cut(coarse, coarse_side) == recomputed_cut(nets, fine_side)
         assert HypergraphBisection(coarse, coarse_side).cut() == recomputed_cut(nets, fine_side)
@@ -485,7 +488,7 @@ class TestCoarsening:
     @given(coarsening_instances())
     def test_cluster_weights_sum_to_fine_weights(self, inst):
         nets, weights, max_w, cluster_of, _ = inst
-        _, coarse_w = _contract(nets, weights, cluster_of)
+        coarse_w = _contract(nets, cluster_of).vertex_weight
         assert coarse_w.sum() == weights.sum()
         for c, w in enumerate(coarse_w):
             members = np.flatnonzero(cluster_of == c)
@@ -504,12 +507,12 @@ class TestCoarsening:
         lists = pin_lists(merged)
         assert len(set(lists)) == len(lists)
         assert all(len(pins) >= 2 for pins in lists)
-        assert merged.costs.sum() == sum(
-            c for c, pins in zip(nets.costs, pin_lists(nets)) if len(pins) >= 2
+        assert merged.net_cost.sum() == sum(
+            c for c, pins in zip(nets.net_cost, pin_lists(nets)) if len(pins) >= 2
         )
         rng = np.random.default_rng(len(lists))
         for _ in range(5):
-            side = rng.integers(0, 2, size=nets.n).astype(np.int8)
+            side = rng.integers(0, 2, size=nets.n_vertices).astype(np.int8)
             assert recomputed_cut(merged, side) == recomputed_cut(nets, side)
 
 
@@ -578,3 +581,47 @@ class TestPartitionerQuality:
                         cap = (1 + cfg.epsilon) * w.sum() / p
                         assert np.all(pi.part_weights <= cap), (name, p, seed)
                         assert len(np.unique(pi.assignment)) == p
+
+
+# sha256 over the assignments (little-endian int64) at p = 2, 4, 8 and
+# seeds 0, 1, 2, in that order, recorded before the partitioners moved onto
+# the CSR Hypergraph type. A change that alters partitions on purpose
+# updates these and says so.
+PINNED_DIGESTS = {
+    ("grid12", "gp"): "c4e1828464173c971181e0c79daffac0d245121743c6b4faa81affb05d3e2fdf",
+    ("grid12", "hp"): "8a89a7b7e33b49db517e80fa6b4fcc81c786eb486a04f0be4ad1e81f6beaf5a9",
+    ("grid12", "shp"): "17856f4adb10662f1a44c7982b691af0e1463650d0f86ef8abfc89bf732ee3a1",
+    ("grid16", "gp"): "1fd753ba947125abacd8b654e57a3bf802637c22742c9137afa56c70a080041c",
+    ("grid16", "hp"): "43a9069bdb93b9b229ecbd62ee7312b0a6906c3cf472d296926b7c3c3630436b",
+    ("grid16", "shp"): "244d07bd887b5e50b1e2edfce68dfb0f1272062355e66cafc59827a5edeaa7e6",
+    ("community8", "gp"): "8065ea646f8b5f48cc56e1065d9aae396f987d3bc9dfaaed0d33998dddd631c3",
+    ("community8", "hp"): "125c271f633539c62adb6115112d4d7b78fe70b2a4b611979e49f321a42747a8",
+    ("community8", "shp"): "ed59bd172cc3cbfa992a20e2fe894cb166d39ec6e0772d62c4edf8a9ca5ab0b9",
+}
+
+
+def test_partitions_pinned():
+    """GP, HP and SHP assignments are byte-identical to the recorded ones,
+    so refactors of the partitioners prove "partitions unchanged" here."""
+    graphs = {
+        "grid12": grid_graph(12, 12),
+        "grid16": grid_graph(16, 16),
+        "community8": two_community_graph(8, seed=3),
+    }
+    got = {}
+    for name, a in graphs.items():
+        a_hat = normalize_adjacency(a)
+        g, h = build_graph_model(a_hat), build_hypergraph_model(a_hat)
+        runs = {
+            "gp": lambda cfg: partition_graph_fm(g, cfg),
+            "hp": lambda cfg: partition_hypergraph_fm(h, cfg),
+            "shp": lambda cfg: partition_stochastic(a_hat, MiniBatchSpec(a_hat.n_rows // 4), 8, cfg),
+        }
+        for tag, run in runs.items():
+            digest = hashlib.sha256()
+            for p in (2, 4, 8):
+                for seed in range(3):
+                    assignment = run(PartitionConfig(p=p, seed=seed)).assignment
+                    digest.update(assignment.astype("<i8").tobytes())
+            got[name, tag] = digest.hexdigest()
+    assert got == PINNED_DIGESTS
