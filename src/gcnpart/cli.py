@@ -247,9 +247,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 batches_per_epoch=cfg.batches,
                 seed=cfg.seed,
                 adjacency=a_raw,
-                features=h0,
-                owner=pi.assignment,
-                directed=cfg.directed,
             )
         metrics = train_epochs(states, net, labels, cfg.epochs, mode, scheduler=cfg.scheduler)
         balance = pi.balance_ratio()

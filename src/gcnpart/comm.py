@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Partition
-from .sparse import CsrMatrix
+from .sparse import CsrMatrix, unique_keys
 
 
 @dataclass(frozen=True)
@@ -76,21 +76,20 @@ def build_comm_plan(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = 
     if len(owner) and (owner.min() < 0 or owner.max() >= p):
         raise ValueError("owner id out of range")
 
-    send = [[np.zeros(0, dtype=np.int64) for _ in range(p)] for _ in range(p)]
-    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
-    row_owner = owner[rows]
-    col_owner = owner[a.col_indices]
-    for m in range(p):  # m = consumer rank
-        mask = (row_owner == m) & (col_owner != m)
-        needed = np.unique(a.col_indices[mask])
-        senders = owner[needed]
-        for n in np.unique(senders):
-            send[int(n)][m] = needed[senders == n]
-    recv_from = tuple(
-        np.array([n for n in range(p) if len(send[n][m])], dtype=np.int64)
-        for m in range(p)
+    # one sorted key per (sender, consumer, column) a consumer row needs
+    n = a.n_rows
+    consumer = owner[np.repeat(np.arange(n, dtype=np.int64), a.row_nnz())]
+    sender = owner[a.col_indices]
+    cross = consumer != sender
+    keys = unique_keys((sender[cross] * p + consumer[cross]) * n + a.col_indices[cross])
+    cols = keys % n
+    bounds = np.searchsorted(keys // n, np.arange(p * p + 1))
+    send = tuple(
+        tuple(cols[bounds[m * p + c] : bounds[m * p + c + 1]] for c in range(p)) for m in range(p)
     )
-    return CommPlan(p, owner, tuple(tuple(lists) for lists in send), recv_from)
+    counts = np.diff(bounds).reshape(p, p)
+    recv_from = tuple(np.flatnonzero(counts[:, m]) for m in range(p))
+    return CommPlan(p, owner, send, recv_from)
 
 
 @dataclass(frozen=True)

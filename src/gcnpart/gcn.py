@@ -85,7 +85,7 @@ class LabelSet:
         lab = np.asarray(self.labels, dtype=np.int64)
         if len(ids) != len(lab):
             raise ValueError("labeled_ids and labels must have equal length")
-        if len(np.unique(ids)) != len(ids):
+        if np.any(np.diff(np.sort(ids)) == 0):
             raise ValueError("labeled_ids must be distinct")
         if len(lab) and (lab.min() < 0 or lab.max() >= self.n_classes):
             raise ValueError("label out of range")

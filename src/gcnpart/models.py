@@ -154,7 +154,7 @@ class Partition:
             raise ValueError("part id out of range")
         if len(pw) != self.p:
             raise ValueError("part_weights must have length p")
-        if len(np.unique(a)) != self.p:
+        if np.count_nonzero(np.bincount(a, minlength=self.p)) != self.p:
             raise ValueError("every part must be non-empty")
         object.__setattr__(self, "assignment", a)
         object.__setattr__(self, "part_weights", pw)

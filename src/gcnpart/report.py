@@ -2,8 +2,8 @@
 
 One row per (dataset, partitioner) with per-processor volume and message
 averages/maxima divided by the random-partitioning baseline's values,
-plus geometric means across datasets and the HP/GP ratio row. Runtime
-ratios travel separately and are informational only (simulated timing).
+plus geometric means across datasets and the HP/GP ratio row. Timing is
+left out: the CLI writes the simulated wallclock to timing.json.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ class RunSummary:
     avg_msgs: float
     max_msgs: float
     balance_ratio: float
-    wallclock: float
 
 
 def summarize_run(
@@ -56,7 +55,6 @@ def summarize_run(
         avg_msgs=float(np.mean([m.total_msgs for m in epochs])),
         max_msgs=float(np.mean([m.max_msgs_per_proc for m in epochs])),
         balance_ratio=balance_ratio,
-        wallclock=float(sum(m.wallclock for m in epochs)),
     )
 
 
@@ -68,7 +66,6 @@ class ComparisonRow:
     max_volume_norm: float
     avg_msgs_norm: float
     max_msgs_norm: float
-    runtime_ratio: float  # informational (simulated wallclock)
     balance_ratio: float
 
 
@@ -112,7 +109,6 @@ def compare(runs: list[RunSummary]) -> Comparison:
                 max_volume_norm=_ratio(r.max_words, base.max_words),
                 avg_msgs_norm=_ratio(r.avg_msgs, base.avg_msgs),
                 max_msgs_norm=_ratio(r.max_msgs, base.max_msgs),
-                runtime_ratio=_ratio(r.wallclock, base.wallclock),
                 balance_ratio=r.balance_ratio,
             )
         )

@@ -1,10 +1,11 @@
 """Deterministic simulated distributed-memory GCN training runtime.
 
 p logical processors execute parallel feedforward and backpropagation over
-1D row-partitioned matrices. Cross-rank data moves only through SimNetwork:
-per-pair FIFO channels for point-to-point row transfers plus a rank-ordered
-allreduce-sum for weight gradients. Every payload is counted (rows x cols
-words), giving exact communication accounting per epoch, phase, and layer.
+1D row-partitioned matrices. Rows move between ranks only through
+SimNetwork's per-pair FIFO channels, and weight gradients through the
+scheduler's rank-ordered allreduce-sum. Every payload is counted (rows x
+cols words), giving exact communication accounting per epoch, phase, and
+layer.
 
 Each rank's work is written once, as a generator (the rank program). It
 yields at two kinds of sync point:
@@ -18,8 +19,9 @@ Two schedulers drive the same rank programs:
 
 * "round": single-threaded; steps every program to its next sync point in
   rank order, so all sends of a layer are posted before any receive.
-* "threads": one worker per rank with blocking receives and barrier-backed
-  allreduce; a send barrier needs no action there.
+* "threads": one worker per rank with blocking receives; the scheduler
+  holds the barrier its allreduce waits at, and a send barrier needs no
+  action there.
 
 Both receive in ascending sender rank and reduce in ascending rank order,
 so results are bit-identical across schedulers and reruns. (Nothing forces
@@ -80,8 +82,9 @@ class SimNetwork:
     """Per-pair FIFO channels with full send accounting.
 
     Channels are unbounded; a rank blocks only on receiving an expected
-    message (in "threads" mode; the round scheduler never needs to block
-    because sends are globally ordered before receives).
+    message, and only while the "threads" scheduler sets blocking (the
+    round scheduler never needs to block because sends are globally
+    ordered before receives).
     """
 
     def __init__(self, p: int):
@@ -90,9 +93,6 @@ class SimNetwork:
         self.log: list[MessageRecord] = []
         self._log_lock = threading.Lock()
         self.blocking = False
-        self._barrier: threading.Barrier | None = None
-        self._slots: list = [None] * p
-        self._failure: BaseException | None = None
 
     def send(self, src: int, dst: int, payload: np.ndarray, tag) -> None:
         if src == dst:
@@ -118,36 +118,6 @@ class SimNetwork:
                 f"payload from {src} to {dst} has shape {payload.shape}, expected {expect_shape}"
             )
         return payload
-
-    # -- allreduce (threads mode); the round scheduler sums directly --
-
-    def setup_workers(self) -> None:
-        self.blocking = True
-        self._barrier = threading.Barrier(self.p)
-        self._failure = None
-
-    def teardown_workers(self) -> None:
-        self.blocking = False
-        self._barrier = None
-
-    def abort(self, exc: BaseException) -> None:
-        if self._failure is None:
-            self._failure = exc
-        if self._barrier is not None:
-            self._barrier.abort()
-
-    def allreduce(self, rank: int, contribution: np.ndarray) -> np.ndarray:
-        assert self._barrier is not None, "allreduce outside worker mode"
-        self._slots[rank] = contribution
-        try:
-            self._barrier.wait(timeout=WAIT_S)
-            out = allreduce_sum(self._slots)
-            self._barrier.wait(timeout=WAIT_S)
-        except threading.BrokenBarrierError:
-            raise CommError(f"rank {rank} left an allreduce another rank never joined") from None
-        return out
-
-    # -- accounting --
 
     def records(self, epoch: int | None = None, step: int | None = None) -> list[MessageRecord]:
         with self._log_lock:
@@ -245,16 +215,15 @@ def scatter(
     directed: bool = False,
     p: int | None = None,
 ) -> list[ProcState]:
-    """Distribute row blocks per the partition and replicate the weights."""
+    """Distribute row blocks per the partition and replicate the weights.
+    An undirected input shares one plan and halo operand between the two
+    phases, so plan_bwd is plan_fwd exactly when directed is false."""
     h0 = dense(h0)
     if h0.shape != (a_hat.n_rows, model.dims[0]):
         raise ValueError(f"h0 has shape {h0.shape}, expected ({a_hat.n_rows}, {model.dims[0]})")
     plan_fwd = build_comm_plan(a_hat, pi, p)
-    if directed:
-        a_bwd = transpose_sparse(a_hat)
-        plan_bwd = build_comm_plan(a_bwd, pi, p)
-    else:
-        a_bwd, plan_bwd = a_hat, plan_fwd
+    a_bwd = transpose_sparse(a_hat) if directed else a_hat
+    plan_bwd = build_comm_plan(a_bwd, pi, p) if directed else plan_fwd
     states = []
     for m in range(plan_fwd.p):
         rows = plan_fwd.rows_of(m)
@@ -306,28 +275,22 @@ def _fwd_compute(st: ProcState, net: SimNetwork, k: int, tag) -> None:
     st.h[k], _ = activation_and_derivative(st.activation, z)
 
 
-def _local_loss_grad(st: ProcState, labels: LabelSet, n_labeled_global: int):
+def _local_loss_grad(st: ProcState, labels: LabelSet):
     """Local NLL sum and d loss / d H^L rows for locally owned labeled
     vertices (normalized by the global labeled count)."""
     L = st.n_layers
-    h_last = st.h[L]
-    grad = np.zeros_like(h_last)
+    grad = np.zeros_like(st.h[L])
     local_sum = 0.0
-    if n_labeled_global > 0 and len(labels) and len(st.global_rows):
-        pos = np.searchsorted(st.global_rows, labels.labeled_ids)
-        mine = (pos < len(st.global_rows)) & (
-            st.global_rows[np.minimum(pos, len(st.global_rows) - 1)] == labels.labeled_ids
-        )
-        if mine.any():
-            local_rows = pos[mine]
-            y = labels.labels[mine]
-            logits = h_last[local_rows]
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-            local_sum = float(-logp[np.arange(len(y)), y].sum())
-            softmax = np.exp(logp)
-            softmax[np.arange(len(y)), y] -= 1.0
-            grad[local_rows] = softmax / n_labeled_global
+    mine = _local_labelset(labels, st.global_rows)
+    if len(mine):
+        local_rows, y = mine.labeled_ids, mine.labels
+        logits = st.h[L][local_rows]
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        local_sum = float(-logp[np.arange(len(y)), y].sum())
+        softmax = np.exp(logp)
+        softmax[np.arange(len(y)), y] -= 1.0
+        grad[local_rows] = softmax / len(labels)
     _, d_act = activation_and_derivative(st.activation, st.z[L])
     st.g[L] = grad * d_act
     return np.array([[local_sum]])
@@ -360,22 +323,22 @@ def _rank_forward(st: ProcState, net: SimNetwork, epoch: int, step: int):
         _fwd_compute(st, net, k, tag)
 
 
-def _rank_backward(st: ProcState, net: SimNetwork, labels, n_labeled_global, epoch, step):
+def _rank_backward(st: ProcState, net: SimNetwork, labels: LabelSet, epoch: int, step: int):
     """Loss contribution, then per layer: post sends, send barrier, receive
     and compute, dW contribution, update. Returns the global loss."""
-    total = yield _local_loss_grad(st, labels, n_labeled_global)
+    total = yield _local_loss_grad(st, labels)
     for k in range(st.n_layers, 0, -1):
         tag = (epoch, step, "bwd", k)
         _send_rows(st, net, st.send_bwd, st.g[k], tag)
         yield None
         dw = yield _bwd_compute(st, net, k, tag)
         st.weights[k - 1] = st.weights[k - 1] - st.learning_rate * dw
-    return float(total[0, 0]) / n_labeled_global if n_labeled_global else 0.0
+    return float(total[0, 0]) / len(labels) if len(labels) else 0.0
 
 
-def _rank_epoch(st, net, labels, n_labeled_global, epoch, step):
+def _rank_epoch(st, net, labels, epoch, step):
     yield from _rank_forward(st, net, epoch, step)
-    return (yield from _rank_backward(st, net, labels, n_labeled_global, epoch, step))
+    return (yield from _rank_backward(st, net, labels, epoch, step))
 
 
 def _drive_round(programs) -> list:
@@ -396,48 +359,56 @@ def _drive_round(programs) -> list:
 
 
 def _drive_threads(programs, net: SimNetwork) -> list:
-    """Run each program on its own worker; contributions go to net.allreduce."""
-    results = [None] * len(programs)
+    """Run each program on its own worker, with blocking receives. A
+    contribution waits at a barrier for every rank's, then each rank takes
+    the rank-ordered sum. The first failure aborts the barrier, so no
+    worker is left blocked, and is raised; ranks still running after
+    2 * WAIT_S raise CommError instead of leaving partial state behind."""
+    p = len(programs)
+    barrier = threading.Barrier(p)
+    slots = [None] * p
+    results = [None] * p
+    failures = []
 
-    def run_rank(rank):
+    def allreduce(rank, contribution):
+        slots[rank] = contribution
+        try:
+            barrier.wait(timeout=WAIT_S)
+            out = allreduce_sum(slots)
+            barrier.wait(timeout=WAIT_S)
+        except threading.BrokenBarrierError:
+            raise CommError(f"rank {rank} left an allreduce another rank never joined") from None
+        return out
+
+    def worker(rank):
         program, reply = programs[rank], None
         try:
             while True:
                 out = program.send(reply)
-                reply = None if out is None else net.allreduce(rank, out)
+                reply = None if out is None else allreduce(rank, out)
         except StopIteration as stop:
             results[rank] = stop.value
-
-    _run_workers(range(len(programs)), net, run_rank)
-    return results
-
-
-def _run_workers(states, net: SimNetwork, rank_fn) -> None:
-    """Run rank_fn(state) on one worker thread per rank; the first failure
-    aborts the barrier so no thread is left blocked, then re-raises. Ranks
-    still running after 2 * WAIT_S raise CommError instead of leaving
-    partial state behind."""
-    net.setup_workers()
-
-    def worker(st):
-        try:
-            rank_fn(st)
         except BaseException as exc:
-            net.abort(exc)
+            failures.append(exc)
+            barrier.abort()
 
-    threads = [threading.Thread(target=worker, args=(st,), daemon=True) for st in states]
-    for t in threads:
-        t.start()
-    deadline = time.monotonic() + 2 * WAIT_S
-    for t in threads:
-        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    threads = [threading.Thread(target=worker, args=(rank,), daemon=True) for rank in range(p)]
+    net.blocking = True
+    try:
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + 2 * WAIT_S
+        for t in threads:
+            t.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        net.blocking = False
+    if failures:
+        raise failures[0]
     hung = [rank for rank, t in enumerate(threads) if t.is_alive()]
     if hung:
-        net.abort(CommError(f"ranks {hung} still running after {2 * WAIT_S} s"))
-    failure = net._failure
-    net.teardown_workers()
-    if failure is not None:
-        raise failure
+        barrier.abort()
+        raise CommError(f"ranks {hung} still running after {2 * WAIT_S} s")
+    return results
 
 
 def _run(programs, net: SimNetwork, scheduler: str) -> list:
@@ -447,11 +418,6 @@ def _run(programs, net: SimNetwork, scheduler: str) -> list:
     if scheduler == "round":
         return _drive_round(programs)
     return _drive_threads(programs, net)
-
-
-def _run_epoch(states, net, labels, n_labeled_global, epoch, step, scheduler) -> float:
-    programs = [_rank_epoch(st, net, labels, n_labeled_global, epoch, step) for st in states]
-    return _run(programs, net, scheduler)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +435,10 @@ def parallel_backprop(states, net: SimNetwork, labels: LabelSet, scheduler: str 
     be present. Returns the states and the epoch's metrics."""
     if not all(st.h and st.h[-1] is not None for st in states):
         raise ValueError("run parallel_feedforward before parallel_backprop")
-    n_labeled_global = len(labels)
-    if n_labeled_global == 0:
+    if len(labels) == 0:
         raise ValueError("label set is empty")
     start = time.perf_counter()
-    programs = [_rank_backward(st, net, labels, n_labeled_global, epoch, 0) for st in states]
-    loss = _run(programs, net, scheduler)[0]
+    loss = _run([_rank_backward(st, net, labels, epoch, 0) for st in states], net, scheduler)[0]
     wall = time.perf_counter() - start
     recs = [r for r in net.records(epoch=epoch) if r.phase == "bwd"]
     return states, _metrics_from_records(recs, len(states), wall, loss)
@@ -505,23 +469,35 @@ class FullBatch:
 @dataclass(frozen=True)
 class MiniBatch:
     """Per-step vertex sampling; the fixed global partition is restricted to
-    each batch's induced sub-adjacency."""
+    each batch's induced sub-adjacency. The owners, the features and
+    whether the input is directed come from the states being trained."""
 
     spec: MiniBatchSpec
     batches_per_epoch: int
     seed: int
     adjacency: CsrMatrix  # raw pattern (no self loops); renormalized per batch
-    features: np.ndarray
-    owner: np.ndarray
-    directed: bool = False
 
 
-def _local_labelset(labels: LabelSet, batch: np.ndarray) -> "LabelSet | None":
-    pos = np.searchsorted(batch, labels.labeled_ids)
-    mine = (pos < len(batch)) & (batch[np.minimum(pos, len(batch) - 1)] == labels.labeled_ids)
-    if not mine.any():
-        return None
+def _local_labelset(labels: LabelSet, rows: np.ndarray) -> LabelSet:
+    """The labels of the vertices in rows (sorted global ids), renumbered
+    to their positions in rows; empty when rows holds none."""
+    pos = np.searchsorted(rows, labels.labeled_ids)
+    mine = pos < len(rows)
+    mine[mine] = rows[pos[mine]] == labels.labeled_ids[mine]
     return LabelSet(pos[mine], labels.labels[mine], labels.n_classes)
+
+
+def _batch(states, labels: LabelSet, mode: MiniBatch, rng, owner, features):
+    """One mini-batch step's states and labels: sample a batch, renormalize
+    its induced subgraph and scatter it by the global owners, with the
+    current weights and the directedness of the states."""
+    batch = np.sort(rng.choice(len(owner), size=mode.spec.batch_size, replace=False))
+    sub_hat = normalize_adjacency(induced_pattern(mode.adjacency, batch, add_diagonal=False))
+    st = states[0]
+    model = GcnModel(st.dims, tuple(st.weights), st.activation, st.learning_rate)
+    directed = st.plan_bwd is not st.plan_fwd
+    sub_states = scatter(sub_hat, features[batch], owner[batch], model, directed, p=len(states))
+    return sub_states, _local_labelset(labels, batch)
 
 
 def train_epochs(
@@ -534,61 +510,35 @@ def train_epochs(
 ) -> list[EpochMetrics]:
     """Train for the given number of epochs, recording metrics per epoch.
 
-    Full-batch mode runs one forward+backward over the whole graph per
-    epoch. Mini-batch mode samples batches_per_epoch induced subgraphs per
-    epoch and performs one update per batch; weights live in the persistent
-    states between batches.
+    Each step runs one forward+backward and one update. A full-batch epoch
+    is one step over the states themselves. A mini-batch epoch is
+    batches_per_epoch steps, each over the states of one sampled induced
+    subgraph; the weights it leaves go back to the persistent states.
     """
+    mini = isinstance(mode, MiniBatch)
+    if mini:
+        n = mode.adjacency.n_rows
+        owner = np.empty(n, dtype=np.int64)
+        features = np.empty((n, states[0].dims[0]))
+        for st in states:
+            owner[st.global_rows] = st.rank
+            features[st.global_rows] = st.h0
+        rng = np.random.default_rng([int(mode.seed), 0x7B])
+    elif len(labels) == 0:
+        raise ValueError("label set is empty")
     out = []
-    p = len(states)
-    if isinstance(mode, FullBatch):
-        n_labeled_global = len(labels)
-        if n_labeled_global == 0:
-            raise ValueError("label set is empty")
-        for e in range(epochs):
-            start = time.perf_counter()
-            loss = _run_epoch(states, net, labels, n_labeled_global, e, 0, scheduler)
-            wall = time.perf_counter() - start
-            out.append(_metrics_from_records(net.records(epoch=e), p, wall, loss))
-        return out
-
-    rng = np.random.default_rng([int(mode.seed), 0x7B])
     for e in range(epochs):
         start = time.perf_counter()
         losses = []
-        for step in range(mode.batches_per_epoch):
-            batch = np.sort(
-                rng.choice(mode.adjacency.n_rows, size=mode.spec.batch_size, replace=False)
+        for step in range(mode.batches_per_epoch if mini else 1):
+            step_states, step_labels = (
+                _batch(states, labels, mode, rng, owner, features) if mini else (states, labels)
             )
-            sub_raw = induced_pattern(mode.adjacency, batch, add_diagonal=False)
-            sub_hat = normalize_adjacency(sub_raw, add_self_loops=True)
-            model = GcnModel(
-                states[0].dims,
-                tuple(states[0].weights),
-                states[0].activation,
-                states[0].learning_rate,
-            )
-            sub_states = scatter(
-                sub_hat,
-                mode.features[batch],
-                mode.owner[batch],
-                model,
-                directed=mode.directed,
-                p=p,
-            )
-            sub_labels = _local_labelset(labels, batch)
-            n_lab = len(sub_labels) if sub_labels is not None else 0
-            effective = sub_labels if sub_labels is not None else LabelSet(
-                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), labels.n_classes
-            )
-            loss = _run_epoch(sub_states, net, effective, n_lab, e, step, scheduler)
-            losses.append(loss)
-            for st, sub in zip(states, sub_states):
-                st.weights = [w.copy() for w in sub.weights]
+            programs = [_rank_epoch(st, net, step_labels, e, step) for st in step_states]
+            losses.append(_run(programs, net, scheduler)[0])
+            for st, sub in zip(states, step_states):
+                st.weights = sub.weights
         wall = time.perf_counter() - start
-        out.append(
-            _metrics_from_records(
-                net.records(epoch=e), p, wall, float(np.mean(losses)) if losses else 0.0
-            )
-        )
+        loss = float(np.mean(losses)) if losses else 0.0
+        out.append(_metrics_from_records(net.records(epoch=e), len(states), wall, loss))
     return out

@@ -2,10 +2,10 @@
 
 Every numeric path in the package runs through this module: CSR storage,
 adjacency normalization D^{-1/2}(A+I)D^{-1/2}, sparse-dense and dense-dense
-products, CSR transpose and row/column restriction, and the row-gather
-primitive that assembles point-to-point message payloads (the
-copy-operator realization of the diagonal selector matrices, kept as index
-lists instead of materialized diagonals).
+products, CSR transpose and row/column restriction, and the row gather
+that realizes the diagonal selector matrices as index lists instead of
+materialized diagonals: the runtime uses it once per scatter to find each
+send list's local positions pos, and a payload is then values[pos].
 
 All scalars are float64. Each spmm output row is the sequential sum of its
 products in ascending column order (CSR columns are sorted), built from
@@ -92,10 +92,6 @@ class CsrMatrix:
     def row_nnz(self) -> np.ndarray:
         return np.diff(self.row_offsets)
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        s, e = self.row_offsets[i], self.row_offsets[i + 1]
-        return self.col_indices[s:e], self.values[s:e]
-
     def has_full_diagonal(self) -> bool:
         if self.n_rows != self.n_cols:
             return False
@@ -154,20 +150,19 @@ class CsrMatrix:
 class RowBlock:
     """A set of matrix rows owned by one processor, keyed by global row ids.
 
-    global_row_ids is strictly increasing; local holds the row data (sparse
-    or dense) in that order, at full column width.
+    global_row_ids is strictly increasing; local holds the dense row data
+    in that order, at full column width.
     """
 
     global_row_ids: np.ndarray
-    local: "CsrMatrix | np.ndarray"
+    local: np.ndarray
 
     def __post_init__(self):
         ids = _as_index_array(self.global_row_ids)
         object.__setattr__(self, "global_row_ids", ids)
         if len(ids) > 1 and np.any(np.diff(ids) <= 0):
             raise ValueError("global_row_ids must be strictly increasing")
-        n_local = self.local.n_rows if isinstance(self.local, CsrMatrix) else self.local.shape[0]
-        if n_local != len(ids):
+        if self.local.shape[0] != len(ids):
             raise ValueError("row count of local data must match global_row_ids")
         ids.setflags(write=False)
 
@@ -295,9 +290,8 @@ def gather_rows(block: RowBlock, wanted_global_ids) -> np.ndarray:
     """
     wanted = _as_index_array(wanted_global_ids)
     owned = block.global_row_ids
-    width = block.local.n_cols if isinstance(block.local, CsrMatrix) else block.local.shape[1]
     if len(wanted) == 0:
-        return np.zeros((0, width))
+        return np.zeros((0, block.local.shape[1]))
     if len(owned) == 0:
         raise KeyError(f"row {int(wanted[0])} is not owned by this block")
     pos = np.searchsorted(owned, wanted)
@@ -305,10 +299,4 @@ def gather_rows(block: RowBlock, wanted_global_ids) -> np.ndarray:
     if np.any(bad):
         missing = wanted[bad][0]
         raise KeyError(f"row {int(missing)} is not owned by this block")
-    if isinstance(block.local, CsrMatrix):
-        out = np.zeros((len(wanted), block.local.n_cols))
-        for k, i in enumerate(pos):
-            cols, vals = block.local.row(int(i))
-            out[k, cols] = vals
-        return out
     return block.local[pos].copy()

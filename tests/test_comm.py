@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcnpart import (
     CsrMatrix,
@@ -24,6 +26,41 @@ from helpers import (
 
 def partition_of(assignment, a, p, eps=1e9):
     return Partition.from_assignment(assignment, a.row_nnz(), p, eps)
+
+
+def reference_plan(a, owner, p):
+    """The plan built one consumer rank at a time with np.unique: the
+    reference for build_comm_plan's single sort over all ranks."""
+    send = [[np.zeros(0, dtype=np.int64) for _ in range(p)] for _ in range(p)]
+    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
+    row_owner = owner[rows]
+    col_owner = owner[a.col_indices]
+    for m in range(p):
+        mask = (row_owner == m) & (col_owner != m)
+        needed = np.unique(a.col_indices[mask])
+        senders = owner[needed]
+        for n in np.unique(senders):
+            send[int(n)][m] = needed[senders == n]
+    recv_from = [
+        np.array([n for n in range(p) if len(send[n][m])], dtype=np.int64) for m in range(p)
+    ]
+    return send, recv_from
+
+
+@st.composite
+def plan_instances(draw):
+    """A square pattern, symmetric or directed, and a bare owner array over
+    p ranks that may leave some of them empty."""
+    n = draw(st.integers(1, 16))
+    cells = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+    )
+    rows, cols = [i for i, _ in cells], [j for _, j in cells]
+    if draw(st.booleans()):
+        rows, cols = rows + cols, cols + rows
+    p = draw(st.integers(1, 5))
+    owner = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    return CsrMatrix.from_coo(n, n, rows, cols), np.array(owner, dtype=np.int64), p
 
 
 class TestBuildCommPlan:
@@ -92,6 +129,19 @@ class TestBuildCommPlan:
         for m in range(3):
             for n in range(3):
                 assert np.array_equal(plan_a.send[m][n], plan_t.send[m][n])
+
+    @settings(deadline=None, max_examples=300)
+    @given(plan_instances())
+    def test_matches_per_rank_reference(self, instance):
+        a, owner, p = instance
+        plan = build_comm_plan(a, owner, p)
+        send, recv_from = reference_plan(a, owner, p)
+        for m in range(p):
+            for n in range(p):
+                assert plan.send[m][n].dtype == np.int64
+                assert np.array_equal(plan.send[m][n], send[m][n])
+            assert plan.recv_from[m].dtype == np.int64
+            assert np.array_equal(plan.recv_from[m], recv_from[m])
 
     def test_owner_length_mismatch_rejected(self):
         a = normalize_adjacency(random_undirected(6, 0.5, 0))

@@ -16,7 +16,7 @@ from gcnpart.report import (
 from gcnpart.runtime import EpochMetrics
 
 
-def run(dataset, partitioner, words, msgs, wall=1.0, balance=0.005):
+def run(dataset, partitioner, words, msgs, balance=0.005):
     return RunSummary(
         dataset=dataset,
         partitioner=partitioner,
@@ -25,7 +25,6 @@ def run(dataset, partitioner, words, msgs, wall=1.0, balance=0.005):
         avg_msgs=msgs,
         max_msgs=msgs / 2,
         balance_ratio=balance,
-        wallclock=wall,
     )
 
 
@@ -47,7 +46,7 @@ class TestCompare:
     def test_rp_normalizes_to_exactly_one(self):
         cmp = compare([run("d", "rp", 11, 13)])
         row = cmp.rows[0]
-        assert row.avg_volume_norm == 1.0 and row.runtime_ratio == 1.0
+        assert row.avg_volume_norm == 1.0
 
     def test_two_dataset_geometric_mean(self):
         runs = [
@@ -73,7 +72,7 @@ class TestCompare:
             compare([run("d", "hp", 5, 4)])
 
     def test_zero_baseline_zero_value_is_one(self):
-        cmp = compare([run("d", "rp", 0, 0, wall=0.0), run("d", "hp", 0, 0, wall=0.0)])
+        cmp = compare([run("d", "rp", 0, 0), run("d", "hp", 0, 0)])
         for r in cmp.rows:
             assert r.avg_volume_norm == 1.0
 
@@ -110,7 +109,6 @@ class TestSummaries:
         s = summarize_run("d", "hp", [self._metrics(10, 4), self._metrics(20, 8)], 0.003)
         assert s.avg_words == 15.0
         assert s.avg_msgs == 6.0
-        assert s.wallclock == 1.0
 
     def test_summarize_requires_epochs(self):
         with pytest.raises(ValueError):

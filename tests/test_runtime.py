@@ -2,6 +2,7 @@
 scheduler agreement, and mini-batch behavior."""
 
 import dataclasses
+import sys
 import threading
 import time
 
@@ -70,6 +71,12 @@ def ext_of(st):
     """Global row ids of the columns of st's forward halo operand."""
     plan = st.plan_fwd
     return np.concatenate([st.global_rows] + [plan.send[n][st.rank] for n in plan.recv_from[st.rank]])
+
+
+def owner_cut(h, owner):
+    """Connectivity-1 cut of h under a bare owner array, which may leave
+    ranks empty (so no Partition can hold it)."""
+    return sum(len(np.unique(owner[pins])) - 1 for pins in h.nets)
 
 
 def assemble(states, key, layer=None):
@@ -268,6 +275,28 @@ class TestAllreduce:
         with pytest.raises(ValueError):
             allreduce_sum([np.ones((2, 2)), np.ones((2, 3))])
 
+    def test_threads_allreduce_under_fast_switching(self, monkeypatch):
+        # more workers than cores and a thread switch every microsecond: a
+        # rank that refilled its slot before another read the sum would
+        # change some round's reply
+        monkeypatch.setattr(runtime, "WAIT_S", 10.0)
+        p, rounds = 8, 40
+
+        def program(rank):
+            got = []
+            for r in range(rounds):
+                got.append(float((yield np.array([[float(rank * rounds + r)]]))[0, 0]))
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = runtime._drive_threads([program(k) for k in range(p)], SimNetwork(p))
+        finally:
+            sys.setswitchinterval(interval)
+        want = [float(sum(k * rounds + r for k in range(p))) for r in range(rounds)]
+        assert results == [want] * p
+
 
 class TestTrainEpochs:
     def test_zero_epochs_touch_nothing(self):
@@ -382,9 +411,6 @@ class TestTrainEpochs:
                     batches_per_epoch=2,
                     seed=3,
                     adjacency=raw,
-                    features=h0,
-                    owner=pi.assignment,
-                    directed=directed,
                 )
             runs = []
             for sched in ("round", scheduler):
@@ -430,15 +456,18 @@ class TestTrainEpochs:
     def test_hung_rank_raises_instead_of_returning(self, monkeypatch):
         monkeypatch.setattr(runtime, "WAIT_S", 0.05)
         finished = []
+        net = SimNetwork(2)
 
-        def rank_fn(rank):
+        def program(rank):
             if rank == 1:
                 time.sleep(0.5)  # past the 2 * WAIT_S join budget
             finished.append(rank)
+            yield from ()
 
         with pytest.raises(CommError, match=r"ranks \[1\] still running"):
-            runtime._run_workers([0, 1], SimNetwork(2), rank_fn)
+            runtime._drive_threads([program(0), program(1)], net)
         assert finished == [0]
+        assert not net.blocking
 
     def test_unknown_scheduler_rejected(self):
         _, a_hat, h0, labels, model = build_instance(8, (3, 2), 17)
@@ -472,8 +501,6 @@ class TestMiniBatch:
             batches_per_epoch=1,
             seed=99,
             adjacency=raw,
-            features=h0,
-            owner=pi.assignment,
         )
         m_mini = train_epochs(st_mini, net_mini, labels, 2, mode)
         assert [m.loss for m in m_full] == [m.loss for m in m_mini]
@@ -493,8 +520,6 @@ class TestMiniBatch:
             batches_per_epoch=3,
             seed=5,
             adjacency=raw,
-            features=h0,
-            owner=pi.assignment,
         )
         train_epochs(states, net, labels, 2, mode)
         rng = np.random.default_rng([5, 0x7B])
@@ -503,12 +528,36 @@ class TestMiniBatch:
             for step in range(3):
                 batch = np.sort(rng.choice(24, size=10, replace=False))
                 sub = induced_pattern(raw, batch, add_diagonal=True)
-                hb = build_hypergraph_model(sub)
-                own = pi.assignment[batch]
-                lam = np.array([len(np.unique(own[pins])) for pins in hb.nets])
-                cut = int((lam - 1).sum())
+                cut = owner_cut(build_hypergraph_model(sub), pi.assignment[batch])
                 words = sum(r.words for r in net.records(epoch=epoch, step=step))
                 assert words == cut * factor
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_directed_per_step_words_equal_phase_cuts(self, seed):
+        # forward traffic follows the column nets of the batch's A, backward
+        # traffic those of its transpose; on a directed batch the two cuts
+        # differ, so a step that scattered the batch as undirected fails
+        dims = (3, 4, 2)
+        raw, a_hat, h0, labels, model = build_instance(30, dims, seed, directed=True, density=0.15)
+        pi = partition_for(a_hat, 4, seed)
+        net = SimNetwork(4)
+        states = scatter(a_hat, h0, pi, model, directed=True)
+        mode = MiniBatch(spec=MiniBatchSpec(20), batches_per_epoch=3, seed=seed, adjacency=raw)
+        train_epochs(states, net, labels, 2, mode)
+        rng = np.random.default_rng([seed, 0x7B])
+        differing = 0
+        for epoch in range(2):
+            for step in range(3):
+                batch = np.sort(rng.choice(30, size=20, replace=False))
+                sub = induced_pattern(raw, batch, add_diagonal=True)
+                own = pi.assignment[batch]
+                fwd_cut = owner_cut(build_hypergraph_model(sub), own)
+                bwd_cut = owner_cut(build_hypergraph_model(transpose_sparse(sub)), own)
+                recs = net.records(epoch=epoch, step=step)
+                assert sum(r.words for r in recs if r.phase == "fwd") == fwd_cut * sum(dims[:-1])
+                assert sum(r.words for r in recs if r.phase == "bwd") == bwd_cut * sum(dims[1:])
+                differing += fwd_cut != bwd_cut
+        assert differing > 0
 
     def test_batch_without_labels_keeps_weights(self):
         raw, a_hat, h0, _, model = build_instance(16, (3, 2), 20)
@@ -521,8 +570,6 @@ class TestMiniBatch:
             batches_per_epoch=4,
             seed=23,
             adjacency=raw,
-            features=h0,
-            owner=pi.assignment,
         )
         metrics = train_epochs(states, net, labels, 1, mode)
         assert len(metrics) == 1  # runs fine; label-free batches contribute 0
