@@ -91,6 +91,7 @@ class SimNetwork:
         self.p = p
         self._queues = {(s, d): queue.Queue() for s in range(p) for d in range(p) if s != d}
         self.log: list[MessageRecord] = []
+        self._by_epoch: dict[int, list[MessageRecord]] = {}  # the log split by epoch
         self._log_lock = threading.Lock()
         self.blocking = False
 
@@ -100,6 +101,7 @@ class SimNetwork:
         rec = MessageRecord(*tag, src=src, dst=dst, rows=payload.shape[0], cols=payload.shape[1])
         with self._log_lock:
             self.log.append(rec)
+            self._by_epoch.setdefault(rec.epoch, []).append(rec)
         self._queues[(src, dst)].put((tag, payload))
 
     def recv(self, dst: int, src: int, tag, expect_shape) -> np.ndarray:
@@ -120,10 +122,10 @@ class SimNetwork:
         return payload
 
     def records(self, epoch: int | None = None, step: int | None = None) -> list[MessageRecord]:
+        """The log's records, in log order, of one epoch and step if given;
+        an epoch's records are copied from its own list, not the log."""
         with self._log_lock:
-            recs = list(self.log)
-        if epoch is not None:
-            recs = [r for r in recs if r.epoch == epoch]
+            recs = list(self.log if epoch is None else self._by_epoch.get(epoch, ()))
         if step is not None:
             recs = [r for r in recs if r.step == step]
         return recs
@@ -196,7 +198,7 @@ def _halo_operand(a: CsrMatrix, plan: CommPlan, m: int, rows: np.ndarray) -> Csr
     sub = restrict(a, rows, ext[order])
     cols = order[sub.col_indices]
     row_of = np.repeat(np.arange(sub.n_rows), sub.row_nnz())
-    within = np.lexsort((cols, row_of))
+    within = np.argsort(row_of * len(ext) + cols, kind="stable")
     return CsrMatrix(sub.n_rows, len(ext), sub.row_offsets, cols[within], sub.values[within])
 
 

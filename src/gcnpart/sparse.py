@@ -108,7 +108,12 @@ class CsrMatrix:
 
     @classmethod
     def from_coo(cls, n_rows: int, n_cols: int, rows, cols, values=None) -> "CsrMatrix":
-        """Build from triplets; duplicate (row, col) entries are summed."""
+        """Build from triplets; duplicate (row, col) entries are summed in
+        input order. Entries are ordered by one stable sort of the int64
+        keys row * n_cols + col, so the shape must have at most 2**63 - 1
+        entries."""
+        if int(n_rows) * int(n_cols) > np.iinfo(np.int64).max:
+            raise ValueError(f"shape {n_rows} x {n_cols} has too many entries for int64 keys")
         rows = _as_index_array(rows)
         cols = _as_index_array(cols)
         if values is None:
@@ -121,7 +126,7 @@ class CsrMatrix:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n_cols:
                 raise ValueError("column index out of range")
-        order = np.lexsort((cols, rows))
+        order = np.argsort(rows * n_cols + cols, kind="stable")
         rows, cols, values = rows[order], cols[order], values[order]
         if len(rows):
             keep = np.ones(len(rows), dtype=bool)

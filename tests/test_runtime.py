@@ -8,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcnpart import (
     CommError,
@@ -296,6 +298,42 @@ class TestAllreduce:
             sys.setswitchinterval(interval)
         want = [float(sum(k * rounds + r for k in range(p))) for r in range(rounds)]
         assert results == [want] * p
+
+
+class TestRecords:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=24),
+        st.integers(2, 4),
+        st.sampled_from(runtime.SCHEDULERS),
+    )
+    def test_epoch_and_step_filters_match_the_log(self, tags, p, scheduler):
+        # epochs and steps interleave in any order; every rank sends one
+        # message per tag to the next rank, under "threads" with a thread
+        # switch every microsecond
+        net = SimNetwork(p)
+
+        def program(rank):
+            for k, (epoch, step) in enumerate(tags):
+                tag, shape = (epoch, step, "fwd", k), (k % 3, 2)
+                net.send(rank, (rank + 1) % p, np.zeros(shape), tag)
+                yield None
+                net.recv(rank, (rank - 1) % p, tag, shape)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runtime._run([program(rank) for rank in range(p)], net, scheduler)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(net.log) == p * len(tags)
+        for epoch in (None, 0, 1, 2, 3, 4):
+            for step in (None, 0, 1, 2, 3):
+                want = [
+                    r for r in net.log
+                    if (epoch is None or r.epoch == epoch) and (step is None or r.step == step)
+                ]
+                assert net.records(epoch=epoch, step=step) == want
 
 
 class TestTrainEpochs:

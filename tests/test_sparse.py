@@ -62,6 +62,44 @@ class TestCsrMatrix:
         with pytest.raises(ValueError):
             CsrMatrix.from_coo(2, 2, [0], [5])
 
+    def test_shape_beyond_int64_keys_rejected(self):
+        with pytest.raises(ValueError, match="too many entries"):
+            CsrMatrix.from_coo(2**62, 4, [0], [0])
+        assert CsrMatrix.from_coo(1, 2**62, [0], [2**62 - 1]).nnz == 1
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_from_coo_matches_lexsort_reference(self, data):
+        n_rows, n_cols = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        m = data.draw(st.integers(0, 60))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        # few distinct entries, so most are repeated; values mix signed zeros
+        rows = rng.integers(0, min(n_rows, 3), m)
+        cols = rng.integers(0, n_cols, m)
+        values = rng.choice([0.0, -0.0, 1.5, -1.5, 1e-300, 3.0e16, -7.25], m)
+        got = CsrMatrix.from_coo(n_rows, n_cols, rows, cols, values)
+        want = reference_from_coo(n_rows, n_cols, rows, cols, values)
+        assert np.array_equal(got.row_offsets, want.row_offsets)
+        assert np.array_equal(got.col_indices, want.col_indices)
+        assert np.array_equal(bits(got.values), bits(want.values))
+
+
+def reference_from_coo(n_rows, n_cols, rows, cols, values) -> CsrMatrix:
+    """from_coo with the two-key lexsort the one int64 key replaced."""
+    order = np.lexsort((cols, rows))
+    rows, cols, values = rows[order], cols[order], values[order]
+    if len(rows):
+        keep = np.ones(len(rows), dtype=bool)
+        keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        group = np.cumsum(keep) - 1
+        summed = np.zeros(int(group[-1]) + 1)
+        np.add.at(summed, group, values)
+        rows, cols, values = rows[keep], cols[keep], summed
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=offsets[1:])
+    return CsrMatrix(n_rows, n_cols, offsets, cols, values)
+
 
 class TestNormalizeAdjacency:
     def test_single_vertex(self):
