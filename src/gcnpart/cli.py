@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import graphio, report
-from .comm import build_comm_plan
+from .comm import build_comm_plan  # noqa: F401  perfbench traces cli.build_comm_plan
 from .gcn import LabelSet, init_model
 from .models import (
     MiniBatchSpec,
@@ -232,13 +232,13 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         pi = _build_partition(pid, cfg, a_hat, graph_model, hyper_model)
         if not pi.is_balanced():
             raise RuntimeError(f"{pid} produced an unbalanced partition")
-        plan = build_comm_plan(a_hat, pi)
+        states = scatter(a_hat, h0, pi, model, directed=cfg.directed)
+        plan = states[0].plan_fwd
         gcut = evaluate_graph_cut(graph_model, pi)
         hcut = evaluate_hypergraph_cut(hyper_model, pi)
         predicted = predicted_total_volume(hyper_model, pi, cfg.dims)
 
         net = SimNetwork(cfg.p)
-        states = scatter(a_hat, h0, pi, model, directed=cfg.directed)
         if cfg.mode == "full":
             mode = FullBatch()
         else:

@@ -34,9 +34,6 @@ class CommPlan:
         owner.setflags(write=False)
         object.__setattr__(self, "owner", owner)
 
-    def rows_of(self, m: int) -> np.ndarray:
-        return np.flatnonzero(self.owner == m)
-
     def to_report(self) -> dict:
         """JSON-ready summary: per-pair row counts and per-rank totals."""
         pairs = {}

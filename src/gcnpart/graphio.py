@@ -216,6 +216,8 @@ def read_matrix_market(path) -> CsrMatrix:
         (pair[(flags == 2).any(axis=1) | (ij < 0).any(axis=1) | (ij >= dims[:2]).any(axis=1)],
          "index out of declared range"),
     )
+    if len(entries) != dims[2]:
+        raise t.error(size, f"size line declares {dims[2]} entries, file lists {len(entries)}")
     if dims[0] != dims[1]:
         raise GraphParseError(path, 0, "adjacency matrix must be square")
     return _pattern_from_pairs(int(dims[0]), ij, directed=symmetry == "general")

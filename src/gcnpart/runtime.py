@@ -47,7 +47,6 @@ from .sparse import (
     dense,
     gather_rows,
     normalize_adjacency,
-    restrict,
     spmm,
     transpose_sparse,
 )
@@ -190,23 +189,54 @@ class EpochMetrics:
     loss: float
 
 
-def _halo_operand(a: CsrMatrix, plan: CommPlan, m: int, rows: np.ndarray) -> CsrMatrix:
-    """A[rows, ext] for rank m, ext = its own rows, then each sender's send
-    list to m (ascending sender); column j is position j of ext."""
-    ext = np.concatenate([rows] + [plan.send[n][m] for n in plan.recv_from[m]])
-    order = np.argsort(ext)
-    sub = restrict(a, rows, ext[order])
-    cols = order[sub.col_indices]
-    row_of = np.repeat(np.arange(sub.n_rows), sub.row_nnz())
-    within = np.argsort(row_of * len(ext) + cols, kind="stable")
-    return CsrMatrix(sub.n_rows, len(ext), sub.row_offsets, cols[within], sub.values[within])
+def _rank_operands(a: CsrMatrix, plan: CommPlan):
+    """Every rank's rows, halo operand A[rows, ext] and send positions by
+    destination, from one sort of a's entries; plan is a's plan, so every
+    column of a rank's rows is in its ext. Rank m's ext lists its own rows,
+    then each sender's send list to m in ascending sender rank; column j
+    of its operand is position j of ext. gather_rows raises KeyError for a
+    listed row that its sender does not own."""
+    p, owner = plan.p, plan.owner
+    n = len(owner)
+    sizes = np.array([[len(ids) for ids in lists] for lists in plan.send], dtype=np.int64)
+    by_rank = np.argsort(owner, kind="stable")  # the rows of rank 0, then 1, ...
+    n_own = np.bincount(owner, minlength=p)
+    starts = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(n_own, out=starts[1:])
+    rows = [by_rank[starts[m] : starts[m + 1]] for m in range(p)]
+    send = []
+    for m, (counts, ends) in enumerate(zip(sizes.tolist(), np.cumsum(sizes, axis=1).tolist())):
+        index = RowBlock(rows[m], np.arange(len(rows[m])).reshape(-1, 1))
+        pos = gather_rows(index, np.concatenate(plan.send[m]))[:, 0]
+        send.append({d: pos[end - k : end] for d, (k, end) in enumerate(zip(counts, ends)) if k})
 
+    slot = np.empty(n, dtype=np.int64)
+    slot[by_rank] = np.arange(n)
+    local = slot - starts[owner]
+    # listed: the sorted keys (sender * p + receiver) * n + row of the send
+    # lists; shift[s * p + c]: where list s -> c ends in c's ext (after c's
+    # rows and the lists of senders up to s) less where it ends in listed
+    pair = np.repeat(np.arange(p * p, dtype=np.int64), sizes.ravel())
+    listed = pair * n + np.concatenate([ids for lists in plan.send for ids in lists])
+    shift = (n_own + np.cumsum(sizes, axis=0)).ravel() - np.cumsum(sizes)
+    n_ext = n_own + sizes.sum(axis=0)
 
-def _send_positions(plan: CommPlan, m: int, rows: np.ndarray) -> dict[int, np.ndarray]:
-    """Local positions of rank m's send lists, by destination; gather_rows
-    raises KeyError for a listed row that m does not own."""
-    index = RowBlock(rows, np.arange(len(rows)).reshape(-1, 1))
-    return {dst: gather_rows(index, ids)[:, 0] for dst, ids in enumerate(plan.send[m]) if len(ids)}
+    row_nnz = a.row_nnz()
+    row = np.repeat(np.arange(n, dtype=np.int64), row_nnz)
+    cols = local[a.col_indices]
+    cross = np.flatnonzero(owner[row] != owner[a.col_indices])
+    pairs = owner[a.col_indices[cross]] * p + owner[row[cross]]
+    cols[cross] = shift[pairs] + np.searchsorted(listed, pairs * n + a.col_indices[cross])
+    order = np.argsort(slot[row] * int(n_ext.max()) + cols)  # unique keys
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_nnz[by_rank], out=offsets[1:])
+    cols, values = cols[order], a.values[order]
+    operands = []
+    for m in range(p):
+        lo, hi = offsets[starts[m]], offsets[starts[m + 1]]
+        seg = offsets[starts[m] : starts[m + 1] + 1] - lo
+        operands.append(CsrMatrix(len(rows[m]), int(n_ext[m]), seg, cols[lo:hi], values[lo:hi]))
+    return rows, operands, send
 
 
 def scatter(
@@ -224,31 +254,30 @@ def scatter(
     if h0.shape != (a_hat.n_rows, model.dims[0]):
         raise ValueError(f"h0 has shape {h0.shape}, expected ({a_hat.n_rows}, {model.dims[0]})")
     plan_fwd = build_comm_plan(a_hat, pi, p)
-    a_bwd = transpose_sparse(a_hat) if directed else a_hat
-    plan_bwd = build_comm_plan(a_bwd, pi, p) if directed else plan_fwd
-    states = []
-    for m in range(plan_fwd.p):
-        rows = plan_fwd.rows_of(m)
-        a_fwd = _halo_operand(a_hat, plan_fwd, m, rows)
-        send_fwd = _send_positions(plan_fwd, m, rows)
-        states.append(
-            ProcState(
-                rank=m,
-                global_rows=rows,
-                plan_fwd=plan_fwd,
-                plan_bwd=plan_bwd,
-                a_fwd=a_fwd,
-                a_bwd=_halo_operand(a_bwd, plan_bwd, m, rows) if directed else a_fwd,
-                send_fwd=send_fwd,
-                send_bwd=_send_positions(plan_bwd, m, rows) if directed else send_fwd,
-                dims=model.dims,
-                activation=model.activation,
-                learning_rate=model.learning_rate,
-                weights=[w.copy() for w in model.weights],
-                h0=h0[rows].copy(),
-            )
+    rows, a_fwd, send_fwd = _rank_operands(a_hat, plan_fwd)
+    plan_bwd, a_bwd, send_bwd = plan_fwd, a_fwd, send_fwd
+    if directed:
+        a_t = transpose_sparse(a_hat)
+        plan_bwd = build_comm_plan(a_t, pi, p)
+        _, a_bwd, send_bwd = _rank_operands(a_t, plan_bwd)
+    return [
+        ProcState(
+            rank=m,
+            global_rows=rows[m],
+            plan_fwd=plan_fwd,
+            plan_bwd=plan_bwd,
+            a_fwd=a_fwd[m],
+            a_bwd=a_bwd[m],
+            send_fwd=send_fwd[m],
+            send_bwd=send_bwd[m],
+            dims=model.dims,
+            activation=model.activation,
+            learning_rate=model.learning_rate,
+            weights=[w.copy() for w in model.weights],
+            h0=h0[rows[m]],
         )
-    return states
+        for m in range(plan_fwd.p)
+    ]
 
 
 # ---------------------------------------------------------------------------

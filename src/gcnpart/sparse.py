@@ -4,8 +4,9 @@ Every numeric path in the package runs through this module: CSR storage,
 adjacency normalization D^{-1/2}(A+I)D^{-1/2}, sparse-dense and dense-dense
 products, CSR transpose and row/column restriction, and the row gather
 that realizes the diagonal selector matrices as index lists instead of
-materialized diagonals: the runtime uses it once per scatter to find each
-send list's local positions pos, and a payload is then values[pos].
+materialized diagonals: scatter uses it once per rank and phase to find
+the local positions pos of the rank's send lists, and a payload is then
+values[pos].
 
 All scalars are float64. Each spmm output row is the sequential sum of its
 products in ascending column order (CSR columns are sorted), built from
@@ -65,7 +66,7 @@ class CsrMatrix:
         ro, ci, v = self.row_offsets, self.col_indices, self.values
         if len(ro) != self.n_rows + 1 or ro[0] != 0:
             raise ValueError("row_offsets must have length n_rows+1 and start at 0")
-        if np.any(np.diff(ro) < 0) or ro[-1] != len(ci):
+        if (ro[1:] < ro[:-1]).any() or ro[-1] != len(ci):
             raise ValueError("row_offsets must be non-decreasing and end at nnz")
         if len(v) != len(ci):
             raise ValueError("values and col_indices must have equal length")
@@ -74,7 +75,7 @@ class CsrMatrix:
         # a step k-1 -> k must increase unless entry k starts a new row
         starts_row = np.zeros(len(ci), dtype=bool)
         starts_row[ro[:-1][ro[:-1] < len(ci)]] = True
-        bad = np.flatnonzero((np.diff(ci) <= 0) & ~starts_row[1:])
+        bad = np.flatnonzero((ci[1:] <= ci[:-1]) & ~starts_row[1:])
         if len(bad):
             i = int(np.searchsorted(ro, bad[0] + 1, side="right")) - 1
             raise ValueError(f"columns in row {i} not strictly increasing")
@@ -165,7 +166,7 @@ class RowBlock:
     def __post_init__(self):
         ids = _as_index_array(self.global_row_ids)
         object.__setattr__(self, "global_row_ids", ids)
-        if len(ids) > 1 and np.any(np.diff(ids) <= 0):
+        if (ids[1:] <= ids[:-1]).any():
             raise ValueError("global_row_ids must be strictly increasing")
         if self.local.shape[0] != len(ids):
             raise ValueError("row count of local data must match global_row_ids")

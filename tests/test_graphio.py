@@ -103,6 +103,16 @@ class TestMatrixMarket:
         with pytest.raises(GraphParseError, match="header"):
             read_matrix_market(path)
 
+    @pytest.mark.parametrize("listed", [0, 3, 9])
+    def test_entry_count_must_match_size_line(self, tmp_path, listed):
+        path = tmp_path / "m.mtx"
+        entries = "".join(f"{1 + i % 3} {1 + i // 3}\n" for i in range(listed))
+        path.write_text(
+            "%%MatrixMarket matrix coordinate pattern general\n% c\n3 3 4\n" + entries
+        )
+        with pytest.raises(GraphParseError, match=f":3: size line declares 4 entries, file lists {listed}"):
+            read_matrix_market(path)
+
     @settings(deadline=None, max_examples=200)
     @given(
         st.integers(1, 12).flatmap(
@@ -275,6 +285,7 @@ def reference_matrix_market(path) -> CsrMatrix:
                 if len(parts) != 3:
                     raise GraphParseError(path, line_no, "expected 'rows cols nnz'")
                 dims = (int(parts[0]), int(parts[1]), int(parts[2]))
+                size_line = line_no
                 continue
             if len(parts) < 2:
                 raise GraphParseError(path, line_no, f"bad entry {line!r}")
@@ -287,6 +298,10 @@ def reference_matrix_market(path) -> CsrMatrix:
             entries.append((i, j))
         if dims is None:
             raise GraphParseError(path, 0, "missing size line")
+    if len(entries) != dims[2]:
+        raise GraphParseError(
+            path, size_line, f"size line declares {dims[2]} entries, file lists {len(entries)}"
+        )
     if dims[0] != dims[1]:
         raise GraphParseError(path, 0, "adjacency matrix must be square")
     return _pattern_from_pairs(dims[0], entries, directed=symmetry == "general")
@@ -431,8 +446,6 @@ def mm_text(draw):
         " %%MatrixMarket matrix coordinate pattern general",
     ]))
     n = draw(st.integers(1, 6))
-    size = draw(st.sampled_from(
-        [f"{n} {n} 4"] * 3 + [f"{n}  {n}\t9", f"{n} {n + 1} 2", f"{n} {n}"]))
 
     @st.composite
     def entry(draw):
@@ -454,6 +467,13 @@ def mm_text(draw):
 
     lead = draw(st.lists(st.sampled_from(["% comment", "", "  "]), max_size=2))
     body = draw(file_text(entry()))
+    # the entry lines of the body as open() splits it, so that the size line
+    # can declare their count, or miss it by one
+    lines = [ln.strip() for ln in body.replace("\r\n", "\n").replace("\r", "\n").split("\n")]
+    k = sum(1 for ln in lines if ln and not ln.startswith("%"))
+    size = draw(st.sampled_from(
+        [f"{n} {n} {k}"] * 3 + [f"{n} {n} {k + 1}", f"{n} {n} {max(k - 1, 0)}", f"{n} {n} 4",
+                               f"{n}  {n}\t9", f"{n} {n + 1} {k}", f"{n} {n}"]))
     return "\n".join([head] + lead + [size]) + "\n" + body
 
 

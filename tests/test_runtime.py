@@ -37,6 +37,7 @@ from gcnpart import (
 )
 from gcnpart import runtime
 from gcnpart.models import induced_pattern, net_connectivity
+from gcnpart.sparse import CsrMatrix, RowBlock, gather_rows, restrict
 
 from helpers import (
     random_directed,
@@ -89,6 +90,46 @@ def assemble(states, key, layer=None):
         data = np.vstack([getattr(st, key)[layer] for st in states])
     order = np.argsort(rows)
     return data[order]
+
+
+def reference_halo_operand(a, plan, m, rows):
+    """A[rows, ext] for rank m, ext = its own rows, then each sender's send
+    list to m (ascending sender); column j is position j of ext. One
+    restriction per rank, as scatter built it before the one-pass build."""
+    ext = np.concatenate([rows] + [plan.send[n][m] for n in plan.recv_from[m]])
+    order = np.argsort(ext)
+    sub = restrict(a, rows, ext[order])
+    cols = order[sub.col_indices]
+    row_of = np.repeat(np.arange(sub.n_rows), sub.row_nnz())
+    within = np.argsort(row_of * len(ext) + cols, kind="stable")
+    return CsrMatrix(sub.n_rows, len(ext), sub.row_offsets, cols[within], sub.values[within])
+
+
+def reference_send_positions(plan, m, rows):
+    """Local positions of rank m's send lists, by destination, one
+    gather_rows per destination."""
+    index = RowBlock(rows, np.arange(len(rows)).reshape(-1, 1))
+    return {dst: gather_rows(index, ids)[:, 0] for dst, ids in enumerate(plan.send[m]) if len(ids)}
+
+
+@st.composite
+def scatter_instances(draw):
+    """A random square matrix (symmetric pattern unless directed), with
+    values that include signed zeros, and random owners; with n < p or by
+    chance some ranks own no rows."""
+    p, n = draw(st.integers(1, 6)), draw(st.integers(1, 14))
+    owner = np.array(draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n))
+    directed = draw(st.booleans())
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    if not directed:
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    pattern = CsrMatrix.from_coo(n, n, rows, cols)
+    values = np.array(draw(st.lists(
+        st.sampled_from([1.0, -0.0, 0.0, 0.1, -2.5, 1e-300, np.pi]),
+        min_size=pattern.nnz, max_size=pattern.nnz)))
+    a = CsrMatrix(n, n, pattern.row_offsets, pattern.col_indices, values)
+    return a, owner, p, directed
 
 
 class TestScatter:
@@ -156,6 +197,30 @@ class TestScatter:
         monkeypatch.setattr(runtime, "build_comm_plan", lambda *args: bad)
         with pytest.raises(KeyError, match=f"row {foreign} is not owned"):
             scatter(a_hat, h0, pi, model)
+
+    @settings(deadline=None, max_examples=150)
+    @given(scatter_instances())
+    def test_operands_match_per_rank_reference(self, instance):
+        a, owner, p, directed = instance
+        model = init_model((2, 2), seed=0)
+        states = scatter(a, np.zeros((a.n_rows, 2)), owner, model, directed, p=p)
+        a_bwd = transpose_sparse(a) if directed else a
+        for st_ in states:
+            rows = np.flatnonzero(owner == st_.rank)
+            assert np.array_equal(st_.global_rows, rows)
+            assert (st_.a_bwd is st_.a_fwd) == (not directed)
+            assert (st_.send_bwd is st_.send_fwd) == (not directed)
+            for b, op, send in ((a, st_.a_fwd, st_.send_fwd), (a_bwd, st_.a_bwd, st_.send_bwd)):
+                plan = build_comm_plan(b, owner, p)
+                want = reference_halo_operand(b, plan, st_.rank, rows)
+                assert op.shape == want.shape
+                assert np.array_equal(op.row_offsets, want.row_offsets)
+                assert np.array_equal(op.col_indices, want.col_indices)
+                assert np.array_equal(op.values.view(np.int64), want.values.view(np.int64))
+                want_send = reference_send_positions(plan, st_.rank, rows)
+                assert list(send) == list(want_send)
+                for dst, pos in want_send.items():
+                    assert np.array_equal(send[dst], pos)
 
     def test_three_processor_block_rows(self):
         a, assignment = three_processor_transfer_instance()

@@ -364,3 +364,5 @@ class TestGatherRows:
     def test_block_requires_sorted_ids(self):
         with pytest.raises(ValueError):
             RowBlock(np.array([2, 1]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            RowBlock(np.array([1, 1]), np.zeros((2, 2)))
