@@ -79,14 +79,15 @@ def build_comm_plan(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = 
     sender = owner[a.col_indices]
     cross = consumer != sender
     keys = unique_keys((sender[cross] * p + consumer[cross]) * n + a.col_indices[cross])
-    cols = keys % n
-    bounds = np.searchsorted(keys // n, np.arange(p * p + 1))
-    send = tuple(
-        tuple(cols[bounds[m * p + c] : bounds[m * p + c + 1]] for c in range(p)) for m in range(p)
-    )
-    counts = np.diff(bounds).reshape(p, p)
-    recv_from = tuple(np.flatnonzero(counts[:, m]) for m in range(p))
-    return CommPlan(p, owner, send, recv_from)
+    return plan_from_lists(p, owner, keys % n, np.searchsorted(keys // n, np.arange(p * p + 1)))
+
+
+def plan_from_lists(p: int, owner, ids: np.ndarray, bounds: np.ndarray) -> CommPlan:
+    """The plan whose list m -> c is ids[bounds[m * p + c] : bounds[m * p + c + 1]]."""
+    b = bounds.tolist()
+    send = tuple(tuple(ids[b[q] : b[q + 1]] for q in range(m * p, m * p + p)) for m in range(p))
+    sizes = np.diff(bounds)
+    return CommPlan(p, owner, send, tuple(np.flatnonzero(sizes[m::p]) for m in range(p)))
 
 
 @dataclass(frozen=True)

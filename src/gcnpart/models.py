@@ -65,14 +65,12 @@ class UGraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Hypergraph:
     """Hypergraph in CSR form: net j pins the vertices
     pins[offsets[j]:offsets[j+1]] at cost net_cost[j]; vertex weights are
-    integers. Called with (n_vertices, nets, net_cost, vertex_weight), as
-    from_nets is, it takes one pin list per net. No net is empty, pins rise
-    strictly within a net and lie in [0, n_vertices), and a pin error names
-    the first bad net."""
+    integers. No net is empty, pins rise strictly within a net and lie in
+    [0, n_vertices), and a pin error names the first bad net."""
 
     n_vertices: int
     offsets: np.ndarray
@@ -80,15 +78,13 @@ class Hypergraph:
     net_cost: np.ndarray
     vertex_weight: np.ndarray
 
-    def __init__(self, n_vertices: int, *arrays):
-        if len(arrays) == 3:  # one pin list per net
-            nets = [np.asarray(pins, dtype=np.int64) for pins in arrays[0]]
-            arrays = (np.cumsum([0] + [len(pins) for pins in nets]),
-                      np.concatenate([np.zeros(0, np.int64), *nets]), *arrays[1:])
-        offsets, pins, net_cost, vertex_weight = arrays
-        o, p = (np.ascontiguousarray(np.asarray(x, dtype=np.int64)) for x in (offsets, pins))
-        c = np.asarray(net_cost, dtype=np.float64)
-        w = np.asarray(vertex_weight, dtype=np.int64)
+    def __post_init__(self):
+        n_vertices = int(self.n_vertices)
+        o, p = (
+            np.ascontiguousarray(np.asarray(x, dtype=np.int64)) for x in (self.offsets, self.pins)
+        )
+        c = np.asarray(self.net_cost, dtype=np.float64)
+        w = np.asarray(self.vertex_weight, dtype=np.int64)
         if o.ndim != 1 or p.ndim != 1 or o[:1].tolist() != [0] or o[-1] != len(p):
             raise ValueError("offsets must start at 0 and end at len(pins)")
         sizes = np.diff(o)
@@ -112,15 +108,10 @@ class Hypergraph:
             raise ValueError(f"net {j} pin out of range")
         if len(c) != len(sizes) or len(w) != n_vertices:
             raise ValueError("cost/weight arrays have wrong length")
-        for name, value in zip(self.__dataclass_fields__, (int(n_vertices), o, p, c, w)):
+        for name, value in zip(self.__dataclass_fields__, (n_vertices, o, p, c, w)):
             object.__setattr__(self, name, value)
         for arr in (o, p, c, w):
             arr.setflags(write=False)
-
-    @classmethod
-    def from_nets(cls, n_vertices: int, nets, net_cost, vertex_weight) -> "Hypergraph":
-        """From one sorted, distinct pin list per net."""
-        return cls(n_vertices, nets, net_cost, vertex_weight)
 
     @property
     def n_nets(self) -> int:

@@ -38,18 +38,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .comm import CommPlan, build_comm_plan
+from .comm import CommPlan, build_comm_plan, plan_from_lists
 from .gcn import GcnModel, LabelSet, activation_and_derivative
-from .models import MiniBatchSpec, Partition, induced_pattern
-from .sparse import (
-    CsrMatrix,
-    RowBlock,
-    dense,
-    gather_rows,
-    normalize_adjacency,
-    spmm,
-    transpose_sparse,
-)
+from .models import MiniBatchSpec, Partition
+from .sparse import CsrMatrix, RowBlock, dense, gather_rows, spmm, transpose_sparse
+
+# Not called here since mini-batch steps mask operands built once; kept
+# because perfbench/experiment.py traces them under these names.
+from .models import induced_pattern  # noqa: F401
+from .sparse import normalize_adjacency  # noqa: F401
 
 SCHEDULERS = ("round", "threads")
 # Longest a "threads" rank blocks on one receive or barrier; the workers of
@@ -154,6 +151,11 @@ class ProcState:
     each destination to the local positions of the rows sent there.
     Weight replicas are private copies, kept identical across ranks by the
     deterministic allreduce.
+
+    A mini-batch step's states hold the same for the batch's induced
+    subgraph, with rows and plan ids numbered by position in the batch.
+    They are masked out of every rank's operands of the whole graph,
+    which train_epochs builds once, not renormalized and scattered anew.
     """
 
     rank: int
@@ -230,13 +232,20 @@ def _rank_operands(a: CsrMatrix, plan: CommPlan):
     order = np.argsort(slot[row] * int(n_ext.max()) + cols)  # unique keys
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(row_nnz[by_rank], out=offsets[1:])
-    cols, values = cols[order], a.values[order]
+    return rows, _split_operands(starts, offsets, cols[order], a.values[order], n_ext), send
+
+
+def _split_operands(starts, offsets, cols, values, n_ext) -> list[CsrMatrix]:
+    """Slice rank-major flat CSR arrays into one operand per rank: rank m
+    has the flat rows starts[m]:starts[m + 1] and n_ext[m] columns."""
+    starts, n_ext = starts.tolist(), n_ext.tolist()
     operands = []
-    for m in range(p):
+    for m in range(len(n_ext)):
         lo, hi = offsets[starts[m]], offsets[starts[m + 1]]
         seg = offsets[starts[m] : starts[m + 1] + 1] - lo
-        operands.append(CsrMatrix(len(rows[m]), int(n_ext[m]), seg, cols[lo:hi], values[lo:hi]))
-    return rows, operands, send
+        n_rows = starts[m + 1] - starts[m]
+        operands.append(CsrMatrix(n_rows, n_ext[m], seg, cols[lo:hi], values[lo:hi]))
+    return operands
 
 
 def scatter(
@@ -306,22 +315,21 @@ def _fwd_compute(st: ProcState, net: SimNetwork, k: int, tag) -> None:
     st.h[k], _ = activation_and_derivative(st.activation, z)
 
 
-def _local_loss_grad(st: ProcState, labels: LabelSet):
-    """Local NLL sum and d loss / d H^L rows for locally owned labeled
-    vertices (normalized by the global labeled count)."""
+def _local_loss_grad(st: ProcState, local_rows: np.ndarray, y: np.ndarray, count: int):
+    """Local NLL sum and d loss / d H^L rows for the rank's labeled rows
+    (local positions local_rows, classes y), normalized by the step's
+    global labeled count."""
     L = st.n_layers
     grad = np.zeros_like(st.h[L])
     local_sum = 0.0
-    mine = _local_labelset(labels, st.global_rows)
-    if len(mine):
-        local_rows, y = mine.labeled_ids, mine.labels
+    if len(y):
         logits = st.h[L][local_rows]
         shifted = logits - logits.max(axis=1, keepdims=True)
         logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
         local_sum = float(-logp[np.arange(len(y)), y].sum())
         softmax = np.exp(logp)
         softmax[np.arange(len(y)), y] -= 1.0
-        grad[local_rows] = softmax / len(labels)
+        grad[local_rows] = softmax / count
     _, d_act = activation_and_derivative(st.activation, st.z[L])
     st.g[L] = grad * d_act
     return np.array([[local_sum]])
@@ -354,17 +362,20 @@ def _rank_forward(st: ProcState, net: SimNetwork, epoch: int, step: int):
         _fwd_compute(st, net, k, tag)
 
 
-def _rank_backward(st: ProcState, net: SimNetwork, labels: LabelSet, epoch: int, step: int):
+def _rank_backward(st: ProcState, net: SimNetwork, labels: tuple, epoch: int, step: int):
     """Loss contribution, then per layer: post sends, send barrier, receive
-    and compute, dW contribution, update. Returns the global loss."""
-    total = yield _local_loss_grad(st, labels)
+    and compute, dW contribution, update. labels is the rank's
+    (local_rows, y, count), as _resolve_labels or _step gives it. Returns
+    the global loss."""
+    count = labels[2]
+    total = yield _local_loss_grad(st, *labels)
     for k in range(st.n_layers, 0, -1):
         tag = (epoch, step, "bwd", k)
         _send_rows(st, net, st.send_bwd, st.g[k], tag)
         yield None
         dw = yield _bwd_compute(st, net, k, tag)
         st.weights[k - 1] = st.weights[k - 1] - st.learning_rate * dw
-    return float(total[0, 0]) / len(labels) if len(labels) else 0.0
+    return float(total[0, 0]) / count if count else 0.0
 
 
 def _rank_epoch(st, net, labels, epoch, step):
@@ -469,7 +480,9 @@ def parallel_backprop(states, net: SimNetwork, labels: LabelSet, scheduler: str 
     if len(labels) == 0:
         raise ValueError("label set is empty")
     start = time.perf_counter()
-    loss = _run([_rank_backward(st, net, labels, epoch, 0) for st in states], net, scheduler)[0]
+    rank_labels = _resolve_labels(states, labels)
+    programs = [_rank_backward(st, net, lab, epoch, 0) for st, lab in zip(states, rank_labels)]
+    loss = _run(programs, net, scheduler)[0]
     wall = time.perf_counter() - start
     recs = [r for r in net.records(epoch=epoch) if r.phase == "bwd"]
     return states, _metrics_from_records(recs, len(states), wall, loss)
@@ -501,34 +514,217 @@ class FullBatch:
 class MiniBatch:
     """Per-step vertex sampling; the fixed global partition is restricted to
     each batch's induced sub-adjacency. The owners, the features and
-    whether the input is directed come from the states being trained."""
+    whether the input is directed come from the states being trained.
+    Each train_epochs call builds every rank's halo operands of the whole
+    graph once; a step keeps the entries both of whose vertices it
+    sampled, renormalizes them and drops the ext columns and send-list
+    rows nothing uses any more."""
 
     spec: MiniBatchSpec
     batches_per_epoch: int
     seed: int
-    adjacency: CsrMatrix  # raw pattern (no self loops); renormalized per batch
+    adjacency: CsrMatrix  # raw pattern, values ignored; renormalized per batch
 
 
-def _local_labelset(labels: LabelSet, rows: np.ndarray) -> LabelSet:
-    """The labels of the vertices in rows (sorted global ids), renumbered
-    to their positions in rows; empty when rows holds none."""
-    pos = np.searchsorted(rows, labels.labeled_ids)
-    mine = pos < len(rows)
-    mine[mine] = rows[pos[mine]] == labels.labeled_ids[mine]
-    return LabelSet(pos[mine], labels.labels[mine], labels.n_classes)
+def _resolve_labels(states, labels: LabelSet) -> list[tuple]:
+    """Each rank's (local_rows, y, count) for full-batch steps: the local
+    positions and classes of its labeled rows, and the labeled count."""
+    index = _label_index(labels, sum(len(st.global_rows) for st in states))
+    return [(*_rank_labels(index[st.global_rows], labels), len(labels)) for st in states]
 
 
-def _batch(states, labels: LabelSet, mode: MiniBatch, rng, owner, features):
-    """One mini-batch step's states and labels: sample a batch, renormalize
-    its induced subgraph and scatter it by the global owners, with the
-    current weights and the directedness of the states."""
-    batch = np.sort(rng.choice(len(owner), size=mode.spec.batch_size, replace=False))
-    sub_hat = normalize_adjacency(induced_pattern(mode.adjacency, batch, add_diagonal=False))
-    st = states[0]
-    model = GcnModel(st.dims, tuple(st.weights), st.activation, st.learning_rate)
-    directed = st.plan_bwd is not st.plan_fwd
-    sub_states = scatter(sub_hat, features[batch], owner[batch], model, directed, p=len(states))
-    return sub_states, _local_labelset(labels, batch)
+def _label_index(labels: LabelSet, n: int) -> np.ndarray:
+    """Each vertex's position in labels.labeled_ids, or -1 if unlabeled;
+    ids outside 0..n-1 label no vertex."""
+    index = np.full(n, -1, dtype=np.int64)
+    inside = np.flatnonzero((labels.labeled_ids >= 0) & (labels.labeled_ids < n))
+    index[labels.labeled_ids[inside]] = inside
+    return index
+
+
+def _rank_labels(index: np.ndarray, labels: LabelSet):
+    """Local positions and classes of the labeled rows of a block, given
+    each row's label position; in label-set order, which fixes the order
+    the loss sums in."""
+    local = np.flatnonzero(index >= 0)
+    local = local[np.argsort(index[local], kind="stable")]
+    return local, labels.labels[index[local]]
+
+
+@dataclass(frozen=True)
+class _MaskedPhase:
+    """One phase's halo operands of A+I (A: the raw pattern with unit
+    values) or of its transpose, built once by _rank_operands for the
+    global owners and flattened rank after rank.
+
+    Per entry: its global row and column, its value in A+I, its flat ext
+    slot (its rank's ext start plus its column) and that start. Per
+    send-list slot, lists in (sender, receiver) order: its global id, its
+    pair sender * p + receiver and its flat slot in the receiver's ext.
+    """
+
+    row: np.ndarray
+    col: np.ndarray
+    values: np.ndarray
+    slot: np.ndarray
+    base: np.ndarray
+    ext_start: np.ndarray  # rank m's ext slots are ext_start[m]:ext_start[m + 1]
+    listed: np.ndarray
+    pair: np.ndarray
+    listed_slot: np.ndarray
+    transposed: bool  # entry (row, col) holds A+I's entry (col, row)
+
+
+def _masked_phase(a: CsrMatrix, owner: np.ndarray, p: int, transposed: bool) -> _MaskedPhase:
+    plan = build_comm_plan(a, owner, p)
+    rows, operands, _ = _rank_operands(a, plan)
+    sizes = np.array([[len(ids) for ids in lists] for lists in plan.send], dtype=np.int64)
+    n_own = np.array([len(r) for r in rows], dtype=np.int64)
+    ext_start = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(n_own + sizes.sum(axis=0), out=ext_start[1:])
+    ext = np.concatenate(  # rank c's ext: its rows, then each sender's list to c
+        [ids for c in range(p) for ids in [rows[c]] + [lists[c] for lists in plan.send]]
+    )
+    slot = np.concatenate([ext_start[m] + op.col_indices for m, op in enumerate(operands)])
+    # list s -> c starts in c's ext after c's rows and the lists of the
+    # senders before s; list_start: where it starts among all lists
+    list_at = (ext_start[:-1] + n_own + np.cumsum(sizes, axis=0) - sizes).ravel()
+    list_start = np.cumsum(sizes.ravel()) - sizes.ravel()
+    return _MaskedPhase(
+        row=np.concatenate([np.repeat(r, op.row_nnz()) for r, op in zip(rows, operands)]),
+        col=ext[slot],
+        values=np.concatenate([op.values for op in operands]),
+        slot=slot,
+        base=np.repeat(ext_start[:-1], [op.nnz for op in operands]),
+        ext_start=ext_start,
+        listed=np.concatenate([ids for lists in plan.send for ids in lists]),
+        pair=np.repeat(np.arange(p * p), sizes.ravel()),
+        listed_slot=np.repeat(list_at - list_start, sizes.ravel()) + np.arange(int(sizes.sum())),
+        transposed=transposed,
+    )
+
+
+@dataclass(frozen=True)
+class _MiniBatchIndex:
+    """What every step of one train_epochs call shares: the global owners,
+    the vertex ids in rank-major order, the features, each vertex's label
+    position, and the masked phases (bwd is None when undirected)."""
+
+    owner: np.ndarray
+    by_rank: np.ndarray
+    features: np.ndarray
+    label_index: np.ndarray
+    fwd: _MaskedPhase
+    bwd: "_MaskedPhase | None"
+
+
+def _mini_batch_index(states, labels: LabelSet, adjacency: CsrMatrix) -> _MiniBatchIndex:
+    n, p = adjacency.n_rows, len(states)
+    owner = np.empty(n, dtype=np.int64)
+    features = np.empty((n, states[0].dims[0]))
+    for st in states:
+        owner[st.global_rows] = st.rank
+        features[st.global_rows] = st.h0
+    ids = np.arange(n)
+    # from_coo sums a raw self loop and I to 2, as normalize_adjacency does
+    a = CsrMatrix.from_coo(
+        n, n, np.concatenate([np.repeat(ids, adjacency.row_nnz()), ids]),
+        np.concatenate([adjacency.col_indices, ids]),
+    )
+    directed = states[0].plan_bwd is not states[0].plan_fwd
+    return _MiniBatchIndex(
+        owner=owner,
+        by_rank=np.argsort(owner, kind="stable"),
+        features=features,
+        label_index=_label_index(labels, n),
+        fwd=_masked_phase(a, owner, p, False),
+        bwd=_masked_phase(transpose_sparse(a), owner, p, True) if directed else None,
+    )
+
+
+def _mask(ph: _MaskedPhase, keep, owner, inv, batch_pos, local, row_ids, row_starts):
+    """One phase of a step: its plan, operands and send positions, from the
+    entries in keep. An ext slot survives when a kept entry uses it (an own
+    batch row by its diagonal entry), and a sender's list to c keeps the
+    rows whose slot in c's ext survives. owner: the batch's owners."""
+    p = len(row_starts) - 1
+    rows, slot = ph.row[keep], ph.slot[keep]
+    # normalize_adjacency's v * inv[i] * inv[j], for A+I's entry (i, j)
+    i, j = (ph.col[keep], rows) if ph.transposed else (rows, ph.col[keep])
+    values = ph.values[keep] * inv[i] * inv[j]
+    used = np.zeros(int(ph.ext_start[-1]), dtype=bool)
+    used[slot] = True
+    before = np.zeros(len(used) + 1, dtype=np.int64)  # surviving slots ahead of each
+    np.cumsum(used, out=before[1:])
+    cols = before[slot] - before[ph.base[keep]]
+    offsets = np.zeros(len(row_ids) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=len(inv))[row_ids], out=offsets[1:])
+    operands = _split_operands(row_starts, offsets, cols, values, np.diff(before[ph.ext_start]))
+
+    sent = used[ph.listed_slot]
+    listed = ph.listed[sent]
+    bounds = np.zeros(p * p + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ph.pair[sent], minlength=p * p), out=bounds[1:])
+    pos, b = local[listed], bounds.tolist()
+    positions = [
+        {c: pos[b[q] : b[q + 1]] for c, q in enumerate(range(s * p, s * p + p)) if b[q + 1] > b[q]}
+        for s in range(p)
+    ]
+    return plan_from_lists(p, owner, batch_pos[listed], bounds), operands, positions
+
+
+def _step(index: _MiniBatchIndex, states, labels: LabelSet, batch: np.ndarray):
+    """One mini-batch step's states and per-rank labels for a sorted batch:
+    its induced subgraph, renormalized and distributed by the global
+    owners, with the current weights. Rows and plan ids are positions in
+    the batch, as scatter of the induced subgraph numbers them."""
+    n, p = len(index.owner), len(states)
+    in_batch = np.zeros(n, dtype=bool)
+    in_batch[batch] = True
+    row_ids = index.by_rank[in_batch[index.by_rank]]  # the batch rows of rank 0, then 1, ...
+    row_owner = index.owner[row_ids]
+    row_starts = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_owner, minlength=p), out=row_starts[1:])
+    batch_pos = np.cumsum(in_batch) - 1
+    local = np.empty(n, dtype=np.int64)  # a batch row's position among its rank's
+    local[row_ids] = np.arange(len(row_ids)) - row_starts[row_owner]
+
+    fwd = index.fwd
+    keep = in_batch[fwd.row] & in_batch[fwd.col]
+    deg = np.bincount(fwd.row[keep], weights=fwd.values[keep], minlength=n)
+    inv = np.zeros(n)
+    inv[batch] = 1.0 / np.sqrt(deg[batch])
+    args = (index.owner[batch], inv, batch_pos, local, row_ids, row_starts)
+    plan_fwd, a_fwd, pos_f = _mask(fwd, keep, *args)
+    plan_bwd, a_bwd, pos_b = plan_fwd, a_fwd, pos_f
+    if index.bwd is not None:
+        bwd = index.bwd
+        plan_bwd, a_bwd, pos_b = _mask(bwd, in_batch[bwd.row] & in_batch[bwd.col], *args)
+
+    global_rows, h0 = batch_pos[row_ids], index.features[row_ids]
+    label_at = index.label_index[row_ids]
+    count = int(np.count_nonzero(label_at >= 0))
+    starts = row_starts.tolist()
+    step_states, step_labels = [], []
+    for m, st in enumerate(states):
+        lo, hi = starts[m], starts[m + 1]
+        step_states.append(ProcState(
+            rank=m,
+            global_rows=global_rows[lo:hi],
+            plan_fwd=plan_fwd,
+            plan_bwd=plan_bwd,
+            a_fwd=a_fwd[m],
+            a_bwd=a_bwd[m],
+            send_fwd=pos_f[m],
+            send_bwd=pos_b[m],
+            dims=st.dims,
+            activation=st.activation,
+            learning_rate=st.learning_rate,
+            weights=list(st.weights),
+            h0=h0[lo:hi],
+        ))
+        step_labels.append((*_rank_labels(label_at[lo:hi], labels), count))
+    return step_states, step_labels
 
 
 def train_epochs(
@@ -548,24 +744,25 @@ def train_epochs(
     """
     mini = isinstance(mode, MiniBatch)
     if mini:
-        n = mode.adjacency.n_rows
-        owner = np.empty(n, dtype=np.int64)
-        features = np.empty((n, states[0].dims[0]))
-        for st in states:
-            owner[st.global_rows] = st.rank
-            features[st.global_rows] = st.h0
+        index = _mini_batch_index(states, labels, mode.adjacency)
         rng = np.random.default_rng([int(mode.seed), 0x7B])
     elif len(labels) == 0:
         raise ValueError("label set is empty")
+    else:
+        rank_labels = _resolve_labels(states, labels)
     out = []
     for e in range(epochs):
         start = time.perf_counter()
         losses = []
         for step in range(mode.batches_per_epoch if mini else 1):
-            step_states, step_labels = (
-                _batch(states, labels, mode, rng, owner, features) if mini else (states, labels)
-            )
-            programs = [_rank_epoch(st, net, step_labels, e, step) for st in step_states]
+            if mini:
+                batch = rng.choice(len(index.owner), size=mode.spec.batch_size, replace=False)
+                step_states, step_labels = _step(index, states, labels, np.sort(batch))
+            else:
+                step_states, step_labels = states, rank_labels
+            programs = [
+                _rank_epoch(st, net, lab, e, step) for st, lab in zip(step_states, step_labels)
+            ]
             losses.append(_run(programs, net, scheduler)[0])
             for st, sub in zip(states, step_states):
                 st.weights = sub.weights

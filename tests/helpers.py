@@ -11,7 +11,15 @@ import itertools
 
 import numpy as np
 
-from gcnpart import CsrMatrix, LabelSet, normalize_adjacency
+from gcnpart import CsrMatrix, Hypergraph, LabelSet, normalize_adjacency
+
+
+def hypergraph_from_nets(n_vertices: int, nets, net_cost, vertex_weight) -> Hypergraph:
+    """A Hypergraph from one sorted, distinct pin list per net."""
+    nets = [np.asarray(pins, dtype=np.int64) for pins in nets]
+    offsets = np.cumsum([0] + [len(pins) for pins in nets])
+    pins = np.concatenate([np.zeros(0, dtype=np.int64), *nets])
+    return Hypergraph(n_vertices, offsets, pins, net_cost, vertex_weight)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ from helpers import (
     brute_force_best_bipartition,
     figure_instance_overcount,
     grid_graph,
+    hypergraph_from_nets,
     random_directed,
     random_labels,
     random_undirected,
@@ -262,7 +263,7 @@ def test_criterion_5_partitioner_quality():
                 np.sort(rng.choice(n, size=int(rng.integers(2, 5)), replace=False))
                 for _ in range(12)
             )
-            hg = Hypergraph(n, nets, np.ones(12), np.ones(n, dtype=np.int64))
+            hg = hypergraph_from_nets(n, nets, np.ones(12), np.ones(n, dtype=np.int64))
             cfg = PartitionConfig(p=2, seed=seed)
             got = evaluate_hypergraph_cut(hg, hp_fm(hg, cfg)).cut_value
             best = brute_force_best_bipartition(nets, hg.vertex_weight, cfg.epsilon)

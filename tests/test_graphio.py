@@ -23,6 +23,8 @@ from gcnpart.graphio import (
     write_partition,
 )
 
+from helpers import hypergraph_from_nets
+
 
 class TestEdgeList:
     def test_empty_list_with_header(self, tmp_path):
@@ -157,7 +159,7 @@ class TestMatrixMarket:
 
 class TestHypergraphFormat:
     def test_round_trip(self, tmp_path):
-        h = Hypergraph.from_nets(
+        h = hypergraph_from_nets(
             4,
             (np.array([0, 1]), np.array([1, 2, 3]), np.array([2])),
             np.ones(3),
@@ -338,7 +340,7 @@ def reference_hypergraph(path) -> Hypergraph:
             raise GraphParseError(path, line_no, "weight line has wrong length")
     else:
         weights = np.ones(n_vertices, dtype=np.int64)
-    return Hypergraph.from_nets(n_vertices, nets, np.ones(n_nets), weights)
+    return hypergraph_from_nets(n_vertices, nets, np.ones(n_nets), weights)
 
 
 def reference_partition_ids(path) -> np.ndarray:

@@ -30,6 +30,7 @@ from helpers import (
     brute_force_hypergraph_cut,
     brute_force_lambda,
     figure_instance_overcount,
+    hypergraph_from_nets,
     random_directed,
     random_undirected,
 )
@@ -145,7 +146,7 @@ def reference_net_error(n_vertices, nets):
 
 
 def unit_hypergraph(n, nets):
-    return Hypergraph.from_nets(n, nets, np.ones(len(nets)), np.ones(n, dtype=np.int64))
+    return hypergraph_from_nets(n, nets, np.ones(len(nets)), np.ones(n, dtype=np.int64))
 
 
 class TestHypergraphType:
@@ -159,12 +160,10 @@ class TestHypergraphType:
         for arr in (h.offsets, h.pins, h.net_cost, h.vertex_weight, *h.nets):
             assert not arr.flags.writeable
 
-    def test_four_argument_form_is_from_nets(self):
+    def test_pin_lists_convert_to_csr(self):
         nets = (np.array([0, 3]), np.array([0, 1, 2]))
-        a = Hypergraph(4, nets, np.ones(2), np.ones(4, dtype=np.int64))
-        b = Hypergraph.from_nets(4, nets, np.ones(2), np.ones(4, dtype=np.int64))
-        assert np.array_equal(a.offsets, b.offsets) and np.array_equal(a.pins, b.pins)
-        assert list(a.offsets) == [0, 2, 5]
+        h = hypergraph_from_nets(4, nets, np.ones(2), np.ones(4, dtype=np.int64))
+        assert list(h.offsets) == [0, 2, 5] and list(h.pins) == [0, 3, 0, 1, 2]
 
     def test_no_nets(self):
         h = unit_hypergraph(3, ())
@@ -203,13 +202,9 @@ class TestHypergraphType:
 
     def test_rejects_wrong_lengths(self):
         with pytest.raises(ValueError, match="wrong length"):
-            Hypergraph.from_nets(3, ([0, 1],), np.ones(2), np.ones(3, dtype=np.int64))
+            hypergraph_from_nets(3, ([0, 1],), np.ones(2), np.ones(3, dtype=np.int64))
         with pytest.raises(ValueError, match="wrong length"):
-            Hypergraph.from_nets(3, ([0, 1],), np.ones(1), np.ones(2, dtype=np.int64))
-
-    def test_rejects_wrong_argument_count(self):
-        with pytest.raises(ValueError):
-            Hypergraph(3, [0, 1], [0])
+            hypergraph_from_nets(3, ([0, 1],), np.ones(1), np.ones(2, dtype=np.int64))
 
     @settings(deadline=None, max_examples=300)
     @given(
@@ -343,7 +338,7 @@ class TestHypergraphCut:
         assert np.array_equal(rep.per_net_lambda, np.ones(6, dtype=np.int64))
 
     def test_net_spanning_three_parts(self):
-        h = Hypergraph.from_nets(3, (np.array([0, 1, 2]),), np.ones(1), np.ones(3, dtype=np.int64))
+        h = hypergraph_from_nets(3, (np.array([0, 1, 2]),), np.ones(1), np.ones(3, dtype=np.int64))
         rep = evaluate_hypergraph_cut(h, make_partition([0, 1, 2], h.vertex_weight, 3))
         assert rep.cut_value == 2
 
@@ -354,7 +349,7 @@ class TestHypergraphCut:
             np.sort(rng.choice(12, size=rng.integers(2, 6), replace=False))
             for _ in range(10)
         )
-        h = Hypergraph.from_nets(12, nets, np.ones(10), np.ones(12, dtype=np.int64))
+        h = hypergraph_from_nets(12, nets, np.ones(10), np.ones(12, dtype=np.int64))
         assignment = rng.integers(0, 4, size=12)
         while len(np.unique(assignment)) < 4:
             assignment = rng.integers(0, 4, size=12)
@@ -380,7 +375,7 @@ class TestHypergraphCut:
         ]
         # a net whose pins all sit in one part
         nets.append(np.flatnonzero(assignment == data.draw(st.integers(0, p - 1))))
-        h = Hypergraph.from_nets(n, tuple(nets), np.ones(len(nets)), np.ones(n, dtype=np.int64))
+        h = hypergraph_from_nets(n, tuple(nets), np.ones(len(nets)), np.ones(n, dtype=np.int64))
         lam = net_connectivity(h, make_partition(assignment, h.vertex_weight, p))
         assert lam.dtype == np.int64
         want = [len(np.unique(assignment[pins])) for pins in nets]
@@ -396,7 +391,7 @@ class TestPredictedVolume:
         assert predicted_total_volume(h, pi, (4, 2)) == 0
 
     def test_one_cut_net_single_layer(self):
-        h = Hypergraph.from_nets(2, (np.array([0, 1]),), np.ones(1), np.ones(2, dtype=np.int64))
+        h = hypergraph_from_nets(2, (np.array([0, 1]),), np.ones(1), np.ones(2, dtype=np.int64))
         pi = make_partition([0, 1], h.vertex_weight, 2)
         assert predicted_total_volume(h, pi, (4, 2)) == 6
 

@@ -44,6 +44,7 @@ from helpers import (
     chung_lu_graph,
     brute_force_best_graph_bipartition,
     grid_graph,
+    hypergraph_from_nets,
     random_undirected,
     two_community_graph,
 )
@@ -158,7 +159,7 @@ class TestHypergraphFm:
             np.sort(rng.choice(8, size=rng.integers(2, 5), replace=False))
             for _ in range(10)
         )
-        h = Hypergraph.from_nets(8, nets, np.ones(10), np.ones(8, dtype=np.int64))
+        h = hypergraph_from_nets(8, nets, np.ones(10), np.ones(8, dtype=np.int64))
         cfg = PartitionConfig(p=2, seed=seed)
         pi = partition_hypergraph_fm(h, cfg)
         got = evaluate_hypergraph_cut(h, pi).cut_value
@@ -248,7 +249,7 @@ def bisection_instances(draw):
     )
     nets = tuple(np.array(sorted(s), dtype=np.int64) for s in pin_sets)
     costs = draw(st.lists(st.integers(1, 3), min_size=len(nets), max_size=len(nets)))
-    h = Hypergraph.from_nets(
+    h = hypergraph_from_nets(
         n, nets, np.array(costs, dtype=np.float64), np.ones(n, dtype=np.int64)
     )
     side = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
@@ -354,7 +355,7 @@ def fm_instances(draw):
     nets = tuple(np.array(sorted(s), dtype=np.int64) for s in pin_sets)
     costs = draw(st.lists(st.integers(1, 3), min_size=len(nets), max_size=len(nets)))
     weights = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
-    h = Hypergraph.from_nets(
+    h = hypergraph_from_nets(
         n, nets, np.array(costs, dtype=np.float64), np.array(weights, dtype=np.int64)
     )
     side = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int8)
@@ -459,7 +460,7 @@ def coarsening_instances(draw):
     nets = tuple(np.array(sorted(s), dtype=np.int64) for s in pin_sets)
     costs = draw(st.lists(st.integers(1, 4), min_size=len(nets), max_size=len(nets)))
     weights = np.array(draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)), dtype=np.float64)
-    h = Hypergraph.from_nets(n, nets, np.array(costs, dtype=np.float64), weights.astype(np.int64))
+    h = hypergraph_from_nets(n, nets, np.array(costs, dtype=np.float64), weights.astype(np.int64))
     max_w = float(draw(st.integers(1, 12)))
     rng = np.random.default_rng(draw(st.integers(0, 99)))
     cluster_of = _match(h, max_w, rng)

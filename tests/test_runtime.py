@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from gcnpart import (
     CommError,
     FullBatch,
+    GcnModel,
     LabelSet,
     MiniBatch,
     MiniBatchSpec,
@@ -110,6 +111,67 @@ def reference_send_positions(plan, m, rows):
     gather_rows per destination."""
     index = RowBlock(rows, np.arange(len(rows)).reshape(-1, 1))
     return {dst: gather_rows(index, ids)[:, 0] for dst, ids in enumerate(plan.send[m]) if len(ids)}
+
+
+def reference_local_labelset(labels, rows):
+    """The labels of the vertices in rows (sorted global ids), renumbered
+    to their positions in rows; empty when rows holds none."""
+    pos = np.searchsorted(rows, labels.labeled_ids)
+    mine = pos < len(rows)
+    mine[mine] = rows[pos[mine]] == labels.labeled_ids[mine]
+    return LabelSet(pos[mine], labels.labels[mine], labels.n_classes)
+
+
+def reference_batch(states, labels, mode, rng, owner, features):
+    """One mini-batch step's states and labels, built directly: sample a
+    batch, renormalize its induced subgraph and scatter it by the global
+    owners, with the current weights and the directedness of the states."""
+    batch = np.sort(rng.choice(len(owner), size=mode.spec.batch_size, replace=False))
+    sub_hat = normalize_adjacency(induced_pattern(mode.adjacency, batch, add_diagonal=False))
+    st = states[0]
+    model = GcnModel(st.dims, tuple(st.weights), st.activation, st.learning_rate)
+    directed = st.plan_bwd is not st.plan_fwd
+    sub_states = scatter(sub_hat, features[batch], owner[batch], model, directed, p=len(states))
+    return sub_states, reference_local_labelset(labels, batch)
+
+
+class FixedDraw:
+    """Stands in for a Generator whose choice draws the given vertices."""
+
+    def __init__(self, vertices):
+        self.vertices = vertices
+
+    def choice(self, n, size, replace):
+        assert size == len(self.vertices) and not replace
+        return self.vertices
+
+
+@st.composite
+def mini_batch_instances(draw):
+    """A raw pattern (self loops allowed; symmetric unless directed), owners
+    that give every rank a row, labels in any order, and a batch in drawn
+    order: every vertex, or a subset that may leave ranks with no rows."""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(p, 16))
+    owner = np.array(draw(st.permutations(list(range(p)) + draw(
+        st.lists(st.integers(0, p - 1), min_size=n - p, max_size=n - p)))))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    directed = draw(st.booleans())
+    rows, cols = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    if not directed:
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    raw = CsrMatrix.from_coo(n, n, rows, cols)
+    raw = CsrMatrix(n, n, raw.row_offsets, raw.col_indices, np.ones(raw.nnz))
+    labeled = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    labels = LabelSet(labeled, draw(st.lists(st.integers(0, 2), min_size=len(labeled),
+                                             max_size=len(labeled))), 3)
+    if draw(st.booleans()):
+        batch = draw(st.permutations(range(n)))
+    else:
+        dropped = draw(st.integers(-1, p - 1))  # a rank the batch leaves empty, or none
+        keep = [v for v in range(n) if owner[v] != dropped]
+        batch = draw(st.lists(st.sampled_from(keep), unique=True, min_size=1)) if keep else [0]
+    return raw, owner, p, directed, labels, np.array(batch, dtype=np.int64)
 
 
 @st.composite
@@ -591,6 +653,80 @@ class TestTrainEpochs:
 
 
 class TestMiniBatch:
+    @settings(deadline=None, max_examples=150)
+    @given(mini_batch_instances())
+    def test_step_matches_reference_batch(self, instance):
+        raw, owner, p, directed, labels, batch = instance
+        n = raw.n_rows
+        a_hat = normalize_adjacency(raw)
+        h0 = np.random.default_rng(n).standard_normal((n, 2))
+        states = scatter(a_hat, h0, owner, init_model((2, 3), seed=0), directed, p=p)
+        mode = MiniBatch(spec=MiniBatchSpec(len(batch)), batches_per_epoch=1, seed=0, adjacency=raw)
+        want, want_labels = reference_batch(states, labels, mode, FixedDraw(batch), owner, h0)
+        index = runtime._mini_batch_index(states, labels, raw)
+        got, got_labels = runtime._step(index, states, labels, np.sort(batch))
+        assert len(got) == len(want) == p
+        assert (got[0].plan_bwd is got[0].plan_fwd) == (not directed)
+        for g, w, (local_rows, y, count) in zip(got, want, got_labels):
+            assert g.rank == w.rank
+            assert np.array_equal(g.global_rows, w.global_rows)
+            assert np.array_equal(g.h0, w.h0)
+            for phase in ("fwd", "bwd"):
+                op, want_op = getattr(g, f"a_{phase}"), getattr(w, f"a_{phase}")
+                assert op.shape == want_op.shape
+                assert np.array_equal(op.row_offsets, want_op.row_offsets)
+                assert np.array_equal(op.col_indices, want_op.col_indices)
+                assert np.array_equal(op.values.view(np.int64), want_op.values.view(np.int64))
+                send, want_send = getattr(g, f"send_{phase}"), getattr(w, f"send_{phase}")
+                assert list(send) == list(want_send)
+                for dst, pos in want_send.items():
+                    assert np.array_equal(send[dst], pos)
+                plan, want_plan = getattr(g, f"plan_{phase}"), getattr(w, f"plan_{phase}")
+                assert plan.p == want_plan.p
+                assert np.array_equal(plan.owner, want_plan.owner)
+                for ids, want_ids in zip(plan.send, want_plan.send):
+                    assert [list(x) for x in ids] == [list(x) for x in want_ids]
+                for senders, want_senders in zip(plan.recv_from, want_plan.recv_from):
+                    assert list(senders) == list(want_senders)
+            mine = reference_local_labelset(want_labels, w.global_rows)
+            assert list(local_rows) == list(mine.labeled_ids)
+            assert list(y) == list(mine.labels)
+            assert count == len(want_labels)
+
+    @settings(deadline=None, max_examples=80)
+    @given(mini_batch_instances(), st.data())
+    def test_step_words_equal_induced_cuts(self, instance, data):
+        # per (epoch, step, phase, layer): the connectivity-1 cut of the
+        # step's induced column-net model (of its transpose backward) times
+        # the width the layer sends; a batch smaller than p, or one that
+        # skips a rank, leaves a part empty
+        raw, owner, p, directed, labels, _ = instance
+        n = raw.n_rows
+        size = data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 2**16))
+        dims = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+        h0 = np.random.default_rng(n).standard_normal((n, dims[0]))
+        model = init_model(dims, seed=0)
+        states = scatter(normalize_adjacency(raw), h0, owner, model, directed, p=p)
+        labels = LabelSet(labels.labeled_ids, labels.labels % dims[-1], dims[-1])
+        net = SimNetwork(p)
+        mode = MiniBatch(spec=MiniBatchSpec(size), batches_per_epoch=2, seed=seed, adjacency=raw)
+        train_epochs(states, net, labels, 2, mode)
+        rng = np.random.default_rng([seed, 0x7B])
+        for epoch in range(2):
+            for step in range(2):
+                batch = np.sort(rng.choice(n, size=size, replace=False))
+                sub = induced_pattern(raw, batch)
+                cuts = {
+                    "fwd": owner_cut(build_hypergraph_model(sub), owner[batch]),
+                    "bwd": owner_cut(build_hypergraph_model(transpose_sparse(sub)), owner[batch]),
+                }
+                recs = net.records(epoch=epoch, step=step)
+                for k in range(1, len(dims)):
+                    for phase, width in (("fwd", dims[k - 1]), ("bwd", dims[k])):
+                        words = sum(r.words for r in recs if r.phase == phase and r.layer == k)
+                        assert words == cuts[phase] * width, (epoch, step, phase, k)
+
     def test_full_vertex_batch_equals_full_batch(self):
         raw, a_hat, h0, labels, model = build_instance(16, (3, 4, 2), 18)
         pi = partition_for(a_hat, 4, 18)
