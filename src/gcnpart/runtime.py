@@ -2,10 +2,10 @@
 
 p logical processors execute parallel feedforward and backpropagation over
 1D row-partitioned matrices. Rows move between ranks only through
-SimNetwork's per-pair FIFO channels, and weight gradients through the
-scheduler's rank-ordered allreduce-sum. Every payload is counted (rows x
-cols words), giving exact communication accounting per epoch, phase, and
-layer.
+SimNetwork's per-pair FIFO channels, which are plain deques, and weight
+gradients through the scheduler's rank-ordered allreduce-sum. Every
+payload is counted (rows x cols words), giving exact communication
+accounting per epoch, phase, and layer.
 
 Each rank's work is written once, as a generator (the rank program). It
 yields at two kinds of sync point:
@@ -19,9 +19,10 @@ Two schedulers drive the same rank programs:
 
 * "round": single-threaded; steps every program to its next sync point in
   rank order, so all sends of a layer are posted before any receive.
-* "threads": one worker per rank with blocking receives; the scheduler
-  holds the barrier its allreduce waits at, and a send barrier needs no
-  action there.
+* "threads": one worker per rank; a receive from an empty channel waits
+  on a condition that sends notify only under this scheduler. The
+  scheduler holds the barrier its allreduce waits at, and a send barrier
+  needs no action there.
 
 Both receive in ascending sender rank and reduce in ascending rank order,
 so results are bit-identical across schedulers and reruns. (Nothing forces
@@ -31,9 +32,9 @@ receipt for reproducible floating point.)
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,18 +78,22 @@ class MessageRecord:
 class SimNetwork:
     """Per-pair FIFO channels with full send accounting.
 
-    Channels are unbounded; a rank blocks only on receiving an expected
-    message, and only while the "threads" scheduler sets blocking (the
-    round scheduler never needs to block because sends are globally
-    ordered before receives).
+    Channels are unbounded deques. A send appends to its channel under the
+    log lock, and a receive pops without locking: each channel has one
+    receiver. A rank blocks only on receiving from an empty channel, and
+    only while the "threads" scheduler sets blocking; then it waits on its
+    own condition of the log lock, which a send to it notifies only while
+    blocking is set (the round scheduler never blocks, because sends are
+    globally ordered before receives).
     """
 
     def __init__(self, p: int):
         self.p = p
-        self._queues = {(s, d): queue.Queue() for s in range(p) for d in range(p) if s != d}
+        self._channels = {(s, d): deque() for s in range(p) for d in range(p) if s != d}
         self.log: list[MessageRecord] = []
         self._by_epoch: dict[int, list[MessageRecord]] = {}  # the log split by epoch
         self._log_lock = threading.Lock()
+        self._sent = [threading.Condition(self._log_lock) for _ in range(p)]  # by receiver
         self.blocking = False
 
     def send(self, src: int, dst: int, payload: np.ndarray, tag) -> None:
@@ -98,14 +103,18 @@ class SimNetwork:
         with self._log_lock:
             self.log.append(rec)
             self._by_epoch.setdefault(rec.epoch, []).append(rec)
-        self._queues[(src, dst)].put((tag, payload))
+            self._channels[(src, dst)].append((tag, payload))
+            if self.blocking:
+                self._sent[dst].notify_all()
 
     def recv(self, dst: int, src: int, tag, expect_shape) -> np.ndarray:
+        channel = self._channels[(src, dst)]
+        if not channel and self.blocking:
+            with self._sent[dst]:
+                self._sent[dst].wait_for(lambda: channel, timeout=WAIT_S)
         try:
-            got_tag, payload = self._queues[(src, dst)].get(
-                block=self.blocking, timeout=WAIT_S if self.blocking else None
-            )
-        except queue.Empty:
+            got_tag, payload = channel.popleft()
+        except IndexError:
             raise CommError(
                 f"rank {dst} expected a message from rank {src} at {tag} but none arrived"
             ) from None

@@ -11,14 +11,18 @@ values[pos].
 All scalars are float64. Each spmm output row is the sequential sum of its
 products in ascending column order (CSR columns are sorted), built from
 elementwise numpy operations, so it is the same to the last bit on every
-BLAS build. Dense products (dmm) go through BLAS; for a fixed numpy/BLAS
-build and thread setting the same operands give the same bits, so
-repeated runs, and the two schedulers, are bit-identical.
+BLAS build. spmm's schedule (row order, hub rows, and the columns and
+values at each entry position) is built once per operand and cached on
+it, so a call only gathers, scales and sums in place, step by step.
+Dense products (dmm) go through BLAS; for a fixed numpy/BLAS build and
+thread setting the same operands give the same bits, so repeated runs,
+and the two schedulers, are bit-identical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -151,6 +155,38 @@ class CsrMatrix:
         idx = np.arange(n, dtype=np.int64)
         return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
+    @cached_property
+    def spmm_schedule(self) -> tuple[np.ndarray, list, list]:
+        """spmm's plan for this operand, built on the first call and reused:
+        the arrays it reads are read-only, so it cannot go stale.
+
+        Rows are summed in descending entry count (row i is summed at
+        place[i]). Rows with more than t entries (hubs) come first and
+        are summed one at a time, given as (start, end) entry spans. Step
+        j < t adds entry j of every other row with more than j entries;
+        those rows follow the hubs in summing order, so a step is given
+        as that entry's (columns, values as a column). t minimizes the
+        Python-level steps, so one hub row costs one step, not one per
+        entry."""
+        counts = self.row_nnz()
+        order = np.argsort(-counts, kind="stable")
+        starts = self.row_offsets[order]
+        # longer[j]: number of rows with more than j entries
+        longer = (self.n_rows - np.cumsum(np.bincount(counts, minlength=1))).tolist()
+        # steps for a cut-off t: longer[t] rows one at a time, then t positions
+        t = min(range(len(longer)), key=lambda j: (longer[j] + j, -j))
+        hubs = longer[t]
+        hub_spans = list(zip(starts[:hubs].tolist(), self.row_offsets[order[:hubs] + 1].tolist()))
+        steps = []
+        for j in range(t):
+            at = starts[hubs : longer[j]] + j
+            steps.append((self.col_indices[at], self.values[at, None]))
+        place = np.empty_like(order)
+        place[order] = np.arange(self.n_rows)
+        for arr in [place] + [x for step in steps for x in step]:
+            arr.setflags(write=False)
+        return place, hub_spans, steps
+
 
 @dataclass(frozen=True)
 class RowBlock:
@@ -210,34 +246,25 @@ def spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
     """Sparse @ dense as the sequential ascending-column sum of each row:
     out[i] = ((0 + v_0 h[c_0]) + v_1 h[c_1]) + ..., bit for bit.
 
-    Rows are ordered by descending entry count. Rows with more than t
-    entries are summed one at a time by np.add.accumulate seeded with a
-    zero row (sequential, and 0 + x keeps the sign of zero as the sum
-    above does); for the rest, step j adds entry j of every row that has
-    more than j entries, and those rows are a prefix. t minimizes the
-    Python-level steps, so one hub row costs one step, not one per entry."""
+    Follows a's cached spmm_schedule: each hub row is summed on its own by
+    np.add.accumulate seeded with a zero row (sequential, and 0 + x keeps
+    the sign of zero as the sum above does); then step j gathers the
+    h rows of entry j of the other rows with more than j entries, scales
+    them in place and adds them to the accumulator rows in place."""
     h = dense(h)
     if a.n_cols != h.shape[0]:
         raise ValueError(f"spmm shape mismatch: {a.shape} @ {h.shape}")
-    out = np.zeros((a.n_rows, h.shape[1]))
-    prod = a.values[:, None] * h[a.col_indices]
-    counts = a.row_nnz()
-    order = np.argsort(-counts, kind="stable")
-    starts = a.row_offsets[order]
-    # longer[j]: number of rows with more than j entries
-    longer = (a.n_rows - np.cumsum(np.bincount(counts, minlength=1))).tolist()
-    # steps for a cut-off t: longer[t] rows one at a time, then t positions
-    t = min(range(len(longer)), key=lambda j: (longer[j] + j, -j))
-    hubs = longer[t]
-    acc = np.zeros_like(out)
-    for i in range(hubs):
-        terms = prod[starts[i] : starts[i] + counts[order[i]]]
+    place, hub_spans, steps = a.spmm_schedule
+    acc = np.zeros((a.n_rows, h.shape[1]))
+    for i, (s, e) in enumerate(hub_spans):
+        terms = a.values[s:e, None] * h[a.col_indices[s:e]]
         acc[i] = np.add.accumulate(np.concatenate([np.zeros_like(terms[:1]), terms]))[-1]
-    for j in range(t):
-        m = longer[j]
-        acc[hubs:m] += prod[starts[hubs:m] + j]
-    out[order] = acc
-    return out
+    hubs = len(hub_spans)
+    for cols, vals in steps:
+        x = h.take(cols, axis=0)
+        x *= vals
+        acc[hubs : hubs + len(cols)] += x
+    return acc.take(place, axis=0)
 
 
 def dmm(x: np.ndarray, y: np.ndarray) -> np.ndarray:

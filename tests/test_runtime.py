@@ -427,6 +427,37 @@ class TestAllreduce:
         assert results == [want] * p
 
 
+class TestChannels:
+    def test_threads_receive_wakes_on_send(self, monkeypatch):
+        # a ring where every rank but 0 is already receiving when its
+        # predecessor sends, with a thread switch every microsecond: each
+        # receive must wake on the send, not wait out WAIT_S
+        monkeypatch.setattr(runtime, "WAIT_S", 10.0)
+        p, shape, tag = 8, (2, 3), (0, 0, "fwd", 1)
+        net = SimNetwork(p)
+
+        def program(rank):
+            if rank == 0:
+                time.sleep(0.2)
+                net.send(0, 1, np.zeros(shape), tag)
+            got = net.recv(rank, (rank - 1) % p, tag, shape)
+            if rank:
+                net.send(rank, (rank + 1) % p, got + 1.0, tag)
+            return got
+            yield
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        start = time.monotonic()
+        try:
+            results = runtime._drive_threads([program(rank) for rank in range(p)], net)
+        finally:
+            sys.setswitchinterval(interval)
+        assert time.monotonic() - start < 2.0
+        for rank, got in enumerate(results):
+            assert np.array_equal(got, np.full(shape, float((rank - 1) % p)))
+
+
 class TestRecords:
     @settings(deadline=None, max_examples=60)
     @given(

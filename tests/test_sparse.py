@@ -175,7 +175,7 @@ def spmm_instances(draw):
             mask[draw(st.integers(0, n_rows - 1))] = rng.random(n_cols) < 0.9
     scale = 10.0 ** rng.integers(-8, 9, (n_rows, n_cols))
     d = mask * rng.standard_normal((n_rows, n_cols)) * scale
-    width = draw(st.integers(1, 4))
+    width = draw(st.sampled_from([1, 2, 3, 4, 16]))  # 16: the benchmark's width
     h = rng.standard_normal((n_cols, width)) * 10.0 ** rng.integers(-8, 9, (n_cols, width))
     h[rng.random((n_cols, width)) < 0.2] = -0.0
     return CsrMatrix.from_dense(d), h
@@ -202,6 +202,25 @@ class TestSpmm:
         assert a.row_nnz().max() > 100 * np.median(a.row_nnz())
         h = np.random.default_rng(5).standard_normal((a.n_cols, 3))
         assert np.array_equal(bits(spmm(a, h)), bits(sequential_spmm(a, h)))
+
+    def test_cached_schedule_serves_every_width_and_operand(self):
+        # a few hundred rows of 0 to 6 entries and one hub row: the schedule
+        # the first call builds serves later widths, and a second operand
+        # gets its own
+        rng = np.random.default_rng(12)
+        operands = []
+        for n_rows in (300, 240):
+            mask = rng.random((n_rows, 400)) < rng.integers(0, 7, (n_rows, 1)) / 400
+            mask[n_rows // 3] = rng.random(400) < 0.6
+            scale = 10.0 ** rng.integers(-8, 9, mask.shape)
+            operands.append(CsrMatrix.from_dense(mask * rng.standard_normal(mask.shape) * scale))
+        first, second = operands
+        assert len(first.spmm_schedule[1]) == 1  # one hub row, summed on its own
+        for a, width in [(first, 1), (first, 3), (first, 16), (second, 16)]:
+            h = rng.standard_normal((400, width))
+            h[rng.random(h.shape) < 0.2] = -0.0
+            assert np.array_equal(bits(spmm(a, h)), bits(sequential_spmm(a, h)))
+        assert first.spmm_schedule is first.spmm_schedule
 
     def test_identity(self):
         h = np.random.default_rng(1).standard_normal((5, 3))
