@@ -118,46 +118,50 @@ class HypergraphBisection:
     its own gain index current. Gains stay exact as long as sums of net
     costs are exact in float64 (integer costs, as every model here has),
     which also makes assign() reproduce incremental state exactly.
+
+    The state is plain Python lists, built once per engine: each net's
+    pins, each vertex's nets (ascending), and the sides, which move()
+    flips in place; ``side`` hands out an int8 copy of them.
     """
 
     def __init__(self, h: Hypergraph, side: np.ndarray):
         self.n = h.n_vertices
-        self._offsets = h.offsets.tolist()
-        self._pins = h.pins.tolist()
-        self._costs = h.net_cost.tolist()
         self._h = h
-        # vertex -> nets incidence, nets ascending per vertex
-        self._net_of_pin = h.net_of_pin()
-        order = np.argsort(h.pins, kind="stable")
-        self._vtx_offsets = np.concatenate(
-            ([0], np.cumsum(np.bincount(h.pins, minlength=self.n)))
-        ).tolist()
-        self._vtx_nets = self._net_of_pin[order].tolist()
+        self._costs = h.net_cost.tolist()
+        offsets, pins = h.offsets.tolist(), h.pins.tolist()
+        self._net_pins = [pins[a:b] for a, b in zip(offsets, offsets[1:])]
+        net_of_pin = h.net_of_pin()
+        vtx_offsets = np.cumsum(np.bincount(h.pins, minlength=self.n)).tolist()
+        vtx_nets = net_of_pin[np.argsort(h.pins, kind="stable")].tolist()
+        self._vtx_nets = [vtx_nets[a:b] for a, b in zip([0] + vtx_offsets, vtx_offsets)]
         self._neighbors: dict[int, list[int]] = {}
+        # per pin: its net's slot for side 0 (side 1 is the next), id, cost, size
+        self._pin_slot = 2 * net_of_pin
+        self._pin_id = h.pins.astype(np.float64)
+        self._pin_cost = h.net_cost[net_of_pin]
+        self._pin_size = h.net_sizes()[net_of_pin]
         self.assign(side)
 
-    def assign(self, side: np.ndarray) -> None:
+    @property
+    def side(self) -> np.ndarray:
+        return np.array(self._side, dtype=np.int8)
+
+    def assign(self, side) -> None:
         """Put every vertex on the given side and rebuild counts, gains and cut."""
-        h = self._h
-        pins, costs = h.pins, h.net_cost
-        self.side = np.asarray(side, dtype=np.int8).copy()
-        on1 = self.side[pins].astype(np.int64)
-        starts = h.offsets[:-1]  # no net is empty, so reduceat sums each one
-        count1 = np.add.reduceat(on1, starts)
-        count0 = h.net_sizes() - count1
-        idsum1 = np.add.reduceat(pins * on1, starts)
-        idsum0 = np.add.reduceat(pins, starts) - idsum1
-        self._counts = (count0.tolist(), count1.tolist())
-        self._idsums = (idsum0.tolist(), idsum1.tolist())
-        self._cut = float(costs[(count0 > 0) & (count1 > 0)].sum())
+        side = np.asarray(side, dtype=np.int8)
+        self._side = side.tolist()
+        slot = self._pin_slot + side[self._h.pins]
+        counts = np.bincount(slot, minlength=2 * self._h.n_nets)
+        idsums = np.bincount(slot, weights=self._pin_id, minlength=len(counts)).astype(np.int64)
+        self._counts = (counts[0::2].tolist(), counts[1::2].tolist())
+        self._idsums = (idsums[0::2].tolist(), idsums[1::2].tolist())
+        self._cut = float(self._h.net_cost[(counts[0::2] > 0) & (counts[1::2] > 0)].sum())
         # moving a pin uncuts its net when the pin is alone on its side and
         # the other side has pins; it cuts the net when the other side is
         # empty and the pin's own side has more pins
-        nop = self._net_of_pin
-        own = np.where(on1 == 1, count1[nop], count0[nop])
-        other = np.where(on1 == 1, count0[nop], count1[nop])
-        per_pin = costs[nop] * ((other > 0).astype(np.float64) - (own > 1))
-        self.gains = np.bincount(pins, weights=per_pin, minlength=self.n).tolist()
+        own = counts[slot]
+        per_pin = self._pin_cost * ((own < self._pin_size).astype(np.float64) - (own > 1))
+        self.gains = np.bincount(self._h.pins, weights=per_pin, minlength=self.n).tolist()
 
     def cut(self) -> float:
         return self._cut
@@ -165,31 +169,33 @@ class HypergraphBisection:
     def neighbors(self, v: int) -> list[int]:
         """The distinct vertices sharing a net with v, ascending (kept, as
         every restart's BFS asks again)."""
-        if v not in self._neighbors:
+        found = self._neighbors.get(v)
+        if found is None:
+            net_pins = self._net_pins
             found = set()
-            for j in self._vtx_nets[self._vtx_offsets[v] : self._vtx_offsets[v + 1]]:
-                found.update(self._pins[self._offsets[j] : self._offsets[j + 1]])
+            for j in self._vtx_nets[v]:
+                found.update(net_pins[j])
             found.discard(v)
-            self._neighbors[v] = sorted(found)
-        return self._neighbors[v]
+            found = self._neighbors[v] = sorted(found)
+        return found
 
     def move(self, v: int) -> list[int]:
         """Move v to the other side and return the vertices whose gain
         changed (possibly with repeats, and including v itself)."""
-        gains, pins, offsets, costs = self.gains, self._pins, self._offsets, self._costs
-        sv = int(self.side[v])
+        gains, side, net_pins, costs = self.gains, self._side, self._net_pins, self._costs
+        sv = side[v]
         ov = 1 - sv
         count_from, count_to = self._counts[sv], self._counts[ov]
         idsum_from, idsum_to = self._idsums[sv], self._idsums[ov]
         changed = [v]
         gain_v = gains[v]
         self._cut -= gain_v
-        for j in self._vtx_nets[self._vtx_offsets[v] : self._vtx_offsets[v + 1]]:
+        for j in self._vtx_nets[v]:
             c = costs[j]
             f = count_from[j] - 1
             t = count_to[j]
             if t == 0:  # the net turns cut: every other pin gains c
-                net = pins[offsets[j] : offsets[j + 1]]
+                net = net_pins[j]
                 for u in net:  # v's own entry is overwritten below
                     gains[u] += c
                 changed += net
@@ -202,7 +208,7 @@ class HypergraphBisection:
             idsum_from[j] -= v
             idsum_to[j] += v
             if f == 0:  # the net turns uncut: every other pin loses c
-                net = pins[offsets[j] : offsets[j + 1]]
+                net = net_pins[j]
                 for u in net:
                     gains[u] -= c
                 changed += net
@@ -210,7 +216,7 @@ class HypergraphBisection:
                 u = idsum_from[j]
                 gains[u] += c
                 changed.append(u)
-        self.side[v] = ov
+        side[v] = ov
         gains[v] = -gain_v
         return changed
 
@@ -224,25 +230,29 @@ def _grow_bfs(engine, weights: np.ndarray, rng, min_count: int, target: float) -
     target; everything else on side 1.
 
     Visits jump to the lowest unvisited vertex when a component is
-    exhausted.
+    exhausted (a pointer that only moves up finds it). The state is kept
+    in Python lists; only the result is an array.
     """
     n = len(weights)
-    side = np.ones(n, dtype=np.int8)
-    visited = np.zeros(n, dtype=bool)
+    weight_of = weights.tolist()
+    side = [1] * n
+    visited = [False] * n
     seed = int(rng.integers(0, n))
     queue = deque([seed])
     visited[seed] = True
+    lowest = 0  # every vertex below it is visited
     acc = 0.0
     taken = 0
     while True:
         if not queue:
-            rest = np.flatnonzero(~visited)
-            if len(rest) == 0:
+            while lowest < n and visited[lowest]:
+                lowest += 1
+            if lowest == n:
                 break
-            queue.append(int(rest[0]))
-            visited[rest[0]] = True
+            queue.append(lowest)
+            visited[lowest] = True
         v = queue.popleft()
-        w = float(weights[v])
+        w = weight_of[v]
         closer = abs(acc + w - target) < abs(acc - target)
         if not closer and taken >= min_count:
             break
@@ -255,7 +265,7 @@ def _grow_bfs(engine, weights: np.ndarray, rng, min_count: int, target: float) -
                 queue.append(u)
         if taken >= n - min_count:
             break
-    return side
+    return np.array(side, dtype=np.int8)
 
 
 def _repair_sides(side, weights, cap, min_count) -> None:
@@ -310,12 +320,14 @@ def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
     moves without a new best prefix.
 
     Candidates sit in lazy min-heaps of (-gain, id), one per (side, weight
-    class); every gain change pushes a fresh entry. A step walks each
-    side's classes in ascending floor while the floor fits the target side,
-    drops stale tops (locked, or a gain changed since the push), skips a
-    class whose valid top does not fit, and takes the least top over the
-    rest. While every class holds one weight (all weights below
-    2**WEIGHT_CLASS_BITS) that is exactly the highest legal gain.
+    class); after each move, every unlocked vertex whose gain it changed
+    gets one fresh entry (a per-pass stamp list drops the repeats that
+    engine.move reports). A step walks each side's classes in ascending
+    floor while the floor fits the target side, drops stale tops (locked,
+    or a gain changed since the push), skips a class whose valid top does
+    not fit, and takes the least top over the rest. While every class holds
+    one weight (all weights below 2**WEIGHT_CLASS_BITS) that is exactly the
+    highest legal gain.
 
     The moves past the best prefix are undone by one engine.assign().
     Vertex weights and net costs are integers in every model here, so the
@@ -323,39 +335,44 @@ def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
     """
     n = engine.n
     window = max(100, n // 20)
-    side_w = [float(weights[engine.side == 0].sum()), float(weights[engine.side == 1].sum())]
-    side_n = [int((engine.side == 0).sum()), int((engine.side == 1).sum())]
+    side_arr = engine.side
+    side_w = [float(weights[side_arr == 0].sum()), float(weights[side_arr == 1].sum())]
+    side_n = [int((side_arr == 0).sum()), int((side_arr == 1).sum())]
     cap_move = max(cap, (side_w[0] + side_w[1]) / 2.0 + float(weights.max(initial=0.0)))
     weight_of = weights.tolist()
     floors, class_of = _weight_classes(weights)
+    move = engine.move
+    locked = n + 1  # a stamp above every move number of a pass
 
     for _ in range(max_passes):
-        start_cut = engine.cut()
-        best_cut = start_cut
-        best_len = 0
+        start_cut = best_cut = engine._cut
+        best_len = count = 0
+        limit = window
         best_w, best_n = side_w[:], side_n[:]
         moves: list[int] = []
-        locked = [False] * n
+        # stamp[u] is the number of the last move that pushed u, or `locked`
+        stamp = [0] * n
         gains = engine.gains
-        side = engine.side.tolist()  # unlocked vertices keep their side all pass
+        side = engine._side  # unlocked vertices keep their side all pass
         heaps = [[[] for _ in floors] for _ in (0, 1)]
-        home = [heaps[side[v]][class_of[v]] for v in range(n)]
-        for v in range(n):
-            home[v].append((-gains[v], v))
+        home = [heaps[s][c] for s, c in zip(side, class_of)]
+        for v, g in enumerate(gains):
+            home[v].append((-g, v))
         for heap in heaps[0] + heaps[1]:
             heapify(heap)
-        while len(moves) - best_len < window:
+        classes = [list(zip(floors, heaps[0])), list(zip(floors, heaps[1]))]
+        while count < limit:
             best = None
             for s in (0, 1):
                 if side_n[s] < 2:
                     continue
                 room = cap_move - side_w[1 - s]
-                for floor, heap in zip(floors, heaps[s]):
+                for floor, heap in classes[s]:
                     if floor > room:
                         break
                     while heap:
                         key, u = top = heap[0]
-                        if locked[u] or key != -gains[u]:
+                        if stamp[u] == locked or key != -gains[u]:
                             heappop(heap)
                             continue
                         if weight_of[u] <= room and (best is None or top < best):
@@ -364,26 +381,29 @@ def _fm_passes(engine, weights, cap, min_count, max_passes: int) -> None:
             if best is None:
                 break
             v = best[1]
-            locked[v] = True
-            for u in set(engine.move(v)):
-                if not locked[u]:
-                    heappush(home[u], (-gains[u], u))
             s, w = side[v], weight_of[v]
+            stamp[v] = locked
+            count += 1
+            for u in move(v):
+                if stamp[u] < count:
+                    stamp[u] = count
+                    heappush(home[u], (-gains[u], u))
             side_w[s] -= w
             side_w[1 - s] += w
             side_n[s] -= 1
             side_n[1 - s] += 1
             moves.append(v)
-            cut = engine.cut()
+            cut = engine._cut
             if cut < best_cut - 1e-9 and max(side_w) <= cap and min(side_n) >= min_count:
                 best_cut = cut
-                best_len = len(moves)
+                best_len = count
+                limit = count + window
                 best_w, best_n = side_w[:], side_n[:]
-        undo = moves[best_len:]
-        if undo:
+        if count > best_len:
             side_w, side_n = best_w, best_n
-            best_side = engine.side.copy()
-            best_side[undo] = 1 - best_side[undo]
+            best_side = side[:]
+            for v in moves[best_len:]:
+                best_side[v] = 1 - best_side[v]
             engine.assign(best_side)
         if not (best_cut < start_cut - 1e-9):
             break
@@ -509,7 +529,7 @@ def _initial_split(h: Hypergraph, cap, min_count, rng) -> np.ndarray:
         unbalanced = max(w0, total - w0) > cap
         key = (unbalanced, engine.cut())
         if best_key is None or key < (best_key[0], best_key[1] - 1e-9):
-            best_side = engine.side.copy()
+            best_side = engine.side
             best_key = key
     return best_side
 

@@ -36,6 +36,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +60,7 @@ class CommError(RuntimeError):
     """A rank did not receive a message its plan promised, or got a bad one."""
 
 
-@dataclass(frozen=True)
-class MessageRecord:
+class MessageRecord(NamedTuple):
     epoch: int
     step: int
     phase: str  # "fwd" or "bwd"
@@ -99,7 +99,7 @@ class SimNetwork:
     def send(self, src: int, dst: int, payload: np.ndarray, tag) -> None:
         if src == dst:
             raise CommError("a rank never messages itself")
-        rec = MessageRecord(*tag, src=src, dst=dst, rows=payload.shape[0], cols=payload.shape[1])
+        rec = MessageRecord(*tag, src, dst, *payload.shape)
         with self._log_lock:
             self.log.append(rec)
             self._by_epoch.setdefault(rec.epoch, []).append(rec)
@@ -498,11 +498,10 @@ def parallel_backprop(states, net: SimNetwork, labels: LabelSet, scheduler: str 
 
 
 def _metrics_from_records(recs, p: int, wall: float, loss: float) -> EpochMetrics:
-    words = np.zeros(p, dtype=np.int64)
-    msgs = np.zeros(p, dtype=np.int64)
-    for r in recs:
-        words[r.src] += r.words
-        msgs[r.src] += 1
+    src = np.array([r.src for r in recs], dtype=np.int64)
+    size = np.array([r.rows * r.cols for r in recs], dtype=np.int64)
+    words = np.bincount(src, weights=size, minlength=p).astype(np.int64)  # exact below 2**53
+    msgs = np.bincount(src, minlength=p)
     return EpochMetrics(
         total_words=int(words.sum()),
         max_words_per_proc=int(words.max()) if p else 0,

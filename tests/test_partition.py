@@ -3,6 +3,7 @@ instances are compared against exhaustive search, and structured instances
 beat random placement."""
 
 import hashlib
+from collections import deque
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from gcnpart.partition import (
     _contract,
     _fm_passes,
     _graph_nets,
+    _grow_bfs,
     _match,
     _merge_identical_nets,
 )
@@ -401,19 +403,21 @@ class TestFmPasses:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_windowed_passes_match_reference_on_large_instances(self, seed):
-        # n far above the 100-move window, so passes end by the window rule
+        # n far above the 100-move window, so passes end by the window rule;
+        # the column-net model and the edges as 2-pin nets (GP's form)
         rng = np.random.default_rng([seed, 77])
         n = int(rng.integers(300, 700))
-        h = build_hypergraph_model(normalize_adjacency(random_undirected(n, 4.0 / n, seed)))
+        a_hat = normalize_adjacency(random_undirected(n, 4.0 / n, seed))
         weights = rng.integers(1, 7, size=n).astype(np.float64)
         side = rng.integers(0, 2, size=n).astype(np.int8)
         cap = float(weights.sum()) / 2.0 + float(rng.integers(0, 6))
-        ref = HypergraphBisection(h, side)
-        reference_fm_passes(ref, weights, cap, 1, FM_PASSES)
-        eng = HypergraphBisection(h, side)
-        _fm_passes(eng, weights, cap, 1, FM_PASSES)
-        assert np.array_equal(eng.side, ref.side)
-        assert eng.cut() == ref.cut()
+        for h in (build_hypergraph_model(a_hat), _graph_nets(build_graph_model(a_hat))):
+            ref = HypergraphBisection(h, side)
+            reference_fm_passes(ref, weights, cap, 1, FM_PASSES)
+            eng = HypergraphBisection(h, side)
+            _fm_passes(eng, weights, cap, 1, FM_PASSES)
+            assert np.array_equal(eng.side, ref.side)
+            assert eng.cut() == ref.cut()
 
     @settings(deadline=None, max_examples=100)
     @given(fm_instances(), st.integers(8, 400))
@@ -445,6 +449,87 @@ class TestFmPasses:
             before = list(eng.gains)
             changed = set(eng.move(int(v)))
             assert {u for u in range(16) if eng.gains[u] != before[u]} <= changed
+
+
+def reference_grow_bfs(h, weights, rng, min_count: int, target: float) -> np.ndarray:
+    """The region growing that list-based state replaced, kept as an oracle:
+    numpy sides and visit marks, neighbours read from the flat CSR pin
+    lists, and np.flatnonzero finding the lowest unvisited vertex when a
+    component is exhausted."""
+    offsets, pins = h.offsets.tolist(), h.pins.tolist()
+    vtx_offsets = np.concatenate(([0], np.cumsum(np.bincount(h.pins, minlength=h.n_vertices))))
+    vtx_nets = h.net_of_pin()[np.argsort(h.pins, kind="stable")].tolist()
+
+    def neighbors(v: int) -> list[int]:
+        found = set()
+        for j in vtx_nets[vtx_offsets[v] : vtx_offsets[v + 1]]:
+            found.update(pins[offsets[j] : offsets[j + 1]])
+        found.discard(v)
+        return sorted(found)
+
+    n = len(weights)
+    side = np.ones(n, dtype=np.int8)
+    visited = np.zeros(n, dtype=bool)
+    seed = int(rng.integers(0, n))
+    queue = deque([seed])
+    visited[seed] = True
+    acc = 0.0
+    taken = 0
+    while True:
+        if not queue:
+            rest = np.flatnonzero(~visited)
+            if len(rest) == 0:
+                break
+            queue.append(int(rest[0]))
+            visited[rest[0]] = True
+        v = queue.popleft()
+        w = float(weights[v])
+        closer = abs(acc + w - target) < abs(acc - target)
+        if not closer and taken >= min_count:
+            break
+        side[v] = 0
+        acc += w
+        taken += 1
+        for u in neighbors(v):
+            if not visited[u]:
+                visited[u] = True
+                queue.append(u)
+        if taken >= n - min_count:
+            break
+    return side
+
+
+@st.composite
+def bfs_instances(draw):
+    """A hypergraph whose nets stay inside one of a few blocks, so that it
+    has several components and, often, isolated vertices; weights 1-6, a
+    target of a quarter to three quarters of the weight and a BFS seed."""
+    n = draw(st.integers(1, 30))
+    block_of = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    nets = []
+    for b in draw(st.lists(st.integers(0, 3), max_size=25)):
+        members = [v for v in range(n) if block_of[v] == b]
+        if len(members) >= 2:
+            pins = draw(st.sets(st.sampled_from(members), min_size=2, max_size=6))
+            nets.append(np.array(sorted(pins), dtype=np.int64))
+    weights = np.array(draw(st.lists(st.integers(1, 6), min_size=n, max_size=n)), dtype=np.int64)
+    h = hypergraph_from_nets(n, nets, np.ones(len(nets)), weights)
+    target = float(weights.sum()) * draw(st.integers(1, 3)) / 4.0
+    return h, draw(st.integers(1, 2)), target, draw(st.integers(0, 2**32 - 1))
+
+
+class TestGrowBfs:
+    @settings(deadline=None, max_examples=300)
+    @given(bfs_instances())
+    def test_matches_reference_on_random_hypergraphs(self, instance):
+        h, min_count, target, seed = instance
+        weights = h.vertex_weight.astype(np.float64)
+        engine = HypergraphBisection(h, np.ones(h.n_vertices, dtype=np.int8))
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(2):  # a second call reuses the engine's neighbour lists
+            got = _grow_bfs(engine, weights, rng, min_count, target)
+            want = reference_grow_bfs(h, weights, ref_rng, min_count, target)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @st.composite
@@ -598,6 +683,11 @@ PINNED_DIGESTS = {
     ("community8", "gp"): "8065ea646f8b5f48cc56e1065d9aae396f987d3bc9dfaaed0d33998dddd631c3",
     ("community8", "hp"): "125c271f633539c62adb6115112d4d7b78fe70b2a4b611979e49f321a42747a8",
     ("community8", "shp"): "ed59bd172cc3cbfa992a20e2fe894cb166d39ec6e0772d62c4edf8a9ca5ab0b9",
+    # a power-law instance: nets wider than MATCH_NET_LIMIT, coarse levels
+    # with several weight classes
+    ("chunglu300", "gp"): "d2d427650b1890c30f9d4bdcde24c967fe8e40ad09b8b5b2d303721e39277c50",
+    ("chunglu300", "hp"): "649c18cc5313566c9fe75dcff9426e3318736f3c02a28a68168a1fd5a6c032b9",
+    ("chunglu300", "shp"): "2e86eac9ff60b8c89f50738b31e9d83c3c67f02da4151e246a1bd44986f55709",
 }
 
 
@@ -608,11 +698,14 @@ def test_partitions_pinned():
         "grid12": grid_graph(12, 12),
         "grid16": grid_graph(16, 16),
         "community8": two_community_graph(8, seed=3),
+        "chunglu300": chung_lu_graph(300, 8.0, 2.5, seed=1),
     }
     got = {}
     for name, a in graphs.items():
         a_hat = normalize_adjacency(a)
         g, h = build_graph_model(a_hat), build_hypergraph_model(a_hat)
+        if name == "chunglu300":
+            assert h.net_sizes().max() > MATCH_NET_LIMIT
         runs = {
             "gp": lambda cfg: partition_graph_fm(g, cfg),
             "hp": lambda cfg: partition_hypergraph_fm(h, cfg),

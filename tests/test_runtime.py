@@ -63,7 +63,7 @@ def partition_for(a_hat, p, seed, eps=0.5):
 
 
 def sorted_records(net):
-    return sorted(net.log, key=dataclasses.astuple)
+    return sorted(net.log)
 
 
 def scheduler_case(scheduler, directed, mini):
@@ -492,6 +492,26 @@ class TestRecords:
                     if (epoch is None or r.epoch == epoch) and (step is None or r.step == step)
                 ]
                 assert net.records(epoch=epoch, step=step) == want
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 6).flatmap(lambda p: st.tuples(st.just(p), st.lists(
+            st.tuples(st.integers(0, p - 1), st.integers(0, 500), st.integers(1, 64)), max_size=40
+        )))
+    )
+    def test_metrics_match_a_loop_over_the_records(self, case):
+        # the per-rank sums a Python loop over the records gives, as exact ints
+        p, sends = case
+        recs = [runtime.MessageRecord(0, 0, "fwd", 1, src, (src + 1) % p, rows, cols)
+                for src, rows, cols in sends]
+        words, msgs = [0] * p, [0] * p
+        for r in recs:
+            words[r.src] += r.words
+            msgs[r.src] += 1
+        got = runtime._metrics_from_records(recs, p, 0.5, 1.0)
+        want = (sum(words), max(words), sum(words) / p, sum(msgs), max(msgs), 0.5, 1.0)
+        assert dataclasses.astuple(got) == want
+        assert all(type(x) is type(y) for x, y in zip(dataclasses.astuple(got), want))
 
 
 class TestTrainEpochs:
