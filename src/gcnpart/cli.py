@@ -91,6 +91,8 @@ class ExperimentConfig:
         needs_batch = self.mode == "mini" or "shp" in self.partitioners
         if needs_batch and not self.batch_size:
             raise ValueError("--batch-size is required for mini-batch mode and shp")
+        if needs_batch and self.batches < 1:
+            raise ValueError(f"--batches must be >= 1 for mini-batch mode and shp, got {self.batches}")
         if self.seed is None:
             raise ValueError("--seed is mandatory (runs carry no wall-clock entropy)")
 

@@ -43,7 +43,16 @@ import numpy as np
 from .comm import CommPlan, build_comm_plan, plan_from_lists
 from .gcn import GcnModel, LabelSet, activation_and_derivative
 from .models import MiniBatchSpec, Partition
-from .sparse import CsrMatrix, RowBlock, dense, gather_rows, spmm, transpose_sparse
+from .sparse import (
+    CsrMatrix,
+    RowBlock,
+    dense,
+    gather_rows,
+    prime_spmm_schedules,
+    spmm,
+    transpose_sparse,
+    unique_keys,
+)
 
 # Not called here since mini-batch steps mask operands built once; kept
 # because perfbench/experiment.py traces them under these names.
@@ -164,7 +173,10 @@ class ProcState:
     A mini-batch step's states hold the same for the batch's induced
     subgraph, with rows and plan ids numbered by position in the batch.
     They are masked out of every rank's operands of the whole graph,
-    which train_epochs builds once, not renormalized and scattered anew.
+    which train_epochs builds once, not renormalized and scattered anew:
+    one pass per epoch builds every step's operands, plans, send
+    positions and labels, and a step's states take its share and the
+    current weights. Their operands arrive with spmm schedules built.
     """
 
     rank: int
@@ -245,8 +257,9 @@ def _rank_operands(a: CsrMatrix, plan: CommPlan):
 
 
 def _split_operands(starts, offsets, cols, values, n_ext) -> list[CsrMatrix]:
-    """Slice rank-major flat CSR arrays into one operand per rank: rank m
-    has the flat rows starts[m]:starts[m + 1] and n_ext[m] columns."""
+    """Slice flat CSR arrays into one operand per group (a rank, or a
+    step's rank): group m has the flat rows starts[m]:starts[m + 1] and
+    n_ext[m] columns."""
     starts, n_ext = starts.tolist(), n_ext.tolist()
     operands = []
     for m in range(len(n_ext)):
@@ -374,7 +387,7 @@ def _rank_forward(st: ProcState, net: SimNetwork, epoch: int, step: int):
 def _rank_backward(st: ProcState, net: SimNetwork, labels: tuple, epoch: int, step: int):
     """Loss contribution, then per layer: post sends, send barrier, receive
     and compute, dW contribution, update. labels is the rank's
-    (local_rows, y, count), as _resolve_labels or _step gives it. Returns
+    (local_rows, y, count), as _resolve_labels or _epoch_steps gives it. Returns
     the global loss."""
     count = labels[2]
     total = yield _local_loss_grad(st, *labels)
@@ -524,9 +537,10 @@ class MiniBatch:
     each batch's induced sub-adjacency. The owners, the features and
     whether the input is directed come from the states being trained.
     Each train_epochs call builds every rank's halo operands of the whole
-    graph once; a step keeps the entries both of whose vertices it
-    sampled, renormalizes them and drops the ext columns and send-list
-    rows nothing uses any more."""
+    graph once. Each epoch draws its batches_per_epoch batches up front,
+    then one vectorized pass keeps, for every step at once, the entries
+    both of whose vertices the step sampled, renormalizes them and drops
+    the ext columns and send-list rows nothing uses any more."""
 
     spec: MiniBatchSpec
     batches_per_epoch: int
@@ -537,8 +551,12 @@ class MiniBatch:
 def _resolve_labels(states, labels: LabelSet) -> list[tuple]:
     """Each rank's (local_rows, y, count) for full-batch steps: the local
     positions and classes of its labeled rows, and the labeled count."""
-    index = _label_index(labels, sum(len(st.global_rows) for st in states))
-    return [(*_rank_labels(index[st.global_rows], labels), len(labels)) for st in states]
+    rows = np.concatenate([st.global_rows for st in states])
+    sizes = [len(st.global_rows) for st in states]
+    rank = np.repeat(np.arange(len(states)), sizes)
+    local = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    label_at = _label_index(labels, len(rows))[rows]
+    return [(*x, len(labels)) for x in _group_labels(label_at, rank, local, len(states), labels)]
 
 
 def _label_index(labels: LabelSet, n: int) -> np.ndarray:
@@ -550,13 +568,15 @@ def _label_index(labels: LabelSet, n: int) -> np.ndarray:
     return index
 
 
-def _rank_labels(index: np.ndarray, labels: LabelSet):
-    """Local positions and classes of the labeled rows of a block, given
-    each row's label position; in label-set order, which fixes the order
-    the loss sums in."""
-    local = np.flatnonzero(index >= 0)
-    local = local[np.argsort(index[local], kind="stable")]
-    return local, labels.labels[index[local]]
+def _group_labels(label_at, group, local, n_groups: int, labels: LabelSet) -> list[tuple]:
+    """Per group of rows, the local positions and classes of its labeled
+    rows, given each row's group, local position and label position (-1
+    if none); in label-set order, which fixes the order the loss sums in."""
+    lab = np.flatnonzero(label_at >= 0)
+    lab = lab[np.argsort(group[lab] * len(labels) + label_at[lab], kind="stable")]
+    bounds = np.searchsorted(group[lab], np.arange(n_groups + 1)).tolist()
+    rows, y = local[lab], labels.labels[label_at[lab]]
+    return [(rows[lo:hi], y[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -565,21 +585,22 @@ class _MaskedPhase:
     values) or of its transpose, built once by _rank_operands for the
     global owners and flattened rank after rank.
 
-    Per entry: its global row and column, its value in A+I, its flat ext
-    slot (its rank's ext start plus its column) and that start. Per
-    send-list slot, lists in (sender, receiver) order: its global id, its
-    pair sender * p + receiver and its flat slot in the receiver's ext.
+    Row q in rank-major order has the entries entry_start[q]:entry_start[q
+    + 1]. Per entry: its global column, its value in A+I and its flat ext
+    slot (its rank's ext start plus its column). Per ext slot: the
+    send-list slot it receives, or -1 for a rank's own row. Per send-list
+    slot, lists in (sender, receiver) order: its global id and its pair
+    sender * p + receiver.
     """
 
-    row: np.ndarray
+    entry_start: np.ndarray
     col: np.ndarray
     values: np.ndarray
     slot: np.ndarray
-    base: np.ndarray
     ext_start: np.ndarray  # rank m's ext slots are ext_start[m]:ext_start[m + 1]
+    listed_at: np.ndarray
     listed: np.ndarray
     pair: np.ndarray
-    listed_slot: np.ndarray
     transposed: bool  # entry (row, col) holds A+I's entry (col, row)
 
 
@@ -598,16 +619,21 @@ def _masked_phase(a: CsrMatrix, owner: np.ndarray, p: int, transposed: bool) -> 
     # senders before s; list_start: where it starts among all lists
     list_at = (ext_start[:-1] + n_own + np.cumsum(sizes, axis=0) - sizes).ravel()
     list_start = np.cumsum(sizes.ravel()) - sizes.ravel()
+    n_listed = int(sizes.sum())
+    listed_at = np.full(int(ext_start[-1]), -1, dtype=np.int64)
+    listed_slot = np.repeat(list_at - list_start, sizes.ravel()) + np.arange(n_listed)
+    listed_at[listed_slot] = np.arange(n_listed)
+    entry_start = np.zeros(len(owner) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([op.row_nnz() for op in operands]), out=entry_start[1:])
     return _MaskedPhase(
-        row=np.concatenate([np.repeat(r, op.row_nnz()) for r, op in zip(rows, operands)]),
+        entry_start=entry_start,
         col=ext[slot],
         values=np.concatenate([op.values for op in operands]),
         slot=slot,
-        base=np.repeat(ext_start[:-1], [op.nnz for op in operands]),
         ext_start=ext_start,
+        listed_at=listed_at,
         listed=np.concatenate([ids for lists in plan.send for ids in lists]),
         pair=np.repeat(np.arange(p * p), sizes.ravel()),
-        listed_slot=np.repeat(list_at - list_start, sizes.ravel()) + np.arange(int(sizes.sum())),
         transposed=transposed,
     )
 
@@ -615,11 +641,14 @@ def _masked_phase(a: CsrMatrix, owner: np.ndarray, p: int, transposed: bool) -> 
 @dataclass(frozen=True)
 class _MiniBatchIndex:
     """What every step of one train_epochs call shares: the global owners,
-    the vertex ids in rank-major order, the features, each vertex's label
-    position, and the masked phases (bwd is None when undirected)."""
+    the vertex ids in rank-major order and each vertex's position there,
+    the features, each vertex's label position, and the masked phases
+    (bwd is None when undirected)."""
 
+    p: int
     owner: np.ndarray
     by_rank: np.ndarray
+    rank_pos: np.ndarray
     features: np.ndarray
     label_index: np.ndarray
     fwd: _MaskedPhase
@@ -640,9 +669,14 @@ def _mini_batch_index(states, labels: LabelSet, adjacency: CsrMatrix) -> _MiniBa
         np.concatenate([adjacency.col_indices, ids]),
     )
     directed = states[0].plan_bwd is not states[0].plan_fwd
+    by_rank = np.argsort(owner, kind="stable")
+    rank_pos = np.empty(n, dtype=np.int64)
+    rank_pos[by_rank] = ids
     return _MiniBatchIndex(
+        p=p,
         owner=owner,
-        by_rank=np.argsort(owner, kind="stable"),
+        by_rank=by_rank,
+        rank_pos=rank_pos,
         features=features,
         label_index=_label_index(labels, n),
         fwd=_masked_phase(a, owner, p, False),
@@ -650,89 +684,141 @@ def _mini_batch_index(states, labels: LabelSet, adjacency: CsrMatrix) -> _MiniBa
     )
 
 
-def _mask(ph: _MaskedPhase, keep, owner, inv, batch_pos, local, row_ids, row_starts):
-    """One phase of a step: its plan, operands and send positions, from the
-    entries in keep. An ext slot survives when a kept entry uses it (an own
-    batch row by its diagonal entry), and a sender's list to c keeps the
-    rows whose slot in c's ext survives. owner: the batch's owners."""
-    p = len(row_starts) - 1
-    rows, slot = ph.row[keep], ph.slot[keep]
-    # normalize_adjacency's v * inv[i] * inv[j], for A+I's entry (i, j)
-    i, j = (ph.col[keep], rows) if ph.transposed else (rows, ph.col[keep])
-    values = ph.values[keep] * inv[i] * inv[j]
-    used = np.zeros(int(ph.ext_start[-1]), dtype=bool)
-    used[slot] = True
-    before = np.zeros(len(used) + 1, dtype=np.int64)  # surviving slots ahead of each
-    np.cumsum(used, out=before[1:])
-    cols = before[slot] - before[ph.base[keep]]
-    offsets = np.zeros(len(row_ids) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=len(inv))[row_ids], out=offsets[1:])
-    operands = _split_operands(row_starts, offsets, cols, values, np.diff(before[ph.ext_start]))
+def _epoch_steps(index: _MiniBatchIndex, states, labels: LabelSet, batches: np.ndarray):
+    """Yield each step's states and per-rank labels for one epoch's batches
+    (one sorted batch per row). A step's states hold its batch's induced
+    subgraph, renormalized and distributed by the global owners, with the
+    weights the persistent states hold when it is drawn; rows and plan ids
+    are positions in the batch, as scatter of the induced subgraph numbers
+    them. _epoch_pass builds what the steps share before the first step
+    is drawn; a step only slices its share."""
+    if not len(batches):
+        return
+    p = index.p
+    a_fwd, a_bwd, sends_fwd, sends_bwd, global_rows, row_ids, starts, step_labels = _epoch_pass(
+        index, labels, batches
+    )
+    st = starts.tolist()
 
-    sent = used[ph.listed_slot]
-    listed = ph.listed[sent]
-    bounds = np.zeros(p * p + 1, dtype=np.int64)
-    np.cumsum(np.bincount(ph.pair[sent], minlength=p * p), out=bounds[1:])
-    pos, b = local[listed], bounds.tolist()
-    positions = [
-        {c: pos[b[q] : b[q + 1]] for c, q in enumerate(range(s * p, s * p + p)) if b[q + 1] > b[q]}
-        for s in range(p)
-    ]
-    return plan_from_lists(p, owner, batch_pos[listed], bounds), operands, positions
+    def plan(sends, t: int):
+        """Step t's plan of a phase, and each rank's send positions."""
+        ids, positions, bounds = sends
+        bt = bounds[t * p * p : (t + 1) * p * p + 1]
+        q = bt.tolist()
+        by_rank = [
+            {c: positions[q[k] : q[k + 1]] for c, k in enumerate(range(s * p, s * p + p))
+             if q[k + 1] > q[k]}
+            for s in range(p)
+        ]
+        return plan_from_lists(p, index.owner[batches[t]], ids, bt), by_rank
+
+    for t in range(len(batches)):
+        plan_fwd, send_fwd = plan(sends_fwd, t)
+        plan_bwd, send_bwd = (plan_fwd, send_fwd) if sends_bwd is sends_fwd else plan(sends_bwd, t)
+        lo = st[t * p]
+        h0 = index.features[row_ids[lo : st[t * p + p]]]
+        step_states = []
+        for m, g in enumerate(range(t * p, t * p + p)):
+            step_states.append(ProcState(
+                rank=m,
+                global_rows=global_rows[st[g] : st[g + 1]],
+                plan_fwd=plan_fwd,
+                plan_bwd=plan_bwd,
+                a_fwd=a_fwd[g],
+                a_bwd=a_bwd[g],
+                send_fwd=send_fwd[m],
+                send_bwd=send_bwd[m],
+                dims=states[m].dims,
+                activation=states[m].activation,
+                learning_rate=states[m].learning_rate,
+                weights=list(states[m].weights),
+                h0=h0[st[g] - lo : st[g + 1] - lo],
+            ))
+        yield step_states, step_labels[t * p : t * p + p]
 
 
-def _step(index: _MiniBatchIndex, states, labels: LabelSet, batch: np.ndarray):
-    """One mini-batch step's states and per-rank labels for a sorted batch:
-    its induced subgraph, renormalized and distributed by the global
-    owners, with the current weights. Rows and plan ids are positions in
-    the batch, as scatter of the induced subgraph numbers them."""
-    n, p = len(index.owner), len(states)
-    in_batch = np.zeros(n, dtype=bool)
-    in_batch[batch] = True
-    row_ids = index.by_rank[in_batch[index.by_rank]]  # the batch rows of rank 0, then 1, ...
-    row_owner = index.owner[row_ids]
-    row_starts = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_owner, minlength=p), out=row_starts[1:])
-    batch_pos = np.cumsum(in_batch) - 1
-    local = np.empty(n, dtype=np.int64)  # a batch row's position among its rank's
-    local[row_ids] = np.arange(len(row_ids)) - row_starts[row_owner]
+def _epoch_pass(index: _MiniBatchIndex, labels: LabelSet, batches: np.ndarray):
+    """What the steps of an epoch share, built by one vectorized pass per
+    phase; work and memory scale with the entries of the batch rows.
 
-    fwd = index.fwd
-    keep = in_batch[fwd.row] & in_batch[fwd.col]
-    deg = np.bincount(fwd.row[keep], weights=fwd.values[keep], minlength=n)
-    inv = np.zeros(n)
-    inv[batch] = 1.0 / np.sqrt(deg[batch])
-    args = (index.owner[batch], inv, batch_pos, local, row_ids, row_starts)
-    plan_fwd, a_fwd, pos_f = _mask(fwd, keep, *args)
-    plan_bwd, a_bwd, pos_b = plan_fwd, a_fwd, pos_f
+    Rows run step after step and rank-major within a step: group g =
+    t * p + m (step t, rank m) holds the rows starts[g]:starts[g + 1].
+    Returns each group's forward and backward operands, their spmm
+    schedules primed by one spmm_schedules pass; each phase's send lists
+    (plan ids, local positions, and bounds per (step, sender, receiver));
+    every row's batch position and vertex id; starts; and each group's
+    labels as _resolve_labels gives them."""
+    n_steps, b = batches.shape
+    n, p = len(index.owner), index.p
+    steps = np.arange(n_steps)
+    row_keys = np.sort((steps[:, None] * n + index.rank_pos[batches]).ravel())
+    row_step, pos = np.divmod(row_keys, n)  # pos: the row's rank-major position
+    row_ids = index.by_rank[pos]
+    group = row_step * p + index.owner[row_ids]
+    starts = np.zeros(n_steps * p + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group, minlength=n_steps * p), out=starts[1:])
+    local = np.arange(len(pos)) - starts[group]  # a row's place among its rank's
+    found = (steps[:, None] * n + batches).ravel()  # sorted (step, vertex) keys
+    at = np.searchsorted(found, row_step * n + row_ids)  # each row's key
+    local_at = np.empty_like(local)
+    local_at[at] = local
+
+    def entries(ph: _MaskedPhase):
+        """The phase's entries of the batch rows whose column the batch
+        holds: entry ids, rows, and the column's key."""
+        begin = ph.entry_start[pos]
+        count = ph.entry_start[pos + 1] - begin
+        row = np.repeat(np.arange(len(pos)), count)
+        e = np.arange(len(row)) + np.repeat(begin - np.cumsum(count) + count, count)
+        col_key = row_step[row] * n + ph.col[e]
+        hit = np.minimum(np.searchsorted(found, col_key), len(found) - 1)
+        keep = found[hit] == col_key
+        return e[keep], row[keep], hit[keep]
+
+    def phase(ph: _MaskedPhase, e, row, hit):
+        """Every step's operands of the phase, and its send lists: plan
+        ids, local positions and bounds per (step, sender, receiver). An
+        ext slot survives when a kept entry uses it (an own batch row by
+        its diagonal entry), and a sender's list to c keeps the rows whose
+        slot in c's ext survives."""
+        # normalize_adjacency's v * inv[i] * inv[j], for A+I's entry (i, j)
+        i, j = (hit, at[row]) if ph.transposed else (at[row], hit)
+        values = ph.values[e] * inv_at[i] * inv_at[j]
+        width = int(ph.ext_start[-1])
+        slot = row_step[row] * width + ph.slot[e]
+        used = unique_keys(slot)  # surviving (step, ext slot) keys
+        edges = np.searchsorted(used, (steps[:, None] * width + ph.ext_start).ravel())
+        edges = edges.reshape(n_steps, p + 1)
+        cols = np.searchsorted(used, slot) - edges[:, :-1].ravel()[group[row]]
+        offsets = np.zeros(len(pos) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=len(pos)), out=offsets[1:])
+        operands = _split_operands(starts, offsets, cols, values, np.diff(edges, axis=1).ravel())
+
+        n_listed = max(len(ph.listed), 1)
+        listed = ph.listed_at[used % width]
+        sent = listed >= 0
+        keys = np.sort(used[sent] // width * n_listed + listed[sent])
+        list_step, listed = np.divmod(keys, n_listed)  # in (step, send-list slot) order
+        hit = np.searchsorted(found, list_step * n + ph.listed[listed])
+        bounds = np.zeros(n_steps * p * p + 1, dtype=np.int64)
+        pairs = list_step * p * p + ph.pair[listed]
+        np.cumsum(np.bincount(pairs, minlength=n_steps * p * p), out=bounds[1:])
+        return operands, (hit - list_step * b, local_at[hit], bounds)
+
+    e, row, hit = entries(index.fwd)
+    deg = np.bincount(row, weights=index.fwd.values[e], minlength=len(pos))
+    inv_at = np.empty(len(pos))
+    inv_at[at] = 1.0 / np.sqrt(deg)
+    a_fwd, sends_fwd = phase(index.fwd, e, row, hit)
+    a_bwd, sends_bwd = a_fwd, sends_fwd
     if index.bwd is not None:
-        bwd = index.bwd
-        plan_bwd, a_bwd, pos_b = _mask(bwd, in_batch[bwd.row] & in_batch[bwd.col], *args)
-
-    global_rows, h0 = batch_pos[row_ids], index.features[row_ids]
+        a_bwd, sends_bwd = phase(index.bwd, *entries(index.bwd))
+    prime_spmm_schedules(a_fwd + a_bwd)
     label_at = index.label_index[row_ids]
-    count = int(np.count_nonzero(label_at >= 0))
-    starts = row_starts.tolist()
-    step_states, step_labels = [], []
-    for m, st in enumerate(states):
-        lo, hi = starts[m], starts[m + 1]
-        step_states.append(ProcState(
-            rank=m,
-            global_rows=global_rows[lo:hi],
-            plan_fwd=plan_fwd,
-            plan_bwd=plan_bwd,
-            a_fwd=a_fwd[m],
-            a_bwd=a_bwd[m],
-            send_fwd=pos_f[m],
-            send_bwd=pos_b[m],
-            dims=st.dims,
-            activation=st.activation,
-            learning_rate=st.learning_rate,
-            weights=list(st.weights),
-            h0=h0[lo:hi],
-        ))
-        step_labels.append((*_rank_labels(label_at[lo:hi], labels), count))
-    return step_states, step_labels
+    count = np.bincount(row_step[label_at >= 0], minlength=n_steps).tolist()
+    per_group = _group_labels(label_at, group, local, n_steps * p, labels)
+    step_labels = [(*x, count[g // p]) for g, x in enumerate(per_group)]
+    return a_fwd, a_bwd, sends_fwd, sends_bwd, at - row_step * b, row_ids, starts, step_labels
 
 
 def train_epochs(
@@ -746,9 +832,13 @@ def train_epochs(
     """Train for the given number of epochs, recording metrics per epoch.
 
     Each step runs one forward+backward and one update. A full-batch epoch
-    is one step over the states themselves. A mini-batch epoch is
-    batches_per_epoch steps, each over the states of one sampled induced
-    subgraph; the weights it leaves go back to the persistent states.
+    is one step over the states themselves, whose operands' spmm
+    schedules are built together before the first. A mini-batch epoch
+    first draws its batches_per_epoch batches, one rng.choice call per
+    step in step order, and builds every step's operands, plans and
+    schedules in one pass (_epoch_pass); then it runs the steps, each over
+    the states of one sampled induced subgraph, and the weights a step
+    leaves go back to the persistent states.
     """
     mini = isinstance(mode, MiniBatch)
     if mini:
@@ -758,16 +848,19 @@ def train_epochs(
         raise ValueError("label set is empty")
     else:
         rank_labels = _resolve_labels(states, labels)
+        prime_spmm_schedules(op for st in states for op in (st.a_fwd, st.a_bwd))
     out = []
     for e in range(epochs):
         start = time.perf_counter()
         losses = []
-        for step in range(mode.batches_per_epoch if mini else 1):
-            if mini:
-                batch = rng.choice(len(index.owner), size=mode.spec.batch_size, replace=False)
-                step_states, step_labels = _step(index, states, labels, np.sort(batch))
-            else:
-                step_states, step_labels = states, rank_labels
+        if mini:
+            size = mode.spec.batch_size
+            batches = np.empty((mode.batches_per_epoch, size), dtype=np.int64)
+            for step in range(len(batches)):
+                batches[step] = rng.choice(len(index.owner), size=size, replace=False)
+            batches.sort(axis=1)
+        steps = _epoch_steps(index, states, labels, batches) if mini else [(states, rank_labels)]
+        for step, (step_states, step_labels) in enumerate(steps):
             programs = [
                 _rank_epoch(st, net, lab, e, step) for st, lab in zip(step_states, step_labels)
             ]

@@ -12,8 +12,9 @@ All scalars are float64. Each spmm output row is the sequential sum of its
 products in ascending column order (CSR columns are sorted), built from
 elementwise numpy operations, so it is the same to the last bit on every
 BLAS build. spmm's schedule (row order, hub rows, and the columns and
-values at each entry position) is built once per operand and cached on
-it, so a call only gathers, scales and sums in place, step by step.
+values at each entry position) is built once per operand, or for many
+operands by one spmm_schedules pass, and cached on it, so a call only
+gathers, scales and sums in place, step by step.
 Dense products (dmm) go through BLAS; for a fixed numpy/BLAS build and
 thread setting the same operands give the same bits, so repeated runs,
 and the two schedulers, are bit-identical.
@@ -157,35 +158,86 @@ class CsrMatrix:
 
     @cached_property
     def spmm_schedule(self) -> tuple[np.ndarray, list, list]:
-        """spmm's plan for this operand, built on the first call and reused:
-        the arrays it reads are read-only, so it cannot go stale.
+        """spmm's plan for this operand (see spmm_schedules), built on the
+        first call unless prime_spmm_schedules built it, and reused: the
+        arrays it reads are read-only, so it cannot go stale."""
+        return spmm_schedules([self])[0]
 
-        Rows are summed in descending entry count (row i is summed at
-        place[i]). Rows with more than t entries (hubs) come first and
-        are summed one at a time, given as (start, end) entry spans. Step
-        j < t adds entry j of every other row with more than j entries;
-        those rows follow the hubs in summing order, so a step is given
-        as that entry's (columns, values as a column). t minimizes the
-        Python-level steps, so one hub row costs one step, not one per
-        entry."""
-        counts = self.row_nnz()
-        order = np.argsort(-counts, kind="stable")
-        starts = self.row_offsets[order]
-        # longer[j]: number of rows with more than j entries
-        longer = (self.n_rows - np.cumsum(np.bincount(counts, minlength=1))).tolist()
-        # steps for a cut-off t: longer[t] rows one at a time, then t positions
-        t = min(range(len(longer)), key=lambda j: (longer[j] + j, -j))
-        hubs = longer[t]
-        hub_spans = list(zip(starts[:hubs].tolist(), self.row_offsets[order[:hubs] + 1].tolist()))
-        steps = []
-        for j in range(t):
-            at = starts[hubs : longer[j]] + j
-            steps.append((self.col_indices[at], self.values[at, None]))
-        place = np.empty_like(order)
-        place[order] = np.arange(self.n_rows)
-        for arr in [place] + [x for step in steps for x in step]:
-            arr.setflags(write=False)
-        return place, hub_spans, steps
+
+def spmm_schedules(mats) -> list[tuple[np.ndarray, list, list]]:
+    """spmm's plan for each matrix, built for all of them by one pass of
+    array operations.
+
+    Rows are summed in descending entry count (row i is summed at
+    place[i]). Rows with more than t entries (hubs) come first and are
+    summed one at a time, given as (start, end) entry spans. Step j < t
+    adds entry j of every other row with more than j entries; those rows
+    follow the hubs in summing order, so a step is given as that entry's
+    (columns, values as a column). t minimizes the Python-level steps
+    hubs + t, the larger t on ties, so one hub row costs one step, not one
+    per entry. The minimum lies at t = 0, where hubs counts the nonempty
+    rows, or at an entry count c, where hubs is the position of c's first
+    row in summing order."""
+    mats = list(mats)
+    if not mats:
+        return []
+    n_rows = np.array([a.n_rows for a in mats], dtype=np.int64)
+    row_base = np.zeros(len(mats) + 1, dtype=np.int64)
+    np.cumsum(n_rows, out=row_base[1:])
+    op = np.repeat(np.arange(len(mats)), n_rows)
+    starts = np.concatenate([a.row_offsets[:-1] for a in mats])
+    counts = np.concatenate([a.row_offsets[1:] for a in mats]) - starts
+    top = int(counts.max()) if len(counts) else 0
+    key = op * (top + 1) + (top - counts)  # by matrix, then descending count
+    order = np.argsort(key, kind="stable")
+    key, counts, starts = key[order], counts[order], starts[order]
+    local = np.arange(len(order)) - row_base[op]  # position in summing order
+    place = np.empty_like(order)
+    place[order] = local
+
+    # candidates (hubs + t, -t) as one integer each: one per row (hubs is
+    # its position, t its count) and t = 0 with every row a hub
+    scale = top + 2
+    best = n_rows * scale + top + 1
+    np.minimum.at(best, op, (local + counts) * scale + top + 1 - counts)
+    t = top + 1 - best % scale
+    hubs = best // scale - t
+
+    # step j of matrix m: entry j of its rows from position hubs[m] up to
+    # its last row with more than j entries; every step in one gather
+    t_base = np.zeros(len(mats) + 1, dtype=np.int64)
+    np.cumsum(t, out=t_base[1:])
+    step_op = np.repeat(np.arange(len(mats)), t)
+    j = np.arange(t_base[-1]) - t_base[step_op]
+    lo = row_base[step_op] + hubs[step_op]
+    size = np.searchsorted(key, step_op * (top + 1) + top - j) - lo
+    bounds = np.zeros(len(size) + 1, dtype=np.int64)
+    np.cumsum(size, out=bounds[1:])
+    entry = starts + np.cumsum([0] + [a.nnz for a in mats])[op]
+    at = entry[np.arange(bounds[-1]) + np.repeat(lo - bounds[:-1], size)] + np.repeat(j, size)
+    cols = np.concatenate([a.col_indices for a in mats])[at]
+    vals = np.concatenate([a.values for a in mats])[at, None]
+    for arr in (place, cols, vals):
+        arr.setflags(write=False)
+
+    hub = np.flatnonzero(local < hubs[op])
+    hub_starts, hub_ends = starts[hub].tolist(), (starts + counts)[hub].tolist()
+    b, rb, t_base = bounds.tolist(), row_base.tolist(), t_base.tolist()
+    out, h = [], 0
+    for m, n_hubs in enumerate(hubs.tolist()):
+        spans = list(zip(hub_starts[h : h + n_hubs], hub_ends[h : h + n_hubs]))
+        steps = [(cols[b[q] : b[q + 1]], vals[b[q] : b[q + 1]]) for q in range(*t_base[m : m + 2])]
+        out.append((place[rb[m] : rb[m + 1]], spans, steps))
+        h += n_hubs
+    return out
+
+
+def prime_spmm_schedules(mats) -> None:
+    """Build, in one spmm_schedules pass, the spmm_schedule of every
+    matrix that has none cached yet, and cache it as its first spmm would."""
+    todo = list({id(a): a for a in mats if "spmm_schedule" not in vars(a)}.values())
+    for a, schedule in zip(todo, spmm_schedules(todo)):
+        vars(a)["spmm_schedule"] = schedule
 
 
 @dataclass(frozen=True)

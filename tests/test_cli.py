@@ -69,6 +69,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="batch-size"):
             cfg.validate()
 
+    @pytest.mark.parametrize("batches", ["0", "-2"])
+    @pytest.mark.parametrize("mode,partitioner", [("mini", "rp"), ("full", "rp,shp")])
+    def test_batches_below_one_rejected(self, tmp_path, capsys, batches, mode, partitioner):
+        out = tmp_path / "o"
+        argv = [
+            "--graph", str(write_grid(tmp_path)), "-p", "2", "--partitioner", partitioner,
+            "--layers", "1", "--dims", "4,3", "--epochs", "1", "--seed", "5", "--out", str(out),
+            "--mode", mode, "--batch-size", "3", "--batches", batches,
+        ]
+        assert main(argv) == 2
+        assert "--batches" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_is_mandatory(self, capsys):
         with pytest.raises(SystemExit):
             parse_args(["--graph", "g.txt"])

@@ -149,8 +149,10 @@ class FixedDraw:
 @st.composite
 def mini_batch_instances(draw):
     """A raw pattern (self loops allowed; symmetric unless directed), owners
-    that give every rank a row, labels in any order, and a batch in drawn
-    order: every vertex, or a subset that may leave ranks with no rows."""
+    that give every rank a row, labels in any order, and an epoch of one
+    to four batches of one size, each in drawn order. The size is 1, all
+    the vertices the batches may hold, or between; a drawn rank may own
+    none of them, so that every batch leaves it with no rows."""
     p = draw(st.integers(1, 6))
     n = draw(st.integers(p, 16))
     owner = np.array(draw(st.permutations(list(range(p)) + draw(
@@ -165,13 +167,14 @@ def mini_batch_instances(draw):
     labeled = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
     labels = LabelSet(labeled, draw(st.lists(st.integers(0, 2), min_size=len(labeled),
                                              max_size=len(labeled))), 3)
-    if draw(st.booleans()):
-        batch = draw(st.permutations(range(n)))
-    else:
-        dropped = draw(st.integers(-1, p - 1))  # a rank the batch leaves empty, or none
-        keep = [v for v in range(n) if owner[v] != dropped]
-        batch = draw(st.lists(st.sampled_from(keep), unique=True, min_size=1)) if keep else [0]
-    return raw, owner, p, directed, labels, np.array(batch, dtype=np.int64)
+    dropped = draw(st.integers(-1, p - 1))  # a rank the batches leave empty, or none
+    keep = [v for v in range(n) if owner[v] != dropped] or [0]
+    size = draw(st.sampled_from([1, len(keep), draw(st.integers(1, len(keep)))]))
+    batches = [
+        draw(st.permutations(keep).map(lambda vs: vs[:size]))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return raw, owner, p, directed, labels, np.array(batches, dtype=np.int64)
 
 
 @st.composite
@@ -565,6 +568,34 @@ class TestTrainEpochs:
         # with uniform dims this is 2 x (cut x sum of layer widths)
         assert metrics[0].total_words == 2 * cut * sum(dims[1:])
 
+    @settings(deadline=None, max_examples=60)
+    @given(mini_batch_instances(), st.data())
+    def test_words_equal_phase_cuts(self, instance, data):
+        # per (epoch, phase, layer): the connectivity-1 cut of the column
+        # nets of A_hat forward, of its transpose backward, times the width
+        # the layer sends; undirected and directed, under both schedulers
+        raw, owner, p, directed, labels, _ = instance
+        n = raw.n_rows
+        dims = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
+        scheduler = data.draw(st.sampled_from(runtime.SCHEDULERS))
+        a_hat = normalize_adjacency(raw)
+        h0 = np.random.default_rng(n).standard_normal((n, dims[0]))
+        states = scatter(a_hat, h0, owner, init_model(dims, seed=0), directed, p=p)
+        labels = LabelSet([0], [0], dims[-1]) if len(labels) == 0 else LabelSet(
+            labels.labeled_ids, labels.labels % dims[-1], dims[-1])
+        net = SimNetwork(p)
+        train_epochs(states, net, labels, 2, scheduler=scheduler)
+        cuts = {
+            "fwd": owner_cut(build_hypergraph_model(a_hat), owner),
+            "bwd": owner_cut(build_hypergraph_model(transpose_sparse(a_hat)), owner),
+        }
+        for epoch in range(2):
+            recs = net.records(epoch=epoch)
+            for k in range(1, len(dims)):
+                for phase, width in (("fwd", dims[k - 1]), ("bwd", dims[k])):
+                    words = sum(r.words for r in recs if r.phase == phase and r.layer == k)
+                    assert words == cuts[phase] * width, (epoch, phase, k)
+
     def test_directed_phases_follow_their_plans(self):
         raw, a_hat, h0, labels, model = build_instance(20, (3, 4, 2), 14, directed=True)
         pi = partition_for(a_hat, 4, 14)
@@ -707,42 +738,46 @@ class TestMiniBatch:
     @settings(deadline=None, max_examples=150)
     @given(mini_batch_instances())
     def test_step_matches_reference_batch(self, instance):
-        raw, owner, p, directed, labels, batch = instance
+        raw, owner, p, directed, labels, batches = instance
         n = raw.n_rows
         a_hat = normalize_adjacency(raw)
         h0 = np.random.default_rng(n).standard_normal((n, 2))
         states = scatter(a_hat, h0, owner, init_model((2, 3), seed=0), directed, p=p)
-        mode = MiniBatch(spec=MiniBatchSpec(len(batch)), batches_per_epoch=1, seed=0, adjacency=raw)
-        want, want_labels = reference_batch(states, labels, mode, FixedDraw(batch), owner, h0)
+        mode = MiniBatch(spec=MiniBatchSpec(batches.shape[1]), batches_per_epoch=len(batches),
+                         seed=0, adjacency=raw)
         index = runtime._mini_batch_index(states, labels, raw)
-        got, got_labels = runtime._step(index, states, labels, np.sort(batch))
-        assert len(got) == len(want) == p
-        assert (got[0].plan_bwd is got[0].plan_fwd) == (not directed)
-        for g, w, (local_rows, y, count) in zip(got, want, got_labels):
-            assert g.rank == w.rank
-            assert np.array_equal(g.global_rows, w.global_rows)
-            assert np.array_equal(g.h0, w.h0)
-            for phase in ("fwd", "bwd"):
-                op, want_op = getattr(g, f"a_{phase}"), getattr(w, f"a_{phase}")
-                assert op.shape == want_op.shape
-                assert np.array_equal(op.row_offsets, want_op.row_offsets)
-                assert np.array_equal(op.col_indices, want_op.col_indices)
-                assert np.array_equal(op.values.view(np.int64), want_op.values.view(np.int64))
-                send, want_send = getattr(g, f"send_{phase}"), getattr(w, f"send_{phase}")
-                assert list(send) == list(want_send)
-                for dst, pos in want_send.items():
-                    assert np.array_equal(send[dst], pos)
-                plan, want_plan = getattr(g, f"plan_{phase}"), getattr(w, f"plan_{phase}")
-                assert plan.p == want_plan.p
-                assert np.array_equal(plan.owner, want_plan.owner)
-                for ids, want_ids in zip(plan.send, want_plan.send):
-                    assert [list(x) for x in ids] == [list(x) for x in want_ids]
-                for senders, want_senders in zip(plan.recv_from, want_plan.recv_from):
-                    assert list(senders) == list(want_senders)
-            mine = reference_local_labelset(want_labels, w.global_rows)
-            assert list(local_rows) == list(mine.labeled_ids)
-            assert list(y) == list(mine.labels)
-            assert count == len(want_labels)
+        steps = list(runtime._epoch_steps(index, states, labels, np.sort(batches, axis=1)))
+        assert len(steps) == len(batches)
+        for batch, (got, got_labels) in zip(batches, steps):
+            want, want_labels = reference_batch(states, labels, mode, FixedDraw(batch), owner, h0)
+            assert len(got) == len(want) == p
+            assert (got[0].plan_bwd is got[0].plan_fwd) == (not directed)
+            for g, w, (local_rows, y, count) in zip(got, want, got_labels):
+                assert g.rank == w.rank
+                assert np.array_equal(g.global_rows, w.global_rows)
+                assert np.array_equal(g.h0, w.h0)
+                for phase in ("fwd", "bwd"):
+                    op, want_op = getattr(g, f"a_{phase}"), getattr(w, f"a_{phase}")
+                    assert op.shape == want_op.shape
+                    assert np.array_equal(op.row_offsets, want_op.row_offsets)
+                    assert np.array_equal(op.col_indices, want_op.col_indices)
+                    assert np.array_equal(op.values.view(np.int64), want_op.values.view(np.int64))
+                    assert "spmm_schedule" in vars(op)  # primed by the epoch pass
+                    send, want_send = getattr(g, f"send_{phase}"), getattr(w, f"send_{phase}")
+                    assert list(send) == list(want_send)
+                    for dst, pos in want_send.items():
+                        assert np.array_equal(send[dst], pos)
+                    plan, want_plan = getattr(g, f"plan_{phase}"), getattr(w, f"plan_{phase}")
+                    assert plan.p == want_plan.p
+                    assert np.array_equal(plan.owner, want_plan.owner)
+                    for ids, want_ids in zip(plan.send, want_plan.send):
+                        assert [list(x) for x in ids] == [list(x) for x in want_ids]
+                    for senders, want_senders in zip(plan.recv_from, want_plan.recv_from):
+                        assert list(senders) == list(want_senders)
+                mine = reference_local_labelset(want_labels, w.global_rows)
+                assert list(local_rows) == list(mine.labeled_ids)
+                assert list(y) == list(mine.labels)
+                assert count == len(want_labels)
 
     @settings(deadline=None, max_examples=80)
     @given(mini_batch_instances(), st.data())

@@ -15,7 +15,7 @@ from gcnpart import (
     spmm,
     transpose_sparse,
 )
-from gcnpart.sparse import restrict
+from gcnpart.sparse import prime_spmm_schedules, restrict
 
 from helpers import chung_lu_graph, dense_spmm_oracle, random_undirected, triple_loop_dmm_oracle
 
@@ -258,6 +258,55 @@ class TestSpmm:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             spmm(CsrMatrix.identity(3), np.ones((4, 2)))
+
+
+def reference_spmm_schedule(a: CsrMatrix):
+    """spmm's schedule for one operand as it was built before the batched
+    builder: t by a minimum over every cut-off, one gather per step."""
+    counts = a.row_nnz()
+    order = np.argsort(-counts, kind="stable")
+    starts = a.row_offsets[order]
+    longer = (a.n_rows - np.cumsum(np.bincount(counts, minlength=1))).tolist()
+    t = min(range(len(longer)), key=lambda j: (longer[j] + j, -j))
+    hubs = longer[t]
+    hub_spans = list(zip(starts[:hubs].tolist(), a.row_offsets[order[:hubs] + 1].tolist()))
+    steps = []
+    for j in range(t):
+        at = starts[hubs : longer[j]] + j
+        steps.append((a.col_indices[at], a.values[at, None]))
+    place = np.empty_like(order)
+    place[order] = np.arange(a.n_rows)
+    return place, hub_spans, steps
+
+
+def schedule_bytes(schedule):
+    """A schedule as comparable values: every array's dtype, shape and
+    bytes, and whether it is writeable."""
+    place, hub_spans, steps = schedule
+    arrays = [place] + [x for step in steps for x in step]
+    return hub_spans, [(x.dtype.str, x.shape, x.tobytes(), x.flags.writeable) for x in arrays]
+
+
+class TestSpmmSchedules:
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(spmm_instances(), min_size=1, max_size=6))
+    def test_primed_equal_lazy_and_reference(self, insts):
+        # operands with hub rows, empty rows and no rows, primed together;
+        # a repeated operand is built once
+        primed = [a for a, _ in insts]
+        lazy = [CsrMatrix(a.n_rows, a.n_cols, a.row_offsets, a.col_indices, a.values) for a in primed]
+        prime_spmm_schedules(primed + primed[:1])
+        for a, b in zip(primed, lazy):
+            assert "spmm_schedule" in vars(a) and "spmm_schedule" not in vars(b)
+            want = schedule_bytes(reference_spmm_schedule(b))
+            want = (want[0], [x[:3] + (False,) for x in want[1]])  # the cached arrays are read-only
+            assert schedule_bytes(a.spmm_schedule) == schedule_bytes(b.spmm_schedule) == want
+
+    def test_priming_keeps_a_cached_schedule(self):
+        a = normalize_adjacency(random_undirected(30, 0.2, 3))
+        cached = a.spmm_schedule
+        prime_spmm_schedules([a])
+        assert a.spmm_schedule is cached
 
 
 class TestDmm:
