@@ -15,6 +15,7 @@ receivers index payload rows positionally against the sorted list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,11 @@ class CommPlan:
         owner = np.asarray(self.owner, dtype=np.int64)
         owner.setflags(write=False)
         object.__setattr__(self, "owner", owner)
+
+    @cached_property
+    def receives(self) -> tuple:
+        """receives[m]: (sender, rows) of each message to m, by sender rank."""
+        return tuple([(int(s), len(self.send[s][m])) for s in self.recv_from[m]] for m in range(self.p))
 
     def to_report(self) -> dict:
         """JSON-ready summary: per-pair row counts and per-rank totals."""

@@ -100,16 +100,16 @@ class LabelSet:
 
 def relu_and_derivative(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """max(z, 0) and its derivative; the subgradient at 0 is taken as 0."""
+    return activate("relu", z), activate("relu", z, derivative=True)
+
+
+def activate(name: str, z: np.ndarray, derivative: bool = False) -> np.ndarray:
+    """The activation at z, or with derivative=True its derivative alone."""
     z = dense(z)
-    return np.maximum(z, 0.0), (z > 0).astype(np.float64)
-
-
-def activation_and_derivative(name: str, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if name == "relu":
-        return relu_and_derivative(z)
+        return (z > 0).astype(np.float64) if derivative else np.maximum(z, 0.0)
     if name == "identity":
-        z = dense(z)
-        return z.copy(), np.ones_like(z)
+        return np.ones_like(z) if derivative else z.copy()
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -123,9 +123,8 @@ def feedforward(model: GcnModel, a_hat: CsrMatrix, h0: np.ndarray) -> ForwardTra
     h: list = [h0]
     for k in range(1, model.n_layers + 1):
         zk = dmm(spmm(a_hat, h[k - 1]), model.weights[k - 1])
-        hk, _ = activation_and_derivative(model.activation, zk)
         z.append(zk)
-        h.append(hk)
+        h.append(activate(model.activation, zk))
     return ForwardTrace(tuple(z), tuple(h))
 
 
@@ -167,17 +166,15 @@ def backprop(
     """
     L = model.n_layers
     grad_last = dense(grad_last)
-    _, d_act = activation_and_derivative(model.activation, trace.z[L])
     g: list = [None] * (L + 1)
-    g[L] = hadamard(grad_last, d_act)
+    g[L] = hadamard(grad_last, activate(model.activation, trace.z[L], derivative=True))
     grads_w: list = [None] * L
     for k in range(L, 0, -1):
         aggregated = spmm(a_back, g[k])
         grads_w[k - 1] = dmm(trace.h[k - 1].T, aggregated)
         if k > 1:
             s = dmm(aggregated, model.weights[k - 1].T)
-            _, d_prev = activation_and_derivative(model.activation, trace.z[k - 1])
-            g[k - 1] = hadamard(s, d_prev)
+            g[k - 1] = hadamard(s, activate(model.activation, trace.z[k - 1], derivative=True))
     return grads_w, g
 
 

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .comm import CommPlan, build_comm_plan, plan_from_lists
-from .gcn import GcnModel, LabelSet, activation_and_derivative
+from .gcn import GcnModel, LabelSet, activate
 from .models import MiniBatchSpec, Partition
 from .sparse import (
     CsrMatrix,
@@ -49,6 +49,8 @@ from .sparse import (
     dense,
     gather_rows,
     prime_spmm_schedules,
+    ranges,
+    sorted_search,
     spmm,
     transpose_sparse,
     unique_keys,
@@ -249,25 +251,11 @@ def _rank_operands(a: CsrMatrix, plan: CommPlan):
     cols = local[a.col_indices]
     cross = np.flatnonzero(owner[row] != owner[a.col_indices])
     pairs = owner[a.col_indices[cross]] * p + owner[row[cross]]
-    cols[cross] = shift[pairs] + np.searchsorted(listed, pairs * n + a.col_indices[cross])
+    cols[cross] = shift[pairs] + sorted_search(listed, pairs * n + a.col_indices[cross])
     order = np.argsort(slot[row] * int(n_ext.max()) + cols)  # unique keys
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(row_nnz[by_rank], out=offsets[1:])
-    return rows, _split_operands(starts, offsets, cols[order], a.values[order], n_ext), send
-
-
-def _split_operands(starts, offsets, cols, values, n_ext) -> list[CsrMatrix]:
-    """Slice flat CSR arrays into one operand per group (a rank, or a
-    step's rank): group m has the flat rows starts[m]:starts[m + 1] and
-    n_ext[m] columns."""
-    starts, n_ext = starts.tolist(), n_ext.tolist()
-    operands = []
-    for m in range(len(n_ext)):
-        lo, hi = offsets[starts[m]], offsets[starts[m + 1]]
-        seg = offsets[starts[m] : starts[m + 1] + 1] - lo
-        n_rows = starts[m + 1] - starts[m]
-        operands.append(CsrMatrix(n_rows, n_ext[m], seg, cols[lo:hi], values[lo:hi]))
-    return operands
+    return rows, CsrMatrix.batch(starts, n_ext, offsets, cols[order], a.values[order]), send
 
 
 def scatter(
@@ -317,24 +305,21 @@ def scatter(
 
 def _send_rows(st: ProcState, net: SimNetwork, send: dict, values: np.ndarray, tag) -> None:
     for dst, pos in send.items():
-        net.send(st.rank, dst, values[pos], tag)
+        net.send(st.rank, dst, values.take(pos, axis=0), tag)
 
 
 def _halo(st: ProcState, net: SimNetwork, x: np.ndarray, tag) -> np.ndarray:
     """[x; payload of each sender in ascending rank], the operand that the
     phase's A_ext multiplies. The phase in tag picks the plan."""
     plan = st.plan_fwd if tag[2] == "fwd" else st.plan_bwd
-    payloads = [
-        net.recv(st.rank, int(src), tag, (len(plan.send[src][st.rank]), x.shape[1]))
-        for src in plan.recv_from[st.rank]
-    ]
+    payloads = [net.recv(st.rank, src, tag, (k, x.shape[1])) for src, k in plan.receives[st.rank]]
     return np.concatenate([x] + payloads)
 
 
 def _fwd_compute(st: ProcState, net: SimNetwork, k: int, tag) -> None:
     z = spmm(st.a_fwd, _halo(st, net, st.h[k - 1], tag)) @ st.weights[k - 1]
     st.z[k] = z
-    st.h[k], _ = activation_and_derivative(st.activation, z)
+    st.h[k] = activate(st.activation, z)
 
 
 def _local_loss_grad(st: ProcState, local_rows: np.ndarray, y: np.ndarray, count: int):
@@ -352,8 +337,7 @@ def _local_loss_grad(st: ProcState, local_rows: np.ndarray, y: np.ndarray, count
         softmax = np.exp(logp)
         softmax[np.arange(len(y)), y] -= 1.0
         grad[local_rows] = softmax / count
-    _, d_act = activation_and_derivative(st.activation, st.z[L])
-    st.g[L] = grad * d_act
+    st.g[L] = grad * activate(st.activation, st.z[L], derivative=True)
     return np.array([[local_sum]])
 
 
@@ -362,8 +346,7 @@ def _bwd_compute(st: ProcState, net: SimNetwork, k: int, tag) -> np.ndarray:
     aggregated = spmm(st.a_bwd, _halo(st, net, st.g[k], tag))
     if k > 1:
         s = aggregated @ st.weights[k - 1].T
-        _, d_prev = activation_and_derivative(st.activation, st.z[k - 1])
-        st.g[k - 1] = s * d_prev
+        st.g[k - 1] = s * activate(st.activation, st.z[k - 1], derivative=True)
     return st.h[k - 1].T @ aggregated
 
 
@@ -769,9 +752,9 @@ def _epoch_pass(index: _MiniBatchIndex, labels: LabelSet, batches: np.ndarray):
         begin = ph.entry_start[pos]
         count = ph.entry_start[pos + 1] - begin
         row = np.repeat(np.arange(len(pos)), count)
-        e = np.arange(len(row)) + np.repeat(begin - np.cumsum(count) + count, count)
+        e = ranges(begin, count)
         col_key = row_step[row] * n + ph.col[e]
-        hit = np.minimum(np.searchsorted(found, col_key), len(found) - 1)
+        hit = np.minimum(sorted_search(found, col_key), len(found) - 1)
         keep = found[hit] == col_key
         return e[keep], row[keep], hit[keep]
 
@@ -792,7 +775,7 @@ def _epoch_pass(index: _MiniBatchIndex, labels: LabelSet, batches: np.ndarray):
         cols = np.searchsorted(used, slot) - edges[:, :-1].ravel()[group[row]]
         offsets = np.zeros(len(pos) + 1, dtype=np.int64)
         np.cumsum(np.bincount(row, minlength=len(pos)), out=offsets[1:])
-        operands = _split_operands(starts, offsets, cols, values, np.diff(edges, axis=1).ravel())
+        operands = CsrMatrix.batch(starts, np.diff(edges, axis=1).ravel(), offsets, cols, values)
 
         n_listed = max(len(ph.listed), 1)
         listed = ph.listed_at[used % width]

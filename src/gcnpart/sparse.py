@@ -6,15 +6,17 @@ products, CSR transpose and row/column restriction, and the row gather
 that realizes the diagonal selector matrices as index lists instead of
 materialized diagonals: scatter uses it once per rank and phase to find
 the local positions pos of the rank's send lists, and a payload is then
-values[pos].
+values.take(pos, axis=0). CsrMatrix.batch builds many matrices over shared
+flat arrays and checks their invariants once.
 
 All scalars are float64. Each spmm output row is the sequential sum of its
 products in ascending column order (CSR columns are sorted), built from
 elementwise numpy operations, so it is the same to the last bit on every
-BLAS build. spmm's schedule (row order, hub rows, and the columns and
-values at each entry position) is built once per operand, or for many
-operands by one spmm_schedules pass, and cached on it, so a call only
-gathers, scales and sums in place, step by step.
+BLAS build. spmm's schedule (row order, hub rows, and the flat columns and
+values of every entry in summing order) is built once per operand, or for
+many operands by one spmm_schedules pass, and cached on it, so a call
+makes one gather into an nnz x d temporary, scales it in place and sums
+its slices into the output, step by step.
 Dense products (dmm) go through BLAS; for a fixed numpy/BLAS build and
 thread setting the same operands give the same bits, so repeated runs,
 and the two schedulers, are bit-identical.
@@ -39,12 +41,62 @@ def unique_keys(keys) -> np.ndarray:
     return keys[np.diff(keys, prepend=-1) != 0]
 
 
+def sorted_search(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.searchsorted(a, v), looking v up in ascending order: numpy is
+    several times slower on unsorted queries than an argsort costs."""
+    order = np.argsort(v)
+    out = np.empty(len(order), dtype=np.int64)
+    out[order] = np.searchsorted(a, v[order])
+    return out
+
+
+def ranges(starts, counts) -> np.ndarray:
+    """starts[i], ..., starts[i] + counts[i] - 1 for each i in turn."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.arange(int(counts.sum())) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
 def dense(x) -> np.ndarray:
     """Coerce to a 2-D float64 C-contiguous array (the dense matrix type)."""
     a = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
     if a.ndim != 2:
         raise ValueError(f"dense matrix must be 2-D, got ndim={a.ndim}")
     return a
+
+
+def _check_csr(starts, n_cols, ro, ci, v):
+    """Check CsrMatrix's invariants for the matrices of CsrMatrix.batch (one
+    matrix: starts [0, n_rows]), raising the first bad matrix's ValueError;
+    returns the arrays as int64 and float64, all but starts read-only."""
+    starts, ro, ci = map(_as_index_array, (starts, ro, ci))
+    v = np.ascontiguousarray(np.asarray(v, dtype=np.float64))
+    if len(ro) != starts[-1] + 1 or ro[0] != 0 or starts[0] != 0 or (starts[1:] < starts[:-1]).any():
+        raise ValueError("row_offsets must have length n_rows+1 and start at 0")
+    down = np.flatnonzero(ro[1:] < ro[:-1])
+    if len(down) or ro[-1] != len(ci):
+        m = int(np.searchsorted(starts, down[0], side="right")) - 1 if len(down) else len(n_cols) - 1
+        k = starts[m]  # the matrices before m come first
+        _check_csr(starts[: m + 1], n_cols[:m], ro[: k + 1], ci[: ro[k]], v[: ro[k]])
+        raise ValueError("row_offsets must be non-decreasing and end at nnz")
+    if len(v) != len(ci):
+        raise ValueError("values and col_indices must have equal length")
+    # entries are scanned only if a column is negative or reaches the least n_cols
+    wide = ci[:0]
+    if len(ci) and (ci.min() < 0 or ci.max() >= np.min(n_cols)):
+        wide = np.flatnonzero((ci < 0) | (ci >= np.repeat(n_cols, ro[starts[1:]] - ro[starts[:-1]])))[:1]
+    # a step k-1 -> k must increase unless entry k starts a new row
+    starts_row = np.zeros(len(ci), dtype=bool)
+    starts_row[ro[:-1][ro[:-1] < len(ci)]] = True
+    unsorted = np.flatnonzero((ci[1:] <= ci[:-1]) & ~starts_row[1:])[:1] + 1
+    if len(wide) or len(unsorted):
+        row = np.searchsorted(ro, np.concatenate([wide, unsorted]), side="right") - 1
+        m = np.searchsorted(starts, row, side="right") - 1
+        if len(wide) and m[0] <= m[-1]:
+            raise ValueError("column index out of range")
+        raise ValueError(f"columns in row {row[-1] - starts[m[-1]]} not strictly increasing")
+    for arr in (ro, ci, v):
+        arr.setflags(write=False)
+    return starts, ro, ci, v
 
 
 @dataclass(frozen=True)
@@ -63,29 +115,26 @@ class CsrMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_offsets", _as_index_array(self.row_offsets))
-        object.__setattr__(self, "col_indices", _as_index_array(self.col_indices))
-        object.__setattr__(
-            self, "values", np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
-        )
-        ro, ci, v = self.row_offsets, self.col_indices, self.values
-        if len(ro) != self.n_rows + 1 or ro[0] != 0:
-            raise ValueError("row_offsets must have length n_rows+1 and start at 0")
-        if (ro[1:] < ro[:-1]).any() or ro[-1] != len(ci):
-            raise ValueError("row_offsets must be non-decreasing and end at nnz")
-        if len(v) != len(ci):
-            raise ValueError("values and col_indices must have equal length")
-        if len(ci) and (ci.min() < 0 or ci.max() >= self.n_cols):
-            raise ValueError("column index out of range")
-        # a step k-1 -> k must increase unless entry k starts a new row
-        starts_row = np.zeros(len(ci), dtype=bool)
-        starts_row[ro[:-1][ro[:-1] < len(ci)]] = True
-        bad = np.flatnonzero((ci[1:] <= ci[:-1]) & ~starts_row[1:])
-        if len(bad):
-            i = int(np.searchsorted(ro, bad[0] + 1, side="right")) - 1
-            raise ValueError(f"columns in row {i} not strictly increasing")
-        for arr in (ro, ci, v):
-            arr.setflags(write=False)
+        arrays = _check_csr([0, self.n_rows], [self.n_cols], self.row_offsets, self.col_indices, self.values)
+        for name, arr in zip(("row_offsets", "col_indices", "values"), arrays[1:]):
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def batch(cls, starts, n_cols, offsets, cols, values) -> list["CsrMatrix"]:
+        """Matrix m has the flat CSR rows starts[m]:starts[m + 1] and n_cols[m]
+        columns. The flat arrays are checked once, raising what CsrMatrix(...)
+        raises for the first bad matrix; the matrices hold read-only views."""
+        starts, offsets, cols, values = _check_csr(starts, n_cols, offsets, cols, values)
+        # matrix m's row_offsets, rebased to 0, start at starts[m] + m in rel
+        g = np.repeat(np.arange(len(starts) - 1), np.diff(starts) + 1)
+        rel = offsets[np.arange(len(g)) - g] - offsets[starts[g]]
+        rel.setflags(write=False)
+        s, e, nc = starts.tolist(), offsets[starts].tolist(), list(map(int, n_cols))
+        out = [object.__new__(cls) for _ in nc]  # checked above, so no __post_init__
+        for m, a in enumerate(out):
+            vars(a).update(n_rows=s[m + 1] - s[m], n_cols=nc[m], row_offsets=rel[s[m] + m : s[m + 1] + m + 1],
+                           col_indices=cols[e[m] : e[m + 1]], values=values[e[m] : e[m + 1]])
+        return out
 
     @property
     def nnz(self) -> int:
@@ -157,27 +206,27 @@ class CsrMatrix:
         return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
 
     @cached_property
-    def spmm_schedule(self) -> tuple[np.ndarray, list, list]:
+    def spmm_schedule(self) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, list]:
         """spmm's plan for this operand (see spmm_schedules), built on the
         first call unless prime_spmm_schedules built it, and reused: the
         arrays it reads are read-only, so it cannot go stale."""
         return spmm_schedules([self])[0]
 
 
-def spmm_schedules(mats) -> list[tuple[np.ndarray, list, list]]:
-    """spmm's plan for each matrix, built for all of them by one pass of
-    array operations.
+def spmm_schedules(mats) -> list[tuple[np.ndarray, int, np.ndarray, np.ndarray, list]]:
+    """spmm's plan (place, hubs, cols, vals, bounds) for each matrix, built
+    for all of them by one pass of array operations.
 
     Rows are summed in descending entry count (row i is summed at
-    place[i]). Rows with more than t entries (hubs) come first and are
-    summed one at a time, given as (start, end) entry spans. Step j < t
-    adds entry j of every other row with more than j entries; those rows
-    follow the hubs in summing order, so a step is given as that entry's
-    (columns, values as a column). t minimizes the Python-level steps
-    hubs + t, the larger t on ties, so one hub row costs one step, not one
-    per entry. The minimum lies at t = 0, where hubs counts the nonempty
-    rows, or at an entry count c, where hubs is the position of c's first
-    row in summing order."""
+    place[i]). The first hubs rows, those with more than t entries, are
+    summed one at a time. Step j < t adds entry j of every other row with
+    more than j entries; those rows follow the hubs in summing order.
+    cols and vals (as a column) are the flat entry positions: each hub
+    row's entries, then each step's, with span q at bounds[q]:bounds[q + 1].
+    t minimizes the Python-level spans hubs + t, the larger t on ties, so
+    one hub row costs one span, not one per entry. The minimum lies at
+    t = 0, where hubs counts the nonempty rows, or at an entry count c,
+    where hubs is the position of c's first row in summing order."""
     mats = list(mats)
     if not mats:
         return []
@@ -204,31 +253,34 @@ def spmm_schedules(mats) -> list[tuple[np.ndarray, list, list]]:
     hubs = best // scale - t
 
     # step j of matrix m: entry j of its rows from position hubs[m] up to
-    # its last row with more than j entries; every step in one gather
+    # its last row with more than j entries
     t_base = np.zeros(len(mats) + 1, dtype=np.int64)
     np.cumsum(t, out=t_base[1:])
     step_op = np.repeat(np.arange(len(mats)), t)
     j = np.arange(t_base[-1]) - t_base[step_op]
     lo = row_base[step_op] + hubs[step_op]
     size = np.searchsorted(key, step_op * (top + 1) + top - j) - lo
-    bounds = np.zeros(len(size) + 1, dtype=np.int64)
-    np.cumsum(size, out=bounds[1:])
     entry = starts + np.cumsum([0] + [a.nnz for a in mats])[op]
-    at = entry[np.arange(bounds[-1]) + np.repeat(lo - bounds[:-1], size)] + np.repeat(j, size)
+    hub = np.flatnonzero(local < hubs[op])
+    # every span's entries, then reordered by matrix, hub rows first
+    at = np.concatenate([ranges(entry[hub], counts[hub]), entry[ranges(lo, size)] + np.repeat(j, size)])
+    span_n = np.concatenate([counts[hub], size])
+    span = np.argsort(np.concatenate([op[hub], step_op]), kind="stable")
+    at = at[ranges((np.cumsum(span_n) - span_n)[span], span_n[span])]
     cols = np.concatenate([a.col_indices for a in mats])[at]
     vals = np.concatenate([a.values for a in mats])[at, None]
     for arr in (place, cols, vals):
         arr.setflags(write=False)
 
-    hub = np.flatnonzero(local < hubs[op])
-    hub_starts, hub_ends = starts[hub].tolist(), (starts + counts)[hub].tolist()
-    b, rb, t_base = bounds.tolist(), row_base.tolist(), t_base.tolist()
-    out, h = [], 0
+    bounds = np.zeros(len(span) + 1, dtype=np.int64)
+    np.cumsum(span_n[span], out=bounds[1:])
+    b, rb = bounds.tolist(), row_base.tolist()
+    sb = np.cumsum(np.concatenate([[0], hubs + t])).tolist()
+    out = []
     for m, n_hubs in enumerate(hubs.tolist()):
-        spans = list(zip(hub_starts[h : h + n_hubs], hub_ends[h : h + n_hubs]))
-        steps = [(cols[b[q] : b[q + 1]], vals[b[q] : b[q + 1]]) for q in range(*t_base[m : m + 2])]
-        out.append((place[rb[m] : rb[m + 1]], spans, steps))
-        h += n_hubs
+        e0, e1 = b[sb[m]], b[sb[m + 1]]
+        bm = [x - e0 for x in b[sb[m] : sb[m + 1] + 1]]
+        out.append((place[rb[m] : rb[m + 1]], n_hubs, cols[e0:e1], vals[e0:e1], bm))
     return out
 
 
@@ -298,24 +350,22 @@ def spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
     """Sparse @ dense as the sequential ascending-column sum of each row:
     out[i] = ((0 + v_0 h[c_0]) + v_1 h[c_1]) + ..., bit for bit.
 
-    Follows a's cached spmm_schedule: each hub row is summed on its own by
-    np.add.accumulate seeded with a zero row (sequential, and 0 + x keeps
-    the sign of zero as the sum above does); then step j gathers the
-    h rows of entry j of the other rows with more than j entries, scales
-    them in place and adds them to the accumulator rows in place."""
+    Follows a's cached spmm_schedule: one gather of every entry's h row,
+    scaled in place (an nnz x d temporary); each hub row is summed on its
+    own by np.add.accumulate seeded with a zero row (sequential, and 0 + x
+    keeps the sign of zero as the sum above does); then each step adds its
+    slice to the accumulator rows in place."""
     h = dense(h)
     if a.n_cols != h.shape[0]:
         raise ValueError(f"spmm shape mismatch: {a.shape} @ {h.shape}")
-    place, hub_spans, steps = a.spmm_schedule
+    place, hubs, cols, vals, bounds = a.spmm_schedule
     acc = np.zeros((a.n_rows, h.shape[1]))
-    for i, (s, e) in enumerate(hub_spans):
-        terms = a.values[s:e, None] * h[a.col_indices[s:e]]
-        acc[i] = np.add.accumulate(np.concatenate([np.zeros_like(terms[:1]), terms]))[-1]
-    hubs = len(hub_spans)
-    for cols, vals in steps:
-        x = h.take(cols, axis=0)
-        x *= vals
-        acc[hubs : hubs + len(cols)] += x
+    x = h.take(cols, axis=0)
+    x *= vals
+    for i in range(hubs):
+        acc[i] = np.add.accumulate(np.concatenate([acc[i : i + 1], x[bounds[i] : bounds[i + 1]]]))[-1]
+    for lo, hi in zip(bounds[hubs:], bounds[hubs + 1 :]):
+        acc[hubs : hubs + hi - lo] += x[lo:hi]
     return acc.take(place, axis=0)
 
 
@@ -356,7 +406,7 @@ def restrict(a: CsrMatrix, rows, cols) -> CsrMatrix:
     starts = a.row_offsets[rows]
     counts = a.row_offsets[rows + 1] - starts
     # entry ids of the selected rows, row after row
-    idx = np.arange(int(counts.sum())) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    idx = ranges(starts, counts)
     keep = np.isin(a.col_indices[idx], cols)
     idx = idx[keep]
     out_rows = np.repeat(np.arange(len(rows)), counts)[keep]

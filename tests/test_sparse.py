@@ -85,6 +85,89 @@ class TestCsrMatrix:
         assert np.array_equal(bits(got.values), bits(want.values))
 
 
+def split_each(starts, n_cols, offsets, cols, values) -> list[CsrMatrix]:
+    """The matrices of CsrMatrix.batch's flat input, each built on its own."""
+    out = []
+    for m in range(len(n_cols)):
+        lo, hi = offsets[starts[m]], offsets[starts[m + 1]]
+        seg = offsets[starts[m] : starts[m + 1] + 1] - lo
+        out.append(CsrMatrix(starts[m + 1] - starts[m], n_cols[m], seg, cols[lo:hi], values[lo:hi]))
+    return out
+
+
+@st.composite
+def batch_instances(draw):
+    """Valid flat input for CsrMatrix.batch: 1 to 6 matrices of 0 to 5
+    rows (some empty) with sorted distinct columns below their n_cols."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = rng.integers(0, 6, draw(st.integers(1, 6)))
+    n_cols = rng.integers(1, 9, len(sizes))
+    rows = [np.sort(rng.choice(c, rng.integers(0, c + 1), replace=False)) for c in np.repeat(n_cols, sizes)]
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    offsets = np.concatenate([[0], np.cumsum([len(r) for r in rows], dtype=np.int64)])
+    cols = np.concatenate([np.zeros(0, dtype=np.int64)] + rows)
+    return starts, n_cols, offsets, cols, rng.standard_normal(len(cols)), rng
+
+
+def matrix_fields(a: CsrMatrix):
+    arrays = (a.row_offsets, a.col_indices, a.values)
+    return a.shape, [(x.dtype.str, x.shape, x.tobytes(), x.flags.writeable, x.flags.c_contiguous) for x in arrays]
+
+
+def raised(build, *args) -> str:
+    with pytest.raises(ValueError) as err:
+        build(*args)
+    return str(err.value)
+
+
+class TestCsrBatch:
+    @settings(deadline=None, max_examples=200)
+    @given(batch_instances())
+    def test_equals_each_matrix_built_alone(self, inst):
+        starts, n_cols, offsets, cols, values, _ = inst
+        got = CsrMatrix.batch(starts, n_cols, offsets, cols, values)
+        want = split_each(starts, n_cols, offsets, cols, values)
+        assert [matrix_fields(a) for a in got] == [matrix_fields(a) for a in want]
+        for a, b in zip(got, want):
+            assert np.array_equal(bits(spmm(a, np.ones((a.n_cols, 2)))), bits(spmm(b, np.ones((b.n_cols, 2)))))
+
+    @settings(deadline=None, max_examples=300)
+    @given(batch_instances(), st.lists(st.sampled_from(["down", "wide", "negative", "repeat", "swap"]), min_size=1, max_size=3))
+    def test_raises_what_the_first_bad_matrix_raises(self, inst, faults):
+        # each fault hits one matrix where it fits; the earliest bad
+        # matrix's first failing check decides the error, as when the
+        # matrices are built one after another
+        starts, n_cols, rows, cols, values, rng = inst
+        offsets, cols = rows.copy(), cols.copy()  # rows: the valid offsets
+        row_nnz = np.diff(rows)
+        applied = 0
+        for fault in faults:
+            if fault == "down":  # an offset inside a matrix above the next one
+                inner = [k for k in range(1, len(offsets) - 1) if k not in set(starts.tolist())]
+                if inner:
+                    k = inner[rng.integers(len(inner))]
+                    offsets[k] = offsets[k + 1] + 1
+                    applied += 1
+            elif fault in ("wide", "negative") and len(cols):
+                e = rng.integers(len(cols))
+                m = np.searchsorted(starts, np.searchsorted(rows, e, side="right") - 1, side="right") - 1
+                cols[e] = n_cols[m] + rng.integers(0, 3) if fault == "wide" else -1 - rng.integers(0, 3)
+                applied += 1
+            elif fault in ("repeat", "swap") and (row_nnz > 1).any():
+                r = rng.choice(np.flatnonzero(row_nnz > 1))
+                e = rows[r] + rng.integers(0, row_nnz[r] - 1)
+                pair = [cols[e], cols[e]] if fault == "repeat" else [max(cols[e : e + 2]), min(cols[e : e + 2])]
+                cols[e : e + 2] = pair
+                applied += 1
+        if not applied:
+            return
+        want = raised(split_each, starts, n_cols, offsets, cols, values)
+        assert raised(CsrMatrix.batch, starts, n_cols, offsets, cols, values) == want
+
+    def test_empty_batch(self):
+        assert CsrMatrix.batch([0], [], [0], [], []) == []
+
+
 def reference_from_coo(n_rows, n_cols, rows, cols, values) -> CsrMatrix:
     """from_coo with the two-key lexsort the one int64 key replaced."""
     order = np.lexsort((cols, rows))
@@ -215,7 +298,7 @@ class TestSpmm:
             scale = 10.0 ** rng.integers(-8, 9, mask.shape)
             operands.append(CsrMatrix.from_dense(mask * rng.standard_normal(mask.shape) * scale))
         first, second = operands
-        assert len(first.spmm_schedule[1]) == 1  # one hub row, summed on its own
+        assert first.spmm_schedule[1] == 1  # one hub row, summed on its own
         for a, width in [(first, 1), (first, 3), (first, 16), (second, 16)]:
             h = rng.standard_normal((400, width))
             h[rng.random(h.shape) < 0.2] = -0.0
@@ -260,31 +343,64 @@ class TestSpmm:
             spmm(CsrMatrix.identity(3), np.ones((4, 2)))
 
 
+@st.composite
+def signed_spmm_instances(draw):
+    """Operands built row by row: empty rows, up to two hub rows over most
+    columns, entry values including -0.0 and 0.0, and h entries including
+    -0.0, inf and -inf, at every width from 1 to 16."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(1, 50))
+    counts = rng.integers(0, min(n_cols, 5) + 1, n_rows) * (rng.random(n_rows) < 0.7)
+    hubs = rng.permutation(n_rows)[: draw(st.integers(0, min(2, n_rows)))]
+    counts[hubs] = rng.integers((n_cols + 1) // 2, n_cols + 1, len(hubs))
+    cols = np.concatenate([np.zeros(0, dtype=np.int64)] + [np.sort(rng.choice(n_cols, c, replace=False)) for c in counts])
+    values = rng.standard_normal(len(cols)) * 10.0 ** rng.integers(-8, 9, len(cols))
+    values[rng.random(len(cols)) < 0.1] = -0.0
+    values[rng.random(len(cols)) < 0.05] = 0.0
+    a = CsrMatrix(n_rows, n_cols, np.concatenate([[0], np.cumsum(counts)]), cols, values)
+    width = draw(st.integers(1, 16))
+    h = rng.standard_normal((n_cols, width)) * 10.0 ** rng.integers(-8, 9, (n_cols, width))
+    h[rng.random(h.shape) < 0.15] = -0.0
+    infinite = draw(st.sampled_from([0.0, 0.01, 0.05]))  # a share of 0 leaves long sums finite
+    h[rng.random(h.shape) < infinite] = np.inf
+    h[rng.random(h.shape) < infinite] = -np.inf
+    return a, h
+
+
+class TestSpmmSignedAndInfinite:
+    @settings(deadline=None, max_examples=300)
+    @given(signed_spmm_instances())
+    def test_bit_equal_to_sequential_sum(self, inst):
+        a, h = inst
+        with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN here
+            assert np.array_equal(bits(spmm(a, h)), bits(sequential_spmm(a, h)))
+
+
 def reference_spmm_schedule(a: CsrMatrix):
     """spmm's schedule for one operand as it was built before the batched
-    builder: t by a minimum over every cut-off, one gather per step."""
+    builder: t by a minimum over every cut-off, one gather per span (each
+    hub row, then each step), the spans then laid end to end."""
     counts = a.row_nnz()
     order = np.argsort(-counts, kind="stable")
     starts = a.row_offsets[order]
     longer = (a.n_rows - np.cumsum(np.bincount(counts, minlength=1))).tolist()
     t = min(range(len(longer)), key=lambda j: (longer[j] + j, -j))
     hubs = longer[t]
-    hub_spans = list(zip(starts[:hubs].tolist(), a.row_offsets[order[:hubs] + 1].tolist()))
-    steps = []
-    for j in range(t):
-        at = starts[hubs : longer[j]] + j
-        steps.append((a.col_indices[at], a.values[at, None]))
+    at = [np.arange(s, e) for s, e in zip(starts[:hubs], a.row_offsets[order[:hubs] + 1])]
+    at += [starts[hubs : longer[j]] + j for j in range(t)]
+    bounds = np.cumsum([0] + [len(x) for x in at]).tolist()
+    at = np.concatenate([np.zeros(0, dtype=np.int64)] + at)
     place = np.empty_like(order)
     place[order] = np.arange(a.n_rows)
-    return place, hub_spans, steps
+    return place, hubs, a.col_indices[at], a.values[at, None], bounds
 
 
 def schedule_bytes(schedule):
     """A schedule as comparable values: every array's dtype, shape and
     bytes, and whether it is writeable."""
-    place, hub_spans, steps = schedule
-    arrays = [place] + [x for step in steps for x in step]
-    return hub_spans, [(x.dtype.str, x.shape, x.tobytes(), x.flags.writeable) for x in arrays]
+    place, hubs, cols, vals, bounds = schedule
+    arrays = [(x.dtype.str, x.shape, x.tobytes(), x.flags.writeable) for x in (place, cols, vals)]
+    return hubs, bounds, arrays
 
 
 class TestSpmmSchedules:
@@ -299,7 +415,7 @@ class TestSpmmSchedules:
         for a, b in zip(primed, lazy):
             assert "spmm_schedule" in vars(a) and "spmm_schedule" not in vars(b)
             want = schedule_bytes(reference_spmm_schedule(b))
-            want = (want[0], [x[:3] + (False,) for x in want[1]])  # the cached arrays are read-only
+            want = want[:2] + ([x[:3] + (False,) for x in want[2]],)  # the cached arrays are read-only
             assert schedule_bytes(a.spmm_schedule) == schedule_bytes(b.spmm_schedule) == want
 
     def test_priming_keeps_a_cached_schedule(self):
