@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .models import Hypergraph, Partition
-from .sparse import CsrMatrix, unique_keys
+from .sparse import CsrMatrix, check_key_range, unique_keys
 
 
 class GraphParseError(ValueError):
@@ -42,11 +42,14 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _int64(tokens) -> tuple[np.ndarray, np.ndarray]:
-    """Tokens read by int() and converted to int64 in one numpy call, and a
-    flag per token: 0 read, 1 not an integer, 2 an integer beyond int64
-    (its value is then clamped to +-(2**63 - 1))."""
+    """Tokens read as int() reads them, and a flag per token: 0 read, 1 not
+    an integer, 2 an integer beyond int64 (its value is then clamped to
+    +-(2**63 - 1)). One numpy call parses a clean file: numpy reads each
+    string with int(), signs, '_', leading zeros and non-ASCII digits
+    alike, and raises on a token that is no integer or overflows int64,
+    after which the tokens are read and flagged one by one."""
     try:
-        return np.array(list(map(int, tokens)), dtype=np.int64), np.zeros(len(tokens), np.int8)
+        return np.array(tokens, dtype=np.int64), np.zeros(len(tokens), np.int8)
     except (ValueError, OverflowError):
         pass
     values = np.zeros(len(tokens), dtype=np.int64)  # a bad file: flag token by token
@@ -138,8 +141,11 @@ def _pattern_from_pairs(n: int, pairs: np.ndarray, directed: bool) -> CsrMatrix:
     rows, cols = arr[:, 0], arr[:, 1]
     if not directed:
         rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    keys = unique_keys(rows * n + cols)  # one key per distinct entry (r, c)
-    return CsrMatrix.from_coo(n, n, keys // n, keys % n, np.ones(len(keys)))
+    check_key_range(n, n)
+    keys = unique_keys(rows * n + cols)  # one key per distinct entry (r, c), in CSR order
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=offsets[1:])
+    return CsrMatrix(n, n, offsets, keys % n, np.ones(len(keys)))
 
 
 def read_edge_list(path, directed: bool = False) -> CsrMatrix:

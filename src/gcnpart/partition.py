@@ -54,7 +54,7 @@ from .models import (
     UGraph,
     build_stochastic_hypergraph,
 )
-from .sparse import CsrMatrix, unique_keys
+from .sparse import CsrMatrix, check_key_range, stable_argsort, unique_keys
 
 FM_PASSES = 8  # refinement passes per bisection; a pass that gains nothing ends them
 RESTARTS = 3  # BFS seeds tried on the coarsest level; best refined cut wins
@@ -132,7 +132,7 @@ class HypergraphBisection:
         self._net_pins = [pins[a:b] for a, b in zip(offsets, offsets[1:])]
         net_of_pin = h.net_of_pin()
         vtx_offsets = np.cumsum(np.bincount(h.pins, minlength=self.n)).tolist()
-        vtx_nets = net_of_pin[np.argsort(h.pins, kind="stable")].tolist()
+        vtx_nets = net_of_pin[stable_argsort(h.pins, self.n)].tolist()
         self._vtx_nets = [vtx_nets[a:b] for a, b in zip([0] + vtx_offsets, vtx_offsets)]
         self._neighbors: dict[int, list[int]] = {}
         # per pin: its net's slot for side 0 (side 1 is the next), id, cost, size
@@ -435,7 +435,8 @@ def _merge_identical_nets(h: Hypergraph) -> Hypergraph:
     h = _select_nets(h, cuttable, h.net_cost[cuttable])
     sizes = sizes[cuttable]
     _, group = np.unique(sizes, return_inverse=True)
-    order = np.argsort(-sizes, kind="stable")
+    top = sizes.max(initial=0)
+    order = stable_argsort(top - sizes, top + 1)  # descending size, stable
     longer = len(sizes) - np.cumsum(np.bincount(sizes))  # nets with more than k pins
     fresh = len(sizes)  # regrouped nets take ids above every id in use
     for k, m in enumerate(longer[:-1]):
@@ -459,7 +460,11 @@ def _match(h: Hypergraph, max_w: float, rng) -> np.ndarray:
     weights stay even (the heavy-edge rating of KaHyPar, Schlag et al.,
     ALENEX 2016). Nets of more than MATCH_NET_LIMIT pins are ignored here:
     they add quadratically many pairs and hardly any connectivity. Cluster
-    ids ascend with each cluster's least vertex."""
+    ids ascend with each cluster's least vertex.
+
+    Each vertex's candidates are ordered by one sort of a unique int64 key
+    (u, rank of -rating among the distinct ratings, v's place among u's
+    candidates), the order a three-key lexsort by (u, -rating, v) gives."""
     n = h.n_vertices
     weights = h.vertex_weight.astype(np.float64)
     sizes = h.net_sizes()
@@ -476,9 +481,14 @@ def _match(h: Hypergraph, max_w: float, rng) -> np.ndarray:
     pair, merged = np.unique(u[fits] * n + v[fits], return_inverse=True)
     u, v = pair // n, pair % n
     score = np.bincount(merged, weights=score) / (weights[u] * weights[v])
-    order = np.lexsort((v, -score, u))
-    starts = np.searchsorted(u[order], np.arange(n + 1)).tolist()
-    cand = v[order].tolist()
+    # pairs ascend by u, then v, so slot ascends with v among u's candidates
+    ratings, rank = np.unique(-score, return_inverse=True)
+    starts = np.searchsorted(u, np.arange(n + 1))
+    width = int(np.diff(starts).max(initial=0))
+    check_key_range(n, len(ratings), width)
+    slot = np.arange(len(u)) - starts[u]
+    cand = v[np.argsort((u * len(ratings) + rank) * width + slot)].tolist()
+    starts = starts.tolist()
     mate = list(range(n))
     matched = [False] * n
     for x in rng.permutation(n).tolist():

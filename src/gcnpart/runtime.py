@@ -46,12 +46,14 @@ from .models import MiniBatchSpec, Partition
 from .sparse import (
     CsrMatrix,
     RowBlock,
+    check_key_range,
     dense,
     gather_rows,
     prime_spmm_schedules,
     ranges,
     sorted_search,
     spmm,
+    stable_argsort,
     transpose_sparse,
     unique_keys,
 )
@@ -224,7 +226,7 @@ def _rank_operands(a: CsrMatrix, plan: CommPlan):
     p, owner = plan.p, plan.owner
     n = len(owner)
     sizes = np.array([[len(ids) for ids in lists] for lists in plan.send], dtype=np.int64)
-    by_rank = np.argsort(owner, kind="stable")  # the rows of rank 0, then 1, ...
+    by_rank = stable_argsort(owner, p)  # the rows of rank 0, then 1, ...
     n_own = np.bincount(owner, minlength=p)
     starts = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(n_own, out=starts[1:])
@@ -556,7 +558,9 @@ def _group_labels(label_at, group, local, n_groups: int, labels: LabelSet) -> li
     rows, given each row's group, local position and label position (-1
     if none); in label-set order, which fixes the order the loss sums in."""
     lab = np.flatnonzero(label_at >= 0)
-    lab = lab[np.argsort(group[lab] * len(labels) + label_at[lab], kind="stable")]
+    check_key_range(n_groups, len(labels))
+    # unique keys: a row has one group and its own label position
+    lab = lab[np.argsort(group[lab] * len(labels) + label_at[lab])]
     bounds = np.searchsorted(group[lab], np.arange(n_groups + 1)).tolist()
     rows, y = local[lab], labels.labels[label_at[lab]]
     return [(rows[lo:hi], y[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
@@ -652,7 +656,7 @@ def _mini_batch_index(states, labels: LabelSet, adjacency: CsrMatrix) -> _MiniBa
         np.concatenate([adjacency.col_indices, ids]),
     )
     directed = states[0].plan_bwd is not states[0].plan_fwd
-    by_rank = np.argsort(owner, kind="stable")
+    by_rank = stable_argsort(owner, p)
     rank_pos = np.empty(n, dtype=np.int64)
     rank_pos[by_rank] = ids
     return _MiniBatchIndex(

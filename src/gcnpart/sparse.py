@@ -24,6 +24,7 @@ and the two schedulers, are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +40,21 @@ def unique_keys(keys) -> np.ndarray:
     hash-table np.unique takes about 20x a sort on int64 keys."""
     keys = np.sort(np.asarray(keys, dtype=np.int64))
     return keys[np.diff(keys, prepend=-1) != 0]
+
+
+def check_key_range(*extents) -> None:
+    """Raise unless the int64 keys that combine indices below the given
+    extents, such as row * n_cols + col for an n_rows x n_cols shape, fit
+    int64; every sort on one such key checks its bound first."""
+    if math.prod(map(int, extents)) > np.iinfo(np.int64).max:
+        raise ValueError(f"shape {' x '.join(map(str, extents))} has too many entries for int64 keys")
+
+
+def stable_argsort(keys, bound: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable") of integer keys in [0, bound), sorted
+    in the narrowest unsigned type that holds them: numpy radix-sorts keys
+    of 16 bits or less in linear time."""
+    return np.argsort(np.asarray(keys).astype(np.min_scalar_type(max(int(bound) - 1, 0))), kind="stable")
 
 
 def sorted_search(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -67,29 +83,34 @@ def dense(x) -> np.ndarray:
 def _check_csr(starts, n_cols, ro, ci, v):
     """Check CsrMatrix's invariants for the matrices of CsrMatrix.batch (one
     matrix: starts [0, n_rows]), raising the first bad matrix's ValueError;
-    returns the arrays as int64 and float64, all but starts read-only."""
+    returns the arrays as int64 and float64, all but starts read-only. Valid
+    input costs a few whole-array screens; the bad entry is located only
+    once a screen fails."""
     starts, ro, ci = map(_as_index_array, (starts, ro, ci))
     v = np.ascontiguousarray(np.asarray(v, dtype=np.float64))
-    if len(ro) != starts[-1] + 1 or ro[0] != 0 or starts[0] != 0 or (starts[1:] < starts[:-1]).any():
+    nnz = len(ci)
+    if (len(ro) != starts[-1] + 1 or ro[0] != 0 or starts[0] != 0
+            or (starts[1] < 0 if len(starts) == 2 else (starts[1:] < starts[:-1]).any())):
         raise ValueError("row_offsets must have length n_rows+1 and start at 0")
-    down = np.flatnonzero(ro[1:] < ro[:-1])
-    if len(down) or ro[-1] != len(ci):
+    if ro[-1] != nnz or (ro[1:] < ro[:-1]).any():
+        down = np.flatnonzero(ro[1:] < ro[:-1])
         m = int(np.searchsorted(starts, down[0], side="right")) - 1 if len(down) else len(n_cols) - 1
         k = starts[m]  # the matrices before m come first
         _check_csr(starts[: m + 1], n_cols[:m], ro[: k + 1], ci[: ro[k]], v[: ro[k]])
         raise ValueError("row_offsets must be non-decreasing and end at nnz")
-    if len(v) != len(ci):
+    if len(v) != nnz:
         raise ValueError("values and col_indices must have equal length")
-    # entries are scanned only if a column is negative or reaches the least n_cols
+    # entries are scanned only if a column is negative (huge as uint64) or
+    # reaches the least n_cols
     wide = ci[:0]
-    if len(ci) and (ci.min() < 0 or ci.max() >= np.min(n_cols)):
+    if nnz and ci.view(np.uint64).max() >= int(n_cols[0] if len(n_cols) == 1 else np.min(n_cols)):
         wide = np.flatnonzero((ci < 0) | (ci >= np.repeat(n_cols, ro[starts[1:]] - ro[starts[:-1]])))[:1]
-    # a step k-1 -> k must increase unless entry k starts a new row
-    starts_row = np.zeros(len(ci), dtype=bool)
-    starts_row[ro[:-1][ro[:-1] < len(ci)]] = True
-    unsorted = np.flatnonzero((ci[1:] <= ci[:-1]) & ~starts_row[1:])[:1] + 1
-    if len(wide) or len(unsorted):
-        row = np.searchsorted(ro, np.concatenate([wide, unsorted]), side="right") - 1
+    # step k: entry k does not exceed entry k - 1 and starts no row
+    step = np.empty(nnz + 1, dtype=bool)
+    np.less_equal(ci[1:], ci[:-1], out=step[1:nnz])
+    step[ro] = False
+    if len(wide) or step.any():
+        row = np.searchsorted(ro, np.concatenate([wide, np.flatnonzero(step)[:1]]), side="right") - 1
         m = np.searchsorted(starts, row, side="right") - 1
         if len(wide) and m[0] <= m[-1]:
             raise ValueError("column index out of range")
@@ -164,11 +185,11 @@ class CsrMatrix:
     @classmethod
     def from_coo(cls, n_rows: int, n_cols: int, rows, cols, values=None) -> "CsrMatrix":
         """Build from triplets; duplicate (row, col) entries are summed in
-        input order. Entries are ordered by one stable sort of the int64
-        keys row * n_cols + col, so the shape must have at most 2**63 - 1
-        entries."""
-        if int(n_rows) * int(n_cols) > np.iinfo(np.int64).max:
-            raise ValueError(f"shape {n_rows} x {n_cols} has too many entries for int64 keys")
+        input order. Entries are ordered by one sort of the int64 keys
+        row * n_cols + col, so the shape must have at most 2**63 - 1
+        entries. Keys repeat where entries do, so the sort is the stable
+        one: it keeps duplicates in input order for the sum."""
+        check_key_range(n_rows, n_cols)
         rows = _as_index_array(rows)
         cols = _as_index_array(cols)
         if values is None:
@@ -238,7 +259,7 @@ def spmm_schedules(mats) -> list[tuple[np.ndarray, int, np.ndarray, np.ndarray, 
     counts = np.concatenate([a.row_offsets[1:] for a in mats]) - starts
     top = int(counts.max()) if len(counts) else 0
     key = op * (top + 1) + (top - counts)  # by matrix, then descending count
-    order = np.argsort(key, kind="stable")
+    order = stable_argsort(key, len(mats) * (top + 1))
     key, counts, starts = key[order], counts[order], starts[order]
     local = np.arange(len(order)) - row_base[op]  # position in summing order
     place = np.empty_like(order)
@@ -265,7 +286,7 @@ def spmm_schedules(mats) -> list[tuple[np.ndarray, int, np.ndarray, np.ndarray, 
     # every span's entries, then reordered by matrix, hub rows first
     at = np.concatenate([ranges(entry[hub], counts[hub]), entry[ranges(lo, size)] + np.repeat(j, size)])
     span_n = np.concatenate([counts[hub], size])
-    span = np.argsort(np.concatenate([op[hub], step_op]), kind="stable")
+    span = stable_argsort(np.concatenate([op[hub], step_op]), len(mats))
     at = at[ranges((np.cumsum(span_n) - span_n)[span], span_n[span])]
     cols = np.concatenate([a.col_indices for a in mats])[at]
     vals = np.concatenate([a.values for a in mats])[at, None]
@@ -386,14 +407,16 @@ def hadamard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def transpose_sparse(a: CsrMatrix) -> CsrMatrix:
-    """CSR of A^T with sorted columns (stable sort keeps rows bit-exact)."""
+    """CSR of A^T with sorted columns. Entries are ordered by one sort of
+    the int64 keys col * n_rows + row, which are unique because columns
+    strictly increase within each row, so the order is the stable
+    column order and each row's values are copied bit-exact."""
+    check_key_range(a.n_cols, a.n_rows)
     rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
-    order = np.argsort(a.col_indices, kind="stable")
-    out_cols = rows[order]
-    out_vals = a.values[order]
+    order = np.argsort(a.col_indices * a.n_rows + rows)
     offsets = np.zeros(a.n_cols + 1, dtype=np.int64)
     np.cumsum(np.bincount(a.col_indices, minlength=a.n_cols), out=offsets[1:])
-    return CsrMatrix(a.n_cols, a.n_rows, offsets, out_cols, out_vals)
+    return CsrMatrix(a.n_cols, a.n_rows, offsets, rows[order], a.values[order])
 
 
 def restrict(a: CsrMatrix, rows, cols) -> CsrMatrix:

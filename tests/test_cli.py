@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gcnpart
-from gcnpart.cli import ExperimentConfig, main, parse_args, run_experiment
+from gcnpart import CsrMatrix, transpose_sparse
+from gcnpart.cli import ExperimentConfig, _is_symmetric_pattern, main, parse_args, run_experiment
 
 from helpers import grid_graph
 
@@ -285,3 +288,22 @@ def test_import_leaves_scipy_out():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 8), st.sampled_from([0, 0, 0, 1, 2]), st.integers(0, 2**32 - 1),
+       st.sampled_from(["symmetric", "add", "drop", "any"]))
+def test_symmetry_check_equals_transpose_and_compare(n, extra_cols, seed, kind):
+    # symmetric patterns, the same with one entry added or dropped (a
+    # diagonal flip keeps the symmetry), any pattern, and rectangular shapes
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n + extra_cols)) < rng.random()
+    if not extra_cols and kind != "any":
+        mask |= mask.T
+    if kind in ("add", "drop") and (mask == (kind == "add")).any():
+        i, j = np.argwhere(mask == (kind == "add"))[rng.integers((mask == (kind == "add")).sum())]
+        mask[i, j] = kind == "add"
+    a = CsrMatrix.from_coo(*mask.shape, *np.nonzero(mask))
+    t = transpose_sparse(a)
+    want = np.array_equal(a.row_offsets, t.row_offsets) and np.array_equal(a.col_indices, t.col_indices)
+    assert _is_symmetric_pattern(a) == want

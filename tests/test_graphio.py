@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from gcnpart import CsrMatrix, Hypergraph, Partition
 from gcnpart.graphio import (
     _SPACE,
+    _INT64_MAX,
     GraphParseError,
+    _int64,
     _pattern_from_pairs,
     load_graph,
     read_edge_list,
@@ -619,3 +621,46 @@ class TestOverflowNamesLine:
                    ":3: vertex weight beyond int64")
         self.check(tmp_path, read_hypergraph, f"2 1\n0 {self.BIG} 88888888888888888888\n",
                    f":2: pin {self.BIG} outside 0..1")
+
+
+# digits int() reads: ASCII, Arabic-Indic, fullwidth and Devanagari
+DIGIT_SCRIPTS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+                 "".join(map(chr, range(0xFF10, 0xFF1A))), "".join(map(chr, range(0x0966, 0x0970))))
+
+
+@st.composite
+def int_tokens(draw):
+    """Integer tokens near and beyond the int64 range, with signs, leading
+    zeros, '_' separators and non-ASCII digits, or short junk."""
+    value = draw(st.one_of(st.integers(-(2**64), 2**64),
+                           st.sampled_from([0, 2**63 - 1, 2**63, -(2**63), -(2**63) - 1])))
+    script = draw(st.sampled_from(DIGIT_SCRIPTS))
+    digits = "0" * draw(st.integers(0, 2)) + "".join(script[int(c)] for c in str(abs(value)))
+    if len(digits) > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, len(digits) - 1))
+        digits = digits[:k] + "_" + digits[k:]
+    token = ("-" if value < 0 else draw(st.sampled_from(["", "+"]))) + digits
+    junk = st.text(st.sampled_from("0159_+-.xe\u0663\uff11"), min_size=1, max_size=4)
+    return draw(st.one_of(st.just(token), junk))
+
+
+@settings(deadline=None, max_examples=500)
+@given(st.lists(int_tokens(), max_size=8))
+def test_int64_reads_tokens_as_int_does(tokens):
+    values, flags = _int64(tokens)
+    read = []
+    for token in tokens:
+        try:
+            read.append(int(token))
+        except ValueError:
+            read.append(None)
+    if all(x is not None and -(2**63) <= x <= _INT64_MAX for x in read):  # one numpy call reads them
+        assert values.tolist() == read and not flags.any()
+        return
+    for value, flag, want in zip(values.tolist(), flags.tolist(), read):
+        if want is None:
+            assert (flag, value) == (1, 0)
+        elif abs(want) > _INT64_MAX:
+            assert (flag, value) == (2, _INT64_MAX if want > 0 else -_INT64_MAX)
+        else:
+            assert (flag, value) == (0, want)

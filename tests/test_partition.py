@@ -560,7 +560,66 @@ def pin_lists(h: Hypergraph) -> list[tuple]:
     return [tuple(h.pins[lo:hi]) for lo, hi in bounds]
 
 
+def lexsort_match(h: Hypergraph, max_w: float, rng) -> np.ndarray:
+    """_match with its candidates ordered by the three-key lexsort (u,
+    -rating, v), as it was before the one-key sort."""
+    n = h.n_vertices
+    weights = h.vertex_weight.astype(np.float64)
+    sizes = h.net_sizes()
+    net_of_pin = h.net_of_pin()
+    reps = np.where(sizes <= MATCH_NET_LIMIT, sizes, 0)[net_of_pin]
+    a = np.repeat(np.arange(len(h.pins)), reps)
+    b = np.repeat(h.offsets[net_of_pin], reps) + (np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps))
+    a, b = a[a != b], b[a != b]
+    u, v = h.pins[a], h.pins[b]
+    fits = weights[u] + weights[v] <= max_w
+    score = (h.net_cost / np.maximum(sizes - 1, 1))[net_of_pin[a[fits]]]
+    pair, merged = np.unique(u[fits] * n + v[fits], return_inverse=True)
+    u, v = pair // n, pair % n
+    score = np.bincount(merged, weights=score) / (weights[u] * weights[v])
+    order = np.lexsort((v, -score, u))
+    starts = np.searchsorted(u[order], np.arange(n + 1)).tolist()
+    cand = v[order].tolist()
+    mate = list(range(n))
+    matched = [False] * n
+    for x in rng.permutation(n).tolist():
+        if matched[x]:
+            continue
+        matched[x] = True
+        for y in cand[starts[x] : starts[x + 1]]:
+            if not matched[y]:
+                matched[y] = True
+                mate[x], mate[y] = y, x
+                break
+    _, cluster_of = np.unique(np.minimum(np.arange(n), mate), return_inverse=True)
+    return cluster_of
+
+
+@st.composite
+def tied_matching_instances(draw):
+    """Hypergraphs with small integer costs and weights, so that ratings
+    often tie, and some nets wider than MATCH_NET_LIMIT."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, MATCH_NET_LIMIT + 30))
+    sizes = rng.integers(1, min(n, 6) + 1, draw(st.integers(0, 3 * n)))
+    if n > MATCH_NET_LIMIT and draw(st.booleans()):
+        sizes = np.append(sizes, rng.integers(MATCH_NET_LIMIT + 1, n + 1, draw(st.integers(1, 3))))
+    nets = [np.sort(rng.choice(n, size, replace=False)) for size in sizes]
+    costs = rng.integers(1, draw(st.integers(1, 4)) + 1, len(nets)).astype(np.float64)
+    weights = rng.integers(1, draw(st.integers(1, 3)) + 1, n)
+    h = hypergraph_from_nets(n, nets, costs, weights)
+    return h, float(draw(st.integers(1, 7))), draw(st.integers(0, 99))
+
+
 class TestCoarsening:
+    @settings(deadline=None, max_examples=300)
+    @given(tied_matching_instances())
+    def test_match_equals_lexsort_ordering(self, inst):
+        h, max_w, seed = inst
+        got = _match(h, max_w, np.random.default_rng(seed))
+        want = lexsort_match(h, max_w, np.random.default_rng(seed))
+        assert np.array_equal(got, want)
+
     @settings(deadline=None, max_examples=300)
     @given(coarsening_instances())
     def test_coarse_cut_equals_fine_cut_of_projection(self, inst):

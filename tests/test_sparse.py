@@ -485,6 +485,28 @@ class TestTranspose:
         assert np.array_equal(a.values, tt.values)
 
 
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 9), st.integers(0, 9), st.floats(0, 1), st.integers(0, 2**32 - 1))
+    def test_matches_stable_order_and_dense_transpose(self, n_rows, n_cols, density, seed):
+        # rectangular, empty rows and columns likely, values with signed zeros
+        rng = np.random.default_rng(seed)
+        rows, cols = np.nonzero(rng.random((n_rows, n_cols)) < density)
+        values = rng.choice([0.0, -0.0, 1.5, -2.25, 1e-300, 3.0e16], len(rows))
+        a = CsrMatrix.from_coo(n_rows, n_cols, rows, cols, values)
+        t = transpose_sparse(a)
+        order = np.argsort(a.col_indices, kind="stable")  # the stable column order
+        assert t.shape == (n_cols, n_rows)
+        assert np.array_equal(t.row_offsets, np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n_cols))]))
+        assert np.array_equal(t.col_indices, np.repeat(np.arange(n_rows), a.row_nnz())[order])
+        assert np.array_equal(bits(t.values), bits(a.values[order]))
+        assert np.array_equal(bits(t.to_dense()), bits(a.to_dense().T))
+
+    def test_shape_beyond_int64_keys_rejected(self):
+        a = CsrMatrix(4, 2**62, np.zeros(5, dtype=np.int64), [], [])
+        with pytest.raises(ValueError, match="too many entries"):
+            transpose_sparse(a)
+
+
 @st.composite
 def restrict_instances(draw):
     """Random CSR (empty rows likely), rows in any order with repeats, and
