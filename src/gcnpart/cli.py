@@ -40,7 +40,7 @@ from .partition import (
     random_partition,
 )
 from .runtime import FullBatch, MiniBatch, SimNetwork, scatter, train_epochs
-from .sparse import CsrMatrix, check_key_range, normalize_adjacency
+from .sparse import CsrMatrix, is_symmetric, normalize_adjacency
 from .sparse import transpose_sparse  # noqa: F401  perfbench traces cli.transpose_sparse
 
 SCHEMA_VERSION = 1
@@ -193,22 +193,10 @@ def _build_partition(pid: str, cfg: ExperimentConfig, a_hat, graph_model, hyper_
     raise ValueError(f"unknown partitioner {pid!r}")
 
 
-def _is_symmetric_pattern(a: CsrMatrix) -> bool:
-    """Whether a's pattern equals its transpose's: the keys row * n + col
-    of its entries, ascending in CSR order, against one sort of the keys
-    of the swapped entries, col * n + row."""
-    n = a.n_rows
-    if n != a.n_cols:
-        return False
-    check_key_range(n, n)
-    rows = np.repeat(np.arange(n, dtype=np.int64), a.row_nnz())
-    return np.array_equal(rows * n + a.col_indices, np.sort(a.col_indices * n + rows))
-
-
 def run_experiment(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     a_raw = graphio.load_graph(cfg.graph, cfg.fmt, directed=cfg.directed)
-    if not cfg.directed and not _is_symmetric_pattern(a_raw):
+    if not cfg.directed and not is_symmetric(a_raw):  # unit values: a pattern check
         raise ValueError(
             "graph pattern is asymmetric; pass --directed (backpropagation "
             "needs the transposed operand for directed inputs)"
@@ -240,7 +228,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         pi = _build_partition(pid, cfg, a_hat, graph_model, hyper_model)
         if not pi.is_balanced():
             raise RuntimeError(f"{pid} produced an unbalanced partition")
-        states = scatter(a_hat, h0, pi, model, directed=cfg.directed)
+        states = scatter(a_hat, h0, pi, model)
         plan = states[0].plan_fwd
         gcut = evaluate_graph_cut(graph_model, pi)
         hcut = evaluate_hypergraph_cut(hyper_model, pi)

@@ -5,8 +5,8 @@ as nonzero columns in n's rows: exactly the feature/gradient rows n must
 receive from m, each listed once however many local rows of n reference
 it. recv_from[m] lists the ranks m expects a message from. The plan is a
 pure function of the matrix pattern and the row ownership, computed once
-before training; for directed inputs the backward phase uses the plan of
-the transposed matrix.
+before training. The backward phase uses the plan of the transposed
+matrix, which is the forward plan when the matrix equals its transpose.
 
 Send selectors are sorted index lists (not stored diagonal matrices);
 receivers index payload rows positionally against the sorted list.

@@ -4,7 +4,8 @@ Layer k computes Z^k = A H^{k-1} W^k and H^k = sigma(Z^k) with A the
 normalized adjacency. Backpropagation recurses S^k = A G^k (W^k)^T,
 G^{k-1} = S^k * sigma'(Z^{k-1}), with weight gradients
 dW^k = (H^{k-1})^T (A G^k) and the plain update W^k <- W^k - eta dW^k.
-For directed graphs the caller passes A^T as the backprop operand.
+The caller passes A^T as the backprop operand; it is A itself only when A
+is symmetric, as the symmetric normalization of an undirected graph is.
 
 This module is the numerical oracle the distributed runtime is checked
 against, so it is deliberately plain: pure functions over immutable
@@ -161,8 +162,8 @@ def backprop(
 ) -> tuple[list[np.ndarray], list]:
     """Weight gradients dW^k and the gradient chain G^k (g[0] is None).
 
-    a_back is the normalized adjacency for undirected inputs and its
-    transpose for directed ones.
+    a_back is the transpose of the forward operand: for a directed graph,
+    or a row-mean operand D^-1 (A+I), it differs from the operand itself.
     """
     L = model.n_layers
     grad_last = dense(grad_last)

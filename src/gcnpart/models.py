@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, restrict, transpose_sparse, unique_keys
+from .sparse import CsrMatrix, add_identity, restrict, transpose_sparse, unique_keys
 
 
 @dataclass(frozen=True)
@@ -288,10 +288,8 @@ def induced_pattern(a: CsrMatrix, batch: np.ndarray, add_diagonal: bool = True) 
         raise ValueError("empty batch")
     sub = restrict(a, batch, batch)
     if add_diagonal:
-        n = len(batch)
-        rows = np.concatenate([np.repeat(np.arange(n), sub.row_nnz()), np.arange(n)])
-        sub = CsrMatrix.from_coo(n, n, rows, np.concatenate([sub.col_indices, np.arange(n)]))
-    # unit values (from_coo sums a diagonal the batch already had to 2)
+        sub = add_identity(sub)
+    # unit values (add_identity sums a diagonal the batch already had to 2)
     return CsrMatrix(sub.n_rows, sub.n_cols, sub.row_offsets, sub.col_indices, np.ones(sub.nnz))
 
 

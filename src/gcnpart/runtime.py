@@ -46,9 +46,11 @@ from .models import MiniBatchSpec, Partition
 from .sparse import (
     CsrMatrix,
     RowBlock,
+    add_identity,
     check_key_range,
     dense,
     gather_rows,
+    is_symmetric,
     prime_spmm_schedules,
     ranges,
     sorted_search,
@@ -167,10 +169,12 @@ class ProcState:
     """Everything one simulated processor stores.
 
     Row blocks follow the partition. Each phase has one halo operand
-    A_ext = A[rows, ext], where ext lists the rank's own rows, then each
-    sender's send list to it in ascending sender rank; its columns index
-    the rows of [own block; payloads in that order]. send_fwd/send_bwd map
-    each destination to the local positions of the rows sent there.
+    A_ext = A[rows, ext] (A is Â forward and Â^T backward), where ext
+    lists the rank's own rows, then each sender's send list to it in
+    ascending sender rank; its columns index the rows of [own block;
+    payloads in that order]. send_fwd/send_bwd map each destination to the
+    local positions of the rows sent there. The phases share one plan,
+    operand and send map exactly when Â equals Â^T bit for bit.
     Weight replicas are private copies, kept identical across ranks by the
     deterministic allreduce.
 
@@ -216,48 +220,86 @@ class EpochMetrics:
     loss: float
 
 
-def _rank_operands(a: CsrMatrix, plan: CommPlan):
-    """Every rank's rows, halo operand A[rows, ext] and send positions by
-    destination, from one sort of a's entries; plan is a's plan, so every
-    column of a rank's rows is in its ext. Rank m's ext lists its own rows,
-    then each sender's send list to m in ascending sender rank; column j
-    of its operand is position j of ext. gather_rows raises KeyError for a
-    listed row that its sender does not own."""
+@dataclass(frozen=True)
+class _HaloLayout:
+    """One phase's halo operands and send positions for every rank, built
+    from one plan and flattened rank after rank (ext as in ProcState).
+
+    Rank m's rows are rows[row_start[m]:row_start[m + 1]]; position is
+    each vertex's place in rows, and row q of rows has the entries
+    entry_start[q]:entry_start[q + 1], in ascending ext slot. Per entry: its global column, its value and its flat ext slot
+    (its rank's ext start plus its operand column). Per ext slot: the
+    send-list slot it receives, or -1 for a rank's own row. Per send-list
+    slot, lists in (sender, receiver) order: its global id and its pair
+    sender * p + receiver. send[m] maps each destination of rank m to the
+    local positions of the rows it sends there.
+    """
+
+    plan: CommPlan
+    rows: np.ndarray
+    row_start: np.ndarray
+    position: np.ndarray
+    send: list
+    entry_start: np.ndarray
+    col: np.ndarray
+    values: np.ndarray
+    slot: np.ndarray
+    ext_start: np.ndarray  # rank m's ext slots are ext_start[m]:ext_start[m + 1]
+    listed_at: np.ndarray
+    listed: np.ndarray
+    pair: np.ndarray
+
+    def operands(self) -> list[CsrMatrix]:
+        """Every rank's halo operand A[rows, ext], by one CsrMatrix.batch."""
+        cols = self.slot - np.repeat(self.ext_start[:-1], np.diff(self.entry_start[self.row_start]))
+        return CsrMatrix.batch(self.row_start, np.diff(self.ext_start), self.entry_start, cols, self.values)
+
+
+def _halo_layout(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = None) -> _HaloLayout:
+    """a's halo layout under its plan for the owners pi, from one sort of
+    a's entries; every column of a rank's rows is in its ext. gather_rows
+    raises KeyError for a listed row that its sender does not own."""
+    plan = build_comm_plan(a, pi, p)
     p, owner = plan.p, plan.owner
     n = len(owner)
     sizes = np.array([[len(ids) for ids in lists] for lists in plan.send], dtype=np.int64)
-    by_rank = stable_argsort(owner, p)  # the rows of rank 0, then 1, ...
+    rows = stable_argsort(owner, p)  # the rows of rank 0, then 1, ...
     n_own = np.bincount(owner, minlength=p)
-    starts = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(n_own, out=starts[1:])
-    rows = [by_rank[starts[m] : starts[m + 1]] for m in range(p)]
+    row_start = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(n_own, out=row_start[1:])
     send = []
     for m, (counts, ends) in enumerate(zip(sizes.tolist(), np.cumsum(sizes, axis=1).tolist())):
-        index = RowBlock(rows[m], np.arange(len(rows[m])).reshape(-1, 1))
-        pos = gather_rows(index, np.concatenate(plan.send[m]))[:, 0]
+        mine = rows[row_start[m] : row_start[m + 1]]
+        pos = gather_rows(RowBlock(mine, np.arange(len(mine)).reshape(-1, 1)), np.concatenate(plan.send[m]))[:, 0]
         send.append({d: pos[end - k : end] for d, (k, end) in enumerate(zip(counts, ends)) if k})
 
-    slot = np.empty(n, dtype=np.int64)
-    slot[by_rank] = np.arange(n)
-    local = slot - starts[owner]
-    # listed: the sorted keys (sender * p + receiver) * n + row of the send
-    # lists; shift[s * p + c]: where list s -> c ends in c's ext (after c's
-    # rows and the lists of senders up to s) less where it ends in listed
+    ext_start = np.zeros(p + 1, dtype=np.int64)
+    np.cumsum(n_own + sizes.sum(axis=0), out=ext_start[1:])
+    # list s -> c sits in c's ext after c's rows and the lists of the
+    # senders before s; listed_slot: the flat ext slot of each listed row
+    list_at = (ext_start[:-1] + n_own + np.cumsum(sizes, axis=0) - sizes).ravel()
     pair = np.repeat(np.arange(p * p, dtype=np.int64), sizes.ravel())
-    listed = pair * n + np.concatenate([ids for lists in plan.send for ids in lists])
-    shift = (n_own + np.cumsum(sizes, axis=0)).ravel() - np.cumsum(sizes)
-    n_ext = n_own + sizes.sum(axis=0)
+    listed = np.concatenate([ids for lists in plan.send for ids in lists])
+    listed_slot = (list_at - np.cumsum(sizes) + sizes.ravel())[pair] + np.arange(len(listed))
+    listed_at = np.full(int(ext_start[-1]), -1, dtype=np.int64)
+    listed_at[listed_slot] = np.arange(len(listed))
 
-    row_nnz = a.row_nnz()
-    row = np.repeat(np.arange(n, dtype=np.int64), row_nnz)
-    cols = local[a.col_indices]
+    position = np.empty(n, dtype=np.int64)
+    position[rows] = np.arange(n)
+    row = np.repeat(np.arange(n, dtype=np.int64), a.row_nnz())
+    # an own column's slot: its rank's ext start plus its place in the
+    # rank's rows; a listed column's: found among the ascending keys
+    # pair * n + id of the send lists
+    slot = (ext_start - row_start)[owner[row]] + position[a.col_indices]
     cross = np.flatnonzero(owner[row] != owner[a.col_indices])
-    pairs = owner[a.col_indices[cross]] * p + owner[row[cross]]
-    cols[cross] = shift[pairs] + sorted_search(listed, pairs * n + a.col_indices[cross])
-    order = np.argsort(slot[row] * int(n_ext.max()) + cols)  # unique keys
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_nnz[by_rank], out=offsets[1:])
-    return rows, CsrMatrix.batch(starts, n_ext, offsets, cols[order], a.values[order]), send
+    keys = (owner[a.col_indices[cross]] * p + owner[row[cross]]) * n + a.col_indices[cross]
+    slot[cross] = listed_slot[sorted_search(pair * n + listed, keys)]
+    check_key_range(n, ext_start[-1])
+    order = np.argsort(position[row] * int(ext_start[-1]) + slot)  # unique keys
+    entry_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(a.row_nnz()[rows], out=entry_start[1:])
+    return _HaloLayout(plan, rows, row_start, position, send, entry_start, a.col_indices[order], a.values[order],
+                       slot[order], ext_start, listed_at, listed, pair)
 
 
 def scatter(
@@ -265,39 +307,39 @@ def scatter(
     h0: np.ndarray,
     pi: "Partition | np.ndarray",
     model: GcnModel,
-    directed: bool = False,
+    *,
     p: int | None = None,
 ) -> list[ProcState]:
     """Distribute row blocks per the partition and replicate the weights.
-    An undirected input shares one plan and halo operand between the two
-    phases, so plan_bwd is plan_fwd exactly when directed is false."""
+    The backward phase multiplies by a_hat's transpose. When a_hat equals
+    it bit for bit (is_symmetric), the phases share one plan, operand and
+    send positions per rank, so plan_bwd is plan_fwd; otherwise the
+    backward ones come from transpose_sparse(a_hat)."""
     h0 = dense(h0)
     if h0.shape != (a_hat.n_rows, model.dims[0]):
         raise ValueError(f"h0 has shape {h0.shape}, expected ({a_hat.n_rows}, {model.dims[0]})")
-    plan_fwd = build_comm_plan(a_hat, pi, p)
-    rows, a_fwd, send_fwd = _rank_operands(a_hat, plan_fwd)
-    plan_bwd, a_bwd, send_bwd = plan_fwd, a_fwd, send_fwd
-    if directed:
-        a_t = transpose_sparse(a_hat)
-        plan_bwd = build_comm_plan(a_t, pi, p)
-        _, a_bwd, send_bwd = _rank_operands(a_t, plan_bwd)
+    fwd = _halo_layout(a_hat, pi, p)
+    bwd = fwd if is_symmetric(a_hat) else _halo_layout(transpose_sparse(a_hat), pi, p)
+    a_fwd = fwd.operands()
+    a_bwd = a_fwd if bwd is fwd else bwd.operands()
+    rows = np.split(fwd.rows, fwd.row_start[1:-1])
     return [
         ProcState(
             rank=m,
             global_rows=rows[m],
-            plan_fwd=plan_fwd,
-            plan_bwd=plan_bwd,
+            plan_fwd=fwd.plan,
+            plan_bwd=bwd.plan,
             a_fwd=a_fwd[m],
             a_bwd=a_bwd[m],
-            send_fwd=send_fwd[m],
-            send_bwd=send_bwd[m],
+            send_fwd=fwd.send[m],
+            send_bwd=bwd.send[m],
             dims=model.dims,
             activation=model.activation,
             learning_rate=model.learning_rate,
             weights=[w.copy() for w in model.weights],
             h0=h0[rows[m]],
         )
-        for m in range(plan_fwd.p)
+        for m in range(fwd.plan.p)
     ]
 
 
@@ -519,8 +561,9 @@ class FullBatch:
 @dataclass(frozen=True)
 class MiniBatch:
     """Per-step vertex sampling; the fixed global partition is restricted to
-    each batch's induced sub-adjacency. The owners, the features and
-    whether the input is directed come from the states being trained.
+    each batch's induced sub-adjacency, renormalized as
+    normalize_adjacency does. The owners, the features and whether the
+    phases share one operand come from the states being trained.
     Each train_epochs call builds every rank's halo operands of the whole
     graph once. Each epoch draws its batches_per_epoch batches up front,
     then one vectorized pass keeps, for every step at once, the entries
@@ -567,79 +610,18 @@ def _group_labels(label_at, group, local, n_groups: int, labels: LabelSet) -> li
 
 
 @dataclass(frozen=True)
-class _MaskedPhase:
-    """One phase's halo operands of A+I (A: the raw pattern with unit
-    values) or of its transpose, built once by _rank_operands for the
-    global owners and flattened rank after rank.
-
-    Row q in rank-major order has the entries entry_start[q]:entry_start[q
-    + 1]. Per entry: its global column, its value in A+I and its flat ext
-    slot (its rank's ext start plus its column). Per ext slot: the
-    send-list slot it receives, or -1 for a rank's own row. Per send-list
-    slot, lists in (sender, receiver) order: its global id and its pair
-    sender * p + receiver.
-    """
-
-    entry_start: np.ndarray
-    col: np.ndarray
-    values: np.ndarray
-    slot: np.ndarray
-    ext_start: np.ndarray  # rank m's ext slots are ext_start[m]:ext_start[m + 1]
-    listed_at: np.ndarray
-    listed: np.ndarray
-    pair: np.ndarray
-    transposed: bool  # entry (row, col) holds A+I's entry (col, row)
-
-
-def _masked_phase(a: CsrMatrix, owner: np.ndarray, p: int, transposed: bool) -> _MaskedPhase:
-    plan = build_comm_plan(a, owner, p)
-    rows, operands, _ = _rank_operands(a, plan)
-    sizes = np.array([[len(ids) for ids in lists] for lists in plan.send], dtype=np.int64)
-    n_own = np.array([len(r) for r in rows], dtype=np.int64)
-    ext_start = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(n_own + sizes.sum(axis=0), out=ext_start[1:])
-    ext = np.concatenate(  # rank c's ext: its rows, then each sender's list to c
-        [ids for c in range(p) for ids in [rows[c]] + [lists[c] for lists in plan.send]]
-    )
-    slot = np.concatenate([ext_start[m] + op.col_indices for m, op in enumerate(operands)])
-    # list s -> c starts in c's ext after c's rows and the lists of the
-    # senders before s; list_start: where it starts among all lists
-    list_at = (ext_start[:-1] + n_own + np.cumsum(sizes, axis=0) - sizes).ravel()
-    list_start = np.cumsum(sizes.ravel()) - sizes.ravel()
-    n_listed = int(sizes.sum())
-    listed_at = np.full(int(ext_start[-1]), -1, dtype=np.int64)
-    listed_slot = np.repeat(list_at - list_start, sizes.ravel()) + np.arange(n_listed)
-    listed_at[listed_slot] = np.arange(n_listed)
-    entry_start = np.zeros(len(owner) + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([op.row_nnz() for op in operands]), out=entry_start[1:])
-    return _MaskedPhase(
-        entry_start=entry_start,
-        col=ext[slot],
-        values=np.concatenate([op.values for op in operands]),
-        slot=slot,
-        ext_start=ext_start,
-        listed_at=listed_at,
-        listed=np.concatenate([ids for lists in plan.send for ids in lists]),
-        pair=np.repeat(np.arange(p * p), sizes.ravel()),
-        transposed=transposed,
-    )
-
-
-@dataclass(frozen=True)
 class _MiniBatchIndex:
     """What every step of one train_epochs call shares: the global owners,
-    the vertex ids in rank-major order and each vertex's position there,
-    the features, each vertex's label position, and the masked phases
-    (bwd is None when undirected)."""
+    the features, each vertex's label position, and the halo layouts of
+    A+I (A: the raw pattern with unit values) and of its transpose; bwd is
+    None when the states share one operand between the phases."""
 
     p: int
     owner: np.ndarray
-    by_rank: np.ndarray
-    rank_pos: np.ndarray
     features: np.ndarray
     label_index: np.ndarray
-    fwd: _MaskedPhase
-    bwd: "_MaskedPhase | None"
+    fwd: _HaloLayout
+    bwd: "_HaloLayout | None"
 
 
 def _mini_batch_index(states, labels: LabelSet, adjacency: CsrMatrix) -> _MiniBatchIndex:
@@ -649,25 +631,16 @@ def _mini_batch_index(states, labels: LabelSet, adjacency: CsrMatrix) -> _MiniBa
     for st in states:
         owner[st.global_rows] = st.rank
         features[st.global_rows] = st.h0
-    ids = np.arange(n)
-    # from_coo sums a raw self loop and I to 2, as normalize_adjacency does
-    a = CsrMatrix.from_coo(
-        n, n, np.concatenate([np.repeat(ids, adjacency.row_nnz()), ids]),
-        np.concatenate([adjacency.col_indices, ids]),
-    )
-    directed = states[0].plan_bwd is not states[0].plan_fwd
-    by_rank = stable_argsort(owner, p)
-    rank_pos = np.empty(n, dtype=np.int64)
-    rank_pos[by_rank] = ids
+    # add_identity sums a raw self loop and I to 2, as normalize_adjacency does
+    a = add_identity(CsrMatrix(n, n, adjacency.row_offsets, adjacency.col_indices, np.ones(adjacency.nnz)))
+    shared = states[0].plan_bwd is states[0].plan_fwd
     return _MiniBatchIndex(
         p=p,
         owner=owner,
-        by_rank=by_rank,
-        rank_pos=rank_pos,
         features=features,
         label_index=_label_index(labels, n),
-        fwd=_masked_phase(a, owner, p, False),
-        bwd=_masked_phase(transpose_sparse(a), owner, p, True) if directed else None,
+        fwd=_halo_layout(a, owner, p),
+        bwd=None if shared else _halo_layout(transpose_sparse(a), owner, p),
     )
 
 
@@ -738,9 +711,9 @@ def _epoch_pass(index: _MiniBatchIndex, labels: LabelSet, batches: np.ndarray):
     n_steps, b = batches.shape
     n, p = len(index.owner), index.p
     steps = np.arange(n_steps)
-    row_keys = np.sort((steps[:, None] * n + index.rank_pos[batches]).ravel())
+    row_keys = np.sort((steps[:, None] * n + index.fwd.position[batches]).ravel())
     row_step, pos = np.divmod(row_keys, n)  # pos: the row's rank-major position
-    row_ids = index.by_rank[pos]
+    row_ids = index.fwd.rows[pos]
     group = row_step * p + index.owner[row_ids]
     starts = np.zeros(n_steps * p + 1, dtype=np.int64)
     np.cumsum(np.bincount(group, minlength=n_steps * p), out=starts[1:])
@@ -750,7 +723,7 @@ def _epoch_pass(index: _MiniBatchIndex, labels: LabelSet, batches: np.ndarray):
     local_at = np.empty_like(local)
     local_at[at] = local
 
-    def entries(ph: _MaskedPhase):
+    def entries(ph: _HaloLayout):
         """The phase's entries of the batch rows whose column the batch
         holds: entry ids, rows, and the column's key."""
         begin = ph.entry_start[pos]
@@ -762,14 +735,15 @@ def _epoch_pass(index: _MiniBatchIndex, labels: LabelSet, batches: np.ndarray):
         keep = found[hit] == col_key
         return e[keep], row[keep], hit[keep]
 
-    def phase(ph: _MaskedPhase, e, row, hit):
+    def phase(ph: _HaloLayout, transposed: bool, e, row, hit):
         """Every step's operands of the phase, and its send lists: plan
         ids, local positions and bounds per (step, sender, receiver). An
         ext slot survives when a kept entry uses it (an own batch row by
         its diagonal entry), and a sender's list to c keeps the rows whose
-        slot in c's ext survives."""
+        slot in c's ext survives. transposed: ph is the layout of A+I's
+        transpose, whose entry (row, col) holds A+I's entry (col, row)."""
         # normalize_adjacency's v * inv[i] * inv[j], for A+I's entry (i, j)
-        i, j = (hit, at[row]) if ph.transposed else (at[row], hit)
+        i, j = (hit, at[row]) if transposed else (at[row], hit)
         values = ph.values[e] * inv_at[i] * inv_at[j]
         width = int(ph.ext_start[-1])
         slot = row_step[row] * width + ph.slot[e]
@@ -796,10 +770,10 @@ def _epoch_pass(index: _MiniBatchIndex, labels: LabelSet, batches: np.ndarray):
     deg = np.bincount(row, weights=index.fwd.values[e], minlength=len(pos))
     inv_at = np.empty(len(pos))
     inv_at[at] = 1.0 / np.sqrt(deg)
-    a_fwd, sends_fwd = phase(index.fwd, e, row, hit)
+    a_fwd, sends_fwd = phase(index.fwd, False, e, row, hit)
     a_bwd, sends_bwd = a_fwd, sends_fwd
     if index.bwd is not None:
-        a_bwd, sends_bwd = phase(index.bwd, *entries(index.bwd))
+        a_bwd, sends_bwd = phase(index.bwd, True, *entries(index.bwd))
     prime_spmm_schedules(a_fwd + a_bwd)
     label_at = index.label_index[row_ids]
     count = np.bincount(row_step[label_at >= 0], minlength=n_steps).tolist()

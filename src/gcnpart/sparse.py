@@ -2,7 +2,8 @@
 
 Every numeric path in the package runs through this module: CSR storage,
 adjacency normalization D^{-1/2}(A+I)D^{-1/2}, sparse-dense and dense-dense
-products, CSR transpose and row/column restriction, and the row gather
+products, CSR transpose, the bit-exact symmetry check and row/column
+restriction, and the row gather
 that realizes the diagonal selector matrices as index lists instead of
 materialized diagonals: scatter uses it once per rank and phase to find
 the local positions pos of the rank's send lists, and a payload is then
@@ -338,6 +339,32 @@ class RowBlock:
         return len(self.global_row_ids)
 
 
+def add_identity(a: CsrMatrix) -> CsrMatrix:
+    """A + I for square a, merging the diagonal into each sorted row without
+    a sort. The values are bit for bit those of from_coo over a's entries
+    and then I's: 0.0 + v off the diagonal (so -0.0 becomes 0.0), (0.0 + v)
+    + 1.0 on a diagonal a holds, 1.0 on one it lacks."""
+    if a.n_rows != a.n_cols:
+        raise ValueError(f"A + I needs a square matrix, got {a.shape}")
+    n = a.n_rows
+    rows = np.repeat(np.arange(n, dtype=np.int64), a.row_nnz())
+    on, below = a.col_indices == rows, a.col_indices < rows
+    missing = np.ones(n, dtype=np.int64)
+    missing[rows[on]] = 0
+    added = np.cumsum(missing)  # diagonals inserted in rows up to each row
+    # an entry moves past the diagonals inserted before it: in earlier
+    # rows, and in its own row if its column exceeds the row
+    pos = np.arange(a.nnz) + added[rows] - missing[rows] * below
+    offsets = a.row_offsets + np.concatenate([[0], added])
+    cols, values = np.empty(offsets[-1], dtype=np.int64), np.empty(offsets[-1])
+    cols[pos], values[pos] = a.col_indices, a.values + 0.0
+    values[pos[on]] += 1.0
+    d = np.flatnonzero(missing)
+    at = offsets[d] + np.bincount(rows[below], minlength=n)[d]
+    cols[at], values[at] = d, 1.0
+    return CsrMatrix(n, n, offsets, cols, values)
+
+
 def normalize_adjacency(a: CsrMatrix, add_self_loops: bool = True) -> CsrMatrix:
     """Return the degree-normalized adjacency D^{-1/2}(A+I)D^{-1/2}.
 
@@ -348,14 +375,7 @@ def normalize_adjacency(a: CsrMatrix, add_self_loops: bool = True) -> CsrMatrix:
     if a.n_rows != a.n_cols:
         raise ValueError(f"adjacency must be square, got {a.shape}")
     n = a.n_rows
-    if add_self_loops:
-        rows = np.repeat(np.arange(n), a.row_nnz())
-        rows = np.concatenate([rows, np.arange(n)])
-        cols = np.concatenate([a.col_indices, np.arange(n)])
-        vals = np.concatenate([a.values, np.ones(n)])
-        tilde = CsrMatrix.from_coo(n, n, rows, cols, vals)
-    else:
-        tilde = a
+    tilde = add_identity(a) if add_self_loops else a
     deg = np.zeros(n)
     np.add.at(deg, np.repeat(np.arange(n), tilde.row_nnz()), tilde.values)
     if np.any(deg <= 0):
@@ -417,6 +437,21 @@ def transpose_sparse(a: CsrMatrix) -> CsrMatrix:
     offsets = np.zeros(a.n_cols + 1, dtype=np.int64)
     np.cumsum(np.bincount(a.col_indices, minlength=a.n_cols), out=offsets[1:])
     return CsrMatrix(a.n_cols, a.n_rows, offsets, rows[order], a.values[order])
+
+
+def is_symmetric(a: CsrMatrix) -> bool:
+    """Whether a equals its transpose bit for bit, pattern and values. One
+    stable sort of the column indices lists the entries in the transpose's
+    CSR order (by column, then row). a is symmetric when the transpose's
+    column sequence and value bits equal a's: then each index occurs as
+    often in both, so row j of a and of its transpose have the same length
+    and hold the same columns."""
+    if a.n_rows != a.n_cols:
+        return False
+    order = stable_argsort(a.col_indices, a.n_cols)
+    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
+    bits = a.values.view(np.int64)
+    return np.array_equal(rows[order], a.col_indices) and np.array_equal(bits[order], bits)
 
 
 def restrict(a: CsrMatrix, rows, cols) -> CsrMatrix:

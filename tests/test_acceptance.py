@@ -104,7 +104,7 @@ def test_criterion_1_serial_parallel_equivalence():
                 a_hat.row_nnz(), PartitionConfig(p=p, seed=seed, epsilon=0.5)
             )
             net = SimNetwork(p)
-            states = scatter(a_hat, h0, pi, model, directed=directed)
+            states = scatter(a_hat, h0, pi, model)
             metrics = train_epochs(states, net, labels, 3)
 
             np.testing.assert_allclose(
@@ -341,7 +341,7 @@ def test_criterion_8_message_count_ceiling():
                 a_hat.row_nnz(), PartitionConfig(p=p, seed=seed, epsilon=0.5)
             )
             net = SimNetwork(p)
-            states = scatter(a_hat, h0, pi, model, directed=directed)
+            states = scatter(a_hat, h0, pi, model)
             train_epochs(states, net, labels, 2)
             for epoch in (0, 1):
                 recs = net.records(epoch=epoch)

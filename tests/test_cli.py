@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import gcnpart
 from gcnpart import CsrMatrix, transpose_sparse
-from gcnpart.cli import ExperimentConfig, _is_symmetric_pattern, main, parse_args, run_experiment
+from gcnpart.sparse import is_symmetric
+from gcnpart.cli import ExperimentConfig, main, parse_args, run_experiment
 
 from helpers import grid_graph
 
@@ -292,18 +293,30 @@ def test_import_leaves_scipy_out():
 
 @settings(deadline=None, max_examples=300)
 @given(st.integers(1, 8), st.sampled_from([0, 0, 0, 1, 2]), st.integers(0, 2**32 - 1),
-       st.sampled_from(["symmetric", "add", "drop", "any"]))
+       st.sampled_from(["symmetric", "add", "drop", "value", "sign", "any"]))
 def test_symmetry_check_equals_transpose_and_compare(n, extra_cols, seed, kind):
-    # symmetric patterns, the same with one entry added or dropped (a
-    # diagonal flip keeps the symmetry), any pattern, and rectangular shapes
+    # symmetric matrices, the same with one entry added or dropped, one
+    # value changed or one value's sign flipped (a diagonal change keeps
+    # the symmetry), any matrix, and rectangular shapes; values with signed
+    # zeros, compared by their bits
     rng = np.random.default_rng(seed)
     mask = rng.random((n, n + extra_cols)) < rng.random()
+    d = rng.choice([0.0, -0.0, 1.0, 0.5, -2.25, 1e-300], mask.shape)
     if not extra_cols and kind != "any":
         mask |= mask.T
-    if kind in ("add", "drop") and (mask == (kind == "add")).any():
-        i, j = np.argwhere(mask == (kind == "add"))[rng.integers((mask == (kind == "add")).sum())]
-        mask[i, j] = kind == "add"
-    a = CsrMatrix.from_coo(*mask.shape, *np.nonzero(mask))
+        d = np.where(np.triu(np.ones(mask.shape, dtype=bool)), d, d.T)
+    pick = mask == (kind == "add") if kind in ("add", "drop") else mask
+    if kind not in ("symmetric", "any") and pick.any():
+        i, j = np.argwhere(pick)[rng.integers(pick.sum())]
+        if kind in ("add", "drop"):
+            mask[i, j] = kind == "add"
+        else:
+            d[i, j] = -d[i, j] if kind == "sign" else d[i, j] + 1.0
+    rows, cols = np.nonzero(mask)  # in CSR order
+    pattern = CsrMatrix.from_coo(*mask.shape, rows, cols)
+    a = CsrMatrix(*mask.shape, pattern.row_offsets, pattern.col_indices, d[rows, cols])
     t = transpose_sparse(a)
-    want = np.array_equal(a.row_offsets, t.row_offsets) and np.array_equal(a.col_indices, t.col_indices)
-    assert _is_symmetric_pattern(a) == want
+    want = a.shape == t.shape and all(
+        np.array_equal(x, y) for x, y in ((a.row_offsets, t.row_offsets), (a.col_indices, t.col_indices),
+                                          (a.values.view(np.int64), t.values.view(np.int64))))
+    assert is_symmetric(a) == want

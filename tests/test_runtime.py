@@ -30,6 +30,8 @@ from gcnpart import (
     normalize_adjacency,
     parallel_backprop,
     parallel_feedforward,
+    partition_hypergraph_fm,
+    predicted_total_volume,
     random_partition,
     scatter,
     train_epochs,
@@ -41,6 +43,7 @@ from gcnpart.models import induced_pattern, net_connectivity
 from gcnpart.sparse import CsrMatrix, RowBlock, gather_rows, restrict
 
 from helpers import (
+    grid_graph,
     random_directed,
     random_labels,
     random_undirected,
@@ -75,6 +78,13 @@ def ext_of(st):
     """Global row ids of the columns of st's forward halo operand."""
     plan = st.plan_fwd
     return np.concatenate([st.global_rows] + [plan.send[n][st.rank] for n in plan.recv_from[st.rank]])
+
+
+def bit_equal(a, b):
+    """Whether two CSR matrices agree in pattern and in every value's bits."""
+    return (a.shape == b.shape and np.array_equal(a.row_offsets, b.row_offsets)
+            and np.array_equal(a.col_indices, b.col_indices)
+            and np.array_equal(a.values.view(np.int64), b.values.view(np.int64)))
 
 
 def owner_cut(h, owner):
@@ -125,13 +135,12 @@ def reference_local_labelset(labels, rows):
 def reference_batch(states, labels, mode, rng, owner, features):
     """One mini-batch step's states and labels, built directly: sample a
     batch, renormalize its induced subgraph and scatter it by the global
-    owners, with the current weights and the directedness of the states."""
+    owners, with the current weights."""
     batch = np.sort(rng.choice(len(owner), size=mode.spec.batch_size, replace=False))
     sub_hat = normalize_adjacency(induced_pattern(mode.adjacency, batch, add_diagonal=False))
     st = states[0]
     model = GcnModel(st.dims, tuple(st.weights), st.activation, st.learning_rate)
-    directed = st.plan_bwd is not st.plan_fwd
-    sub_states = scatter(sub_hat, features[batch], owner[batch], model, directed, p=len(states))
+    sub_states = scatter(sub_hat, features[batch], owner[batch], model, p=len(states))
     return sub_states, reference_local_labelset(labels, batch)
 
 
@@ -221,7 +230,7 @@ class TestScatter:
     def test_ext_is_own_rows_then_senders_ascending(self, directed):
         _, a_hat, h0, _, model = build_instance(24, (3, 2), 4, directed=directed)
         pi = partition_for(a_hat, 4, 4)
-        states = scatter(a_hat, h0, pi, model, directed=directed)
+        states = scatter(a_hat, h0, pi, model)
         a_bwd = transpose_sparse(a_hat) if directed else a_hat
         for a, plan_key, op_key in ((a_hat, "plan_fwd", "a_fwd"), (a_bwd, "plan_bwd", "a_bwd")):
             plan = build_comm_plan(a, pi)
@@ -266,16 +275,18 @@ class TestScatter:
     @settings(deadline=None, max_examples=150)
     @given(scatter_instances())
     def test_operands_match_per_rank_reference(self, instance):
-        a, owner, p, directed = instance
+        a, owner, p, _ = instance
         model = init_model((2, 2), seed=0)
-        states = scatter(a, np.zeros((a.n_rows, 2)), owner, model, directed, p=p)
-        a_bwd = transpose_sparse(a) if directed else a
+        states = scatter(a, np.zeros((a.n_rows, 2)), owner, model, p=p)
+        a_t = transpose_sparse(a)
+        shared = bit_equal(a, a_t)
         for st_ in states:
             rows = np.flatnonzero(owner == st_.rank)
             assert np.array_equal(st_.global_rows, rows)
-            assert (st_.a_bwd is st_.a_fwd) == (not directed)
-            assert (st_.send_bwd is st_.send_fwd) == (not directed)
-            for b, op, send in ((a, st_.a_fwd, st_.send_fwd), (a_bwd, st_.a_bwd, st_.send_bwd)):
+            assert (st_.a_bwd is st_.a_fwd) == shared
+            assert (st_.send_bwd is st_.send_fwd) == shared
+            assert (st_.plan_bwd is st_.plan_fwd) == shared
+            for b, op, send in ((a, st_.a_fwd, st_.send_fwd), (a_t, st_.a_bwd, st_.send_bwd)):
                 plan = build_comm_plan(b, owner, p)
                 want = reference_halo_operand(b, plan, st_.rank, rows)
                 assert op.shape == want.shape
@@ -286,6 +297,29 @@ class TestScatter:
                 assert list(send) == list(want_send)
                 for dst, pos in want_send.items():
                     assert np.array_equal(send[dst], pos)
+        # the flat layout both training modes read, against one rebuilt
+        # rank by rank from plan.send
+        for b in (a, a_t):
+            plan = build_comm_plan(b, owner, p)
+            got = runtime._halo_layout(b, owner, p)
+            ext, listed_at, col, slot = [], [], [], []
+            lists = [ids for row in plan.send for ids in row]
+            list_start = np.cumsum([0] + [len(ids) for ids in lists])
+            for m in range(p):
+                rows = np.flatnonzero(owner == m)
+                start = sum(map(len, ext))
+                ext.append(np.concatenate([rows] + [plan.send[s][m] for s in range(p)]))
+                listed_at += [-1] * len(rows)
+                for s in range(p):
+                    listed_at += list(list_start[s * p + m] + np.arange(len(plan.send[s][m])))
+                op = reference_halo_operand(b, plan, m, rows)
+                col.append(ext[-1][op.col_indices])
+                slot.append(start + op.col_indices)
+            assert np.array_equal(got.ext_start, np.cumsum([0] + [len(x) for x in ext]))
+            assert list(got.listed_at) == listed_at
+            assert np.array_equal(got.col, np.concatenate(col))
+            assert np.array_equal(got.slot, np.concatenate(slot))
+            assert np.array_equal(got.listed, np.concatenate(lists))
 
     def test_three_processor_block_rows(self):
         a, assignment = three_processor_transfer_instance()
@@ -376,7 +410,7 @@ class TestParallelBackprop:
         runs = []
         for scheduler in ("round", "threads"):
             net = SimNetwork(4)
-            states = scatter(a_hat, h0, pi, model, directed=True)
+            states = scatter(a_hat, h0, pi, model)
             parallel_feedforward(states, net, scheduler=scheduler)
             _, metrics = parallel_backprop(states, net, labels, scheduler=scheduler)
             runs.append((metrics, states, net))
@@ -535,7 +569,7 @@ class TestTrainEpochs:
         a_back = transpose_sparse(a_hat) if directed else a_hat
         want, losses_want, _ = train_serial(model, a_hat, a_back, h0, labels, epochs=3)
         net = SimNetwork(p)
-        states = scatter(a_hat, h0, partition_for(a_hat, p, 11), model, directed=directed)
+        states = scatter(a_hat, h0, partition_for(a_hat, p, 11), model)
         metrics = train_epochs(states, net, labels, 3)
         np.testing.assert_allclose(
             [m.loss for m in metrics], losses_want, rtol=1e-8
@@ -580,7 +614,7 @@ class TestTrainEpochs:
         scheduler = data.draw(st.sampled_from(runtime.SCHEDULERS))
         a_hat = normalize_adjacency(raw)
         h0 = np.random.default_rng(n).standard_normal((n, dims[0]))
-        states = scatter(a_hat, h0, owner, init_model(dims, seed=0), directed, p=p)
+        states = scatter(a_hat, h0, owner, init_model(dims, seed=0), p=p)
         labels = LabelSet([0], [0], dims[-1]) if len(labels) == 0 else LabelSet(
             labels.labeled_ids, labels.labels % dims[-1], dims[-1])
         net = SimNetwork(p)
@@ -596,11 +630,38 @@ class TestTrainEpochs:
                     words = sum(r.words for r in recs if r.phase == phase and r.layer == k)
                     assert words == cuts[phase] * width, (epoch, phase, k)
 
+    @pytest.mark.parametrize("scheduler", runtime.SCHEDULERS)
+    def test_row_mean_operand_trains_as_serial(self, scheduler):
+        # M = D^-1 (A+I), the GraphSAGE-mean aggregator: its pattern is
+        # symmetric and its values are not, so backpropagation needs M^T,
+        # and sharing M between the phases would train a different model
+        g = grid_graph(12, 12)
+        ids = np.arange(g.n_rows)
+        a = CsrMatrix.from_coo(g.n_rows, g.n_cols, np.concatenate([np.repeat(ids, g.row_nnz()), ids]),
+                               np.concatenate([g.col_indices, ids]))
+        deg = np.add.reduceat(a.values, a.row_offsets[:-1])
+        m = CsrMatrix(a.n_rows, a.n_cols, a.row_offsets, a.col_indices,
+                      a.values / np.repeat(deg, a.row_nnz()))
+        dims = (8, 8, 4)
+        rng = np.random.default_rng(0)
+        h0 = rng.standard_normal((m.n_rows, dims[0]))
+        labels = random_labels(m.n_rows, dims[-1], 30, 0)
+        model = init_model(dims, seed=0)
+        h = build_hypergraph_model(m)
+        pi = partition_hypergraph_fm(h, PartitionConfig(p=4, seed=0))
+        want, _, _ = train_serial(model, m, transpose_sparse(m), h0, labels, epochs=3)
+        states = scatter(m, h0, pi, model)
+        metrics = train_epochs(states, SimNetwork(4), labels, 3, scheduler=scheduler)
+        for st_ in states:
+            for ws, wp in zip(want.weights, st_.weights):
+                np.testing.assert_allclose(wp, ws, rtol=0, atol=1e-12)
+        assert [x.total_words for x in metrics] == [predicted_total_volume(h, pi, dims)] * 3
+
     def test_directed_phases_follow_their_plans(self):
         raw, a_hat, h0, labels, model = build_instance(20, (3, 4, 2), 14, directed=True)
         pi = partition_for(a_hat, 4, 14)
         net = SimNetwork(4)
-        states = scatter(a_hat, h0, pi, model, directed=True)
+        states = scatter(a_hat, h0, pi, model)
         train_epochs(states, net, labels, 1)
         fwd_rows = sum(r.rows for r in net.log if r.phase == "fwd" and r.layer == 1)
         bwd_rows = sum(r.rows for r in net.log if r.phase == "bwd" and r.layer == 1)
@@ -662,7 +723,7 @@ class TestTrainEpochs:
             runs = []
             for sched in ("round", scheduler):
                 net = SimNetwork(4)
-                states = scatter(a_hat, h0, pi, model, directed=directed)
+                states = scatter(a_hat, h0, pi, model)
                 metrics = train_epochs(states, net, labels, 2, mode, scheduler=sched)
                 runs.append((metrics, states, net))
             (m1, st1, net1), (m2, st2, net2) = runs
@@ -742,7 +803,7 @@ class TestMiniBatch:
         n = raw.n_rows
         a_hat = normalize_adjacency(raw)
         h0 = np.random.default_rng(n).standard_normal((n, 2))
-        states = scatter(a_hat, h0, owner, init_model((2, 3), seed=0), directed, p=p)
+        states = scatter(a_hat, h0, owner, init_model((2, 3), seed=0), p=p)
         mode = MiniBatch(spec=MiniBatchSpec(batches.shape[1]), batches_per_epoch=len(batches),
                          seed=0, adjacency=raw)
         index = runtime._mini_batch_index(states, labels, raw)
@@ -751,7 +812,7 @@ class TestMiniBatch:
         for batch, (got, got_labels) in zip(batches, steps):
             want, want_labels = reference_batch(states, labels, mode, FixedDraw(batch), owner, h0)
             assert len(got) == len(want) == p
-            assert (got[0].plan_bwd is got[0].plan_fwd) == (not directed)
+            assert (got[0].plan_bwd is got[0].plan_fwd) == bit_equal(a_hat, transpose_sparse(a_hat))
             for g, w, (local_rows, y, count) in zip(got, want, got_labels):
                 assert g.rank == w.rank
                 assert np.array_equal(g.global_rows, w.global_rows)
@@ -793,7 +854,7 @@ class TestMiniBatch:
         dims = data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
         h0 = np.random.default_rng(n).standard_normal((n, dims[0]))
         model = init_model(dims, seed=0)
-        states = scatter(normalize_adjacency(raw), h0, owner, model, directed, p=p)
+        states = scatter(normalize_adjacency(raw), h0, owner, model, p=p)
         labels = LabelSet(labels.labeled_ids, labels.labels % dims[-1], dims[-1])
         net = SimNetwork(p)
         mode = MiniBatch(spec=MiniBatchSpec(size), batches_per_epoch=2, seed=seed, adjacency=raw)
@@ -866,7 +927,7 @@ class TestMiniBatch:
         raw, a_hat, h0, labels, model = build_instance(30, dims, seed, directed=True, density=0.15)
         pi = partition_for(a_hat, 4, seed)
         net = SimNetwork(4)
-        states = scatter(a_hat, h0, pi, model, directed=True)
+        states = scatter(a_hat, h0, pi, model)
         mode = MiniBatch(spec=MiniBatchSpec(20), batches_per_epoch=3, seed=seed, adjacency=raw)
         train_epochs(states, net, labels, 2, mode)
         rng = np.random.default_rng([seed, 0x7B])

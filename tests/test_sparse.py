@@ -15,7 +15,7 @@ from gcnpart import (
     spmm,
     transpose_sparse,
 )
-from gcnpart.sparse import prime_spmm_schedules, restrict
+from gcnpart.sparse import add_identity, prime_spmm_schedules, restrict
 
 from helpers import chung_lu_graph, dense_spmm_oracle, random_undirected, triple_loop_dmm_oracle
 
@@ -227,6 +227,34 @@ class TestNormalizeAdjacency:
     def test_self_loops_fill_diagonal(self):
         a = CsrMatrix.from_coo(3, 3, [0], [1])
         assert normalize_adjacency(a).has_full_diagonal()
+
+
+class TestAddIdentity:
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(0, 9), st.floats(0, 1), st.sampled_from(["none", "some", "all"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_from_coo(self, n, density, loops, seed):
+        # random patterns, with no, some or every self loop, and values with
+        # signed zeros: from_coo over a's entries then I's sums 0.0 + v
+        rng = np.random.default_rng(seed)
+        mask = rng.random((n, n)) < density
+        np.fill_diagonal(mask, {"none": False, "some": rng.random(n) < 0.5, "all": True}[loops])
+        pattern = CsrMatrix.from_coo(n, n, *np.nonzero(mask))
+        values = rng.choice([0.0, -0.0, 1.0, -1.0, 1.5, -2.25, 1e-300, 3.0e16], pattern.nnz)
+        a = CsrMatrix(n, n, pattern.row_offsets, pattern.col_indices, values)
+        ids = np.arange(n)
+        want = CsrMatrix.from_coo(
+            n, n, np.concatenate([np.repeat(ids, a.row_nnz()), ids]),
+            np.concatenate([a.col_indices, ids]), np.concatenate([a.values, np.ones(n)]),
+        )
+        got = add_identity(a)
+        assert np.array_equal(got.row_offsets, want.row_offsets)
+        assert np.array_equal(got.col_indices, want.col_indices)
+        assert np.array_equal(bits(got.values), bits(want.values))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            add_identity(CsrMatrix.from_coo(2, 3, [0], [1]))
 
 
 def sequential_spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
