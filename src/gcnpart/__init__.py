@@ -22,7 +22,6 @@ from .models import (
     Hypergraph,
     MiniBatchSpec,
     Partition,
-    UGraph,
     build_graph_model,
     build_hypergraph_model,
     build_stochastic_hypergraph,

@@ -171,9 +171,12 @@ def _symmetrized(a: CsrMatrix) -> CsrMatrix:
     return CsrMatrix(a.n_rows, a.n_cols, both.row_offsets, both.col_indices, np.ones(both.nnz))
 
 
-def _build_partition(pid: str, cfg: ExperimentConfig, a_hat, graph_model, hyper_model) -> Partition:
+def _build_partition(
+    pid: str, cfg: ExperimentConfig, weights, model_matrix, graph_model, hyper_model
+) -> Partition:
+    """weights (Â's row nnz) place RP and file partitions; the models and
+    SHP's model_matrix are built from Â, symmetrized for directed runs."""
     pcfg = PartitionConfig(p=cfg.p, epsilon=cfg.epsilon, seed=cfg.seed)
-    weights = a_hat.row_nnz()
     if pid == "rp":
         return random_partition(weights, pcfg)
     if pid == "gp":
@@ -181,7 +184,6 @@ def _build_partition(pid: str, cfg: ExperimentConfig, a_hat, graph_model, hyper_
     if pid == "hp":
         return partition_hypergraph_fm(hyper_model, pcfg)
     if pid == "shp":
-        model_matrix = _symmetrized(a_hat) if cfg.directed else a_hat
         return partition_stochastic(
             model_matrix, MiniBatchSpec(cfg.batch_size), cfg.batches, pcfg
         )
@@ -213,6 +215,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     model_matrix = _symmetrized(a_hat) if cfg.directed else a_hat
     graph_model = build_graph_model(model_matrix)
     hyper_model = build_hypergraph_model(model_matrix)
+    weights = a_hat.row_nnz()
     h0 = synth_features(n, cfg.dims[0], cfg.seed)
     labels = synth_labels(n, cfg.dims[-1], cfg.seed)
     model = init_model(cfg.dims, cfg.seed, learning_rate=cfg.learning_rate)
@@ -225,7 +228,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     timing = {}
     for pid in cfg.partitioners:
         log.info("partitioning with %s", pid)
-        pi = _build_partition(pid, cfg, a_hat, graph_model, hyper_model)
+        pi = _build_partition(pid, cfg, weights, model_matrix, graph_model, hyper_model)
         if not pi.is_balanced():
             raise RuntimeError(f"{pid} produced an unbalanced partition")
         states = scatter(a_hat, h0, pi, model)

@@ -3,9 +3,11 @@
 Three models of the same row-wise distribution problem:
 
 * undirected graph model: one vertex per row, one undirected edge per
-  symmetrized off-diagonal nonzero, unit edge costs. Its cut OVERCOUNTS
-  communication (one-way edges still count both directions; several
-  consumers on one remote part count once per consumer).
+  symmetrized off-diagonal nonzero, unit edge costs, held as a Hypergraph
+  of 2-pin nets (u, v) with u < v, whose connectivity-1 cut is exactly the
+  edge cut. Its cut OVERCOUNTS communication (one-way edges still count
+  both directions; several consumers on one remote part count once per
+  consumer).
 * column-net hypergraph model: one vertex per row, one net per column,
   pins(n_j) = rows with a nonzero in column j. Sum of (lambda - 1) over
   nets is EXACTLY the number of row transfers per direction.
@@ -15,8 +17,8 @@ Three models of the same row-wise distribution problem:
 
 Hypergraph stores its nets in CSR form (offsets, pins), the layout of a
 sparse matrix with one row per net: the column-net model is the pattern of
-A^T, and the partitioner levels, the file format and the cut metrics all
-work on the same two arrays.
+A^T, the graph model's offsets step by two, and the partitioner levels, the
+file format and the one cut metric all work on the same two arrays.
 
 Vertex weights are row nonzero counts of the normalized matrix, which is
 the per-row multiply work, so part weights model compute load.
@@ -30,39 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sparse import CsrMatrix, add_identity, restrict, transpose_sparse, unique_keys
-
-
-@dataclass(frozen=True)
-class UGraph:
-    """Undirected graph with per-edge costs and integer vertex weights."""
-
-    n_vertices: int
-    edges: np.ndarray  # (m, 2), each row (u, v) with u < v, lexicographically sorted
-    edge_cost: np.ndarray
-    vertex_weight: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        if len(e):
-            if np.any(e[:, 0] >= e[:, 1]):
-                raise ValueError("edges must be stored as (u, v) with u < v (no self loops)")
-            if np.any(e < 0) or e.max() >= self.n_vertices:
-                raise ValueError("edge endpoint out of range")
-            if len(unique_keys(e[:, 0] * self.n_vertices + e[:, 1])) != len(e):
-                raise ValueError("duplicate edges")
-        c = np.asarray(self.edge_cost, dtype=np.float64)
-        w = np.asarray(self.vertex_weight, dtype=np.int64)
-        if len(c) != len(e) or len(w) != self.n_vertices:
-            raise ValueError("cost/weight arrays have wrong length")
-        object.__setattr__(self, "edges", e)
-        object.__setattr__(self, "edge_cost", c)
-        object.__setattr__(self, "vertex_weight", w)
-        for arr in (e, c, w):
-            arr.setflags(write=False)
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
 
 
 @dataclass(frozen=True)
@@ -180,8 +149,7 @@ class Partition:
 @dataclass(frozen=True)
 class CutReport:
     cut_value: float
-    per_net_lambda: "np.ndarray | None"
-    balance_ratio: float
+    per_net_lambda: np.ndarray
 
 
 def _check_assignment(n_vertices: int, pi: Partition) -> None:
@@ -191,8 +159,9 @@ def _check_assignment(n_vertices: int, pi: Partition) -> None:
         )
 
 
-def build_graph_model(a: CsrMatrix) -> UGraph:
-    """Undirected edges = symmetrized off-diagonal pattern; w(v_i) = row nnz."""
+def build_graph_model(a: CsrMatrix) -> Hypergraph:
+    """One 2-pin net (u, v), u < v, per symmetrized off-diagonal pair, in
+    ascending (u, v) order; unit net costs; w(v_i) = row nnz."""
     if a.n_rows != a.n_cols:
         raise ValueError("matrix must be square")
     n = a.n_rows
@@ -200,7 +169,8 @@ def build_graph_model(a: CsrMatrix) -> UGraph:
     off = rows != a.col_indices
     u, v = np.minimum(rows, a.col_indices)[off], np.maximum(rows, a.col_indices)[off]
     keys = unique_keys(u * n + v)  # one key per edge, sorted as the pairs (u, v) are
-    return UGraph(n, np.stack([keys // n, keys % n], axis=1), np.ones(len(keys)), a.row_nnz())
+    pins = np.stack([keys // n, keys % n], axis=1).ravel()
+    return Hypergraph(n, np.arange(0, len(pins) + 1, 2), pins, np.ones(len(keys)), a.row_nnz())
 
 
 def build_hypergraph_model(a: CsrMatrix) -> Hypergraph:
@@ -212,17 +182,6 @@ def build_hypergraph_model(a: CsrMatrix) -> Hypergraph:
     # the pins of net j are the columns of row j of A^T, ascending
     t = transpose_sparse(a)
     return Hypergraph(a.n_rows, t.row_offsets, t.col_indices, np.ones(a.n_cols), a.row_nnz())
-
-
-def evaluate_graph_cut(g: UGraph, pi: Partition) -> CutReport:
-    """Total cost over edges whose endpoints land in different parts."""
-    _check_assignment(g.n_vertices, pi)
-    if g.n_edges:
-        crossing = pi.assignment[g.edges[:, 0]] != pi.assignment[g.edges[:, 1]]
-        cut = float(g.edge_cost[crossing].sum())
-    else:
-        cut = 0.0
-    return CutReport(cut, None, pi.balance_ratio())
 
 
 def net_connectivity(h: Hypergraph, pi: Partition) -> np.ndarray:
@@ -237,7 +196,12 @@ def evaluate_hypergraph_cut(h: Hypergraph, pi: Partition) -> CutReport:
     """Connectivity cut: sum of cost(n_j) * (lambda(n_j) - 1)."""
     lam = net_connectivity(h, pi)
     cut = float((h.net_cost * (lam - 1)).sum())
-    return CutReport(cut, lam, pi.balance_ratio())
+    return CutReport(cut, lam)
+
+
+# a 2-pin net's connectivity-1 cost is its edge's cut cost, so the graph
+# model's edge cut is its hypergraph cut
+evaluate_graph_cut = evaluate_hypergraph_cut
 
 
 def predicted_total_volume(h: Hypergraph, pi: Partition, dims) -> int:

@@ -4,10 +4,9 @@ bisection.
 Every bisection partitioner minimizes the same objective with the same
 engine: the connectivity-1 cut of a ``models.Hypergraph``, whose pins are
 stored in CSR form (net j pins ``pins[offsets[j]:offsets[j+1]]``); every
-restricted and coarsened level is one too. The graph partitioner
-hands its undirected edges over as 2-pin nets, whose connectivity-1 cut is
-exactly the edge cut; the hypergraph and stochastic partitioners hand over
-their nets as they are.
+restricted and coarsened level is one too. The graph model is one as
+well, with a 2-pin net per undirected edge, whose connectivity-1 cut is
+exactly the edge cut; every partitioner hands its model over as it is.
 
 Recursive bisection restricts the pins to the vertices being split once per
 level (p restricted to powers of two; arbitrary p comes in via external
@@ -51,7 +50,6 @@ from .models import (
     Hypergraph,
     MiniBatchSpec,
     Partition,
-    UGraph,
     build_stochastic_hypergraph,
 )
 from .sparse import CsrMatrix, check_key_range, stable_argsort, unique_keys
@@ -83,12 +81,6 @@ class PartitionConfig:
 
 # ---------------------------------------------------------------------------
 # levels and the bisection engine
-
-
-def _graph_nets(g: UGraph) -> Hypergraph:
-    """Each undirected edge as a 2-pin net."""
-    offsets = np.arange(0, 2 * g.n_edges + 1, 2, dtype=np.int64)
-    return Hypergraph(g.n_vertices, offsets, g.edges.ravel(), g.edge_cost, g.vertex_weight)
 
 
 def _restrict(h: Hypergraph, keep: np.ndarray) -> Hypergraph:
@@ -729,10 +721,10 @@ def _partition_by_bisection(h: Hypergraph, cfg: PartitionConfig, tag: int) -> Pa
     return pi
 
 
-def partition_graph_fm(g: UGraph, cfg: PartitionConfig) -> Partition:
-    """Recursive bisection minimizing the edge cut, run as the
-    connectivity-1 cut of the edges taken as 2-pin nets."""
-    return _partition_by_bisection(_graph_nets(g), cfg, 0x4750)
+def partition_graph_fm(g: Hypergraph, cfg: PartitionConfig) -> Partition:
+    """Recursive bisection minimizing the edge cut of the graph model, which
+    is the connectivity-1 cut of its 2-pin nets."""
+    return _partition_by_bisection(g, cfg, 0x4750)
 
 
 def partition_hypergraph_fm(h: Hypergraph, cfg: PartitionConfig) -> Partition:

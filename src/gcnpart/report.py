@@ -11,22 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .runtime import EpochMetrics
-
-CSV_HEADER = [
-    "dataset",
-    "partitioner",
-    "avg_volume_norm",
-    "max_volume_norm",
-    "avg_msgs_norm",
-    "max_msgs_norm",
-    "balance_ratio",
-]
-
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -67,6 +56,10 @@ class ComparisonRow:
     avg_msgs_norm: float
     max_msgs_norm: float
     balance_ratio: float
+
+
+CSV_HEADER = [f.name for f in fields(ComparisonRow)]
+NORM_COLUMNS = tuple(CSV_HEADER[2:-1])  # the RP-normalized columns
 
 
 def _ratio(value: float, baseline: float) -> float:
@@ -112,16 +105,15 @@ def compare(runs: list[RunSummary]) -> Comparison:
                 balance_ratio=r.balance_ratio,
             )
         )
-    columns = ("avg_volume_norm", "max_volume_norm", "avg_msgs_norm", "max_msgs_norm")
     geomeans: dict = {}
     for part in sorted({r.partitioner for r in rows}):
         part_rows = [r for r in rows if r.partitioner == part]
         geomeans[part] = {
-            col: geometric_mean([getattr(r, col) for r in part_rows]) for col in columns
+            col: geometric_mean([getattr(r, col) for r in part_rows]) for col in NORM_COLUMNS
         }
     hp_gp = None
     if "hp" in geomeans and "gp" in geomeans:
-        hp_gp = {col: geomeans["hp"][col] / geomeans["gp"][col] for col in columns}
+        hp_gp = {col: geomeans["hp"][col] / geomeans["gp"][col] for col in NORM_COLUMNS}
     return Comparison(tuple(rows), geomeans, hp_gp)
 
 
@@ -130,49 +122,18 @@ def comparison_to_csv(cmp: Comparison) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in cmp.rows:
-        writer.writerow(
-            [
-                r.dataset,
-                r.partitioner,
-                repr(r.avg_volume_norm),
-                repr(r.max_volume_norm),
-                repr(r.avg_msgs_norm),
-                repr(r.max_msgs_norm),
-                repr(r.balance_ratio),
-            ]
-        )
-    for part, cols in sorted(cmp.geomeans.items()):
-        writer.writerow(
-            ["geomean", part]
-            + [repr(cols[c]) for c in ("avg_volume_norm", "max_volume_norm", "avg_msgs_norm", "max_msgs_norm")]
-            + [""]
-        )
+        writer.writerow([r.dataset, r.partitioner] + [repr(getattr(r, c)) for c in CSV_HEADER[2:]])
+    means = [(("geomean", part), cols) for part, cols in sorted(cmp.geomeans.items())]
     if cmp.hp_gp_ratio is not None:
-        writer.writerow(
-            ["geomean_ratio", "hp/gp"]
-            + [
-                repr(cmp.hp_gp_ratio[c])
-                for c in ("avg_volume_norm", "max_volume_norm", "avg_msgs_norm", "max_msgs_norm")
-            ]
-            + [""]
-        )
+        means.append((("geomean_ratio", "hp/gp"), cmp.hp_gp_ratio))
+    for label, cols in means:
+        writer.writerow(list(label) + [repr(cols[c]) for c in NORM_COLUMNS] + [""])
     return buf.getvalue()
 
 
 def comparison_to_dict(cmp: Comparison) -> dict:
     return {
-        "rows": [
-            {
-                "dataset": r.dataset,
-                "partitioner": r.partitioner,
-                "avg_volume_norm": r.avg_volume_norm,
-                "max_volume_norm": r.max_volume_norm,
-                "avg_msgs_norm": r.avg_msgs_norm,
-                "max_msgs_norm": r.max_msgs_norm,
-                "balance_ratio": r.balance_ratio,
-            }
-            for r in cmp.rows
-        ],
+        "rows": [asdict(r) for r in cmp.rows],
         "geomeans": cmp.geomeans,
         "hp_gp_ratio": cmp.hp_gp_ratio,
     }

@@ -222,8 +222,8 @@ class EpochMetrics:
 
 @dataclass(frozen=True)
 class _HaloLayout:
-    """One phase's halo operands and send positions for every rank, built
-    from one plan and flattened rank after rank (ext as in ProcState).
+    """One phase's halo operands for every rank, built from one plan and
+    flattened rank after rank (ext as in ProcState).
 
     Rank m's rows are rows[row_start[m]:row_start[m + 1]]; position is
     each vertex's place in rows, and row q of rows has the entries
@@ -231,15 +231,13 @@ class _HaloLayout:
     (its rank's ext start plus its operand column). Per ext slot: the
     send-list slot it receives, or -1 for a rank's own row. Per send-list
     slot, lists in (sender, receiver) order: its global id and its pair
-    sender * p + receiver. send[m] maps each destination of rank m to the
-    local positions of the rows it sends there.
+    sender * p + receiver.
     """
 
     plan: CommPlan
     rows: np.ndarray
     row_start: np.ndarray
     position: np.ndarray
-    send: list
     entry_start: np.ndarray
     col: np.ndarray
     values: np.ndarray
@@ -257,8 +255,7 @@ class _HaloLayout:
 
 def _halo_layout(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = None) -> _HaloLayout:
     """a's halo layout under its plan for the owners pi, from one sort of
-    a's entries; every column of a rank's rows is in its ext. gather_rows
-    raises KeyError for a listed row that its sender does not own."""
+    a's entries; every column of a rank's rows is in its ext."""
     plan = build_comm_plan(a, pi, p)
     p, owner = plan.p, plan.owner
     n = len(owner)
@@ -267,12 +264,6 @@ def _halo_layout(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = Non
     n_own = np.bincount(owner, minlength=p)
     row_start = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(n_own, out=row_start[1:])
-    send = []
-    for m, (counts, ends) in enumerate(zip(sizes.tolist(), np.cumsum(sizes, axis=1).tolist())):
-        mine = rows[row_start[m] : row_start[m + 1]]
-        pos = gather_rows(RowBlock(mine, np.arange(len(mine)).reshape(-1, 1)), np.concatenate(plan.send[m]))[:, 0]
-        send.append({d: pos[end - k : end] for d, (k, end) in enumerate(zip(counts, ends)) if k})
-
     ext_start = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(n_own + sizes.sum(axis=0), out=ext_start[1:])
     # list s -> c sits in c's ext after c's rows and the lists of the
@@ -298,8 +289,21 @@ def _halo_layout(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = Non
     order = np.argsort(position[row] * int(ext_start[-1]) + slot)  # unique keys
     entry_start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(a.row_nnz()[rows], out=entry_start[1:])
-    return _HaloLayout(plan, rows, row_start, position, send, entry_start, a.col_indices[order], a.values[order],
+    return _HaloLayout(plan, rows, row_start, position, entry_start, a.col_indices[order], a.values[order],
                        slot[order], ext_start, listed_at, listed, pair)
+
+
+def _send_positions(ph: _HaloLayout) -> list[dict]:
+    """Per rank, each destination's local positions of the rows the rank
+    sends there. gather_rows raises KeyError for a listed row that its
+    sender does not own."""
+    send = []
+    for m, lists in enumerate(ph.plan.send):
+        mine = ph.rows[ph.row_start[m] : ph.row_start[m + 1]]
+        pos = gather_rows(RowBlock(mine, np.arange(len(mine)).reshape(-1, 1)), np.concatenate(lists))[:, 0]
+        parts = np.split(pos, np.cumsum([len(ids) for ids in lists])[:-1])
+        send.append({d: part for d, part in enumerate(parts) if len(part)})
+    return send
 
 
 def scatter(
@@ -320,8 +324,8 @@ def scatter(
         raise ValueError(f"h0 has shape {h0.shape}, expected ({a_hat.n_rows}, {model.dims[0]})")
     fwd = _halo_layout(a_hat, pi, p)
     bwd = fwd if is_symmetric(a_hat) else _halo_layout(transpose_sparse(a_hat), pi, p)
-    a_fwd = fwd.operands()
-    a_bwd = a_fwd if bwd is fwd else bwd.operands()
+    a_fwd, send_fwd = fwd.operands(), _send_positions(fwd)
+    a_bwd, send_bwd = (a_fwd, send_fwd) if bwd is fwd else (bwd.operands(), _send_positions(bwd))
     rows = np.split(fwd.rows, fwd.row_start[1:-1])
     return [
         ProcState(
@@ -331,8 +335,8 @@ def scatter(
             plan_bwd=bwd.plan,
             a_fwd=a_fwd[m],
             a_bwd=a_bwd[m],
-            send_fwd=fwd.send[m],
-            send_bwd=bwd.send[m],
+            send_fwd=send_fwd[m],
+            send_bwd=send_bwd[m],
             dims=model.dims,
             activation=model.activation,
             learning_rate=model.learning_rate,

@@ -161,7 +161,7 @@ def test_criterion_3_graph_model_overestimation():
         pi = Partition.from_assignment(assignment, h.vertex_weight, 3, 1e9)
         hub = 3
         incident_cut = sum(
-            1 for (u, v) in g.edges if hub in (u, v) and assignment[u] != assignment[v]
+            1 for (u, v) in g.nets if hub in (u, v) and assignment[u] != assignment[v]
         )
         assert incident_cut == 3
         lam = net_connectivity(h, pi)

@@ -13,7 +13,6 @@ from gcnpart import (
     Hypergraph,
     MiniBatchSpec,
     Partition,
-    UGraph,
     build_graph_model,
     build_hypergraph_model,
     build_stochastic_hypergraph,
@@ -25,6 +24,7 @@ from gcnpart import (
     sample_batches,
 )
 from gcnpart.models import induced_pattern, net_connectivity
+from gcnpart.partition import HypergraphBisection
 
 from helpers import (
     brute_force_hypergraph_cut,
@@ -74,14 +74,14 @@ class TestPartitionBalance:
 class TestGraphModel:
     def test_diagonal_only_matrix(self):
         g = build_graph_model(CsrMatrix.identity(4))
-        assert g.n_edges == 0
+        assert g.n_nets == 0
         assert np.array_equal(g.vertex_weight, np.ones(4, dtype=np.int64))
 
     def test_one_way_edge_still_undirected(self):
         a = CsrMatrix.from_coo(2, 2, [0, 0, 1], [0, 1, 1])  # only 0 -> 1
         g = build_graph_model(a)
-        assert g.n_edges == 1
-        assert tuple(g.edges[0]) == (0, 1)
+        assert g.n_nets == 1
+        assert tuple(g.nets[0]) == (0, 1)
 
     def test_figure_vertex_weight(self):
         a_hat, _ = figure_instance_overcount()
@@ -91,20 +91,6 @@ class TestGraphModel:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             build_graph_model(CsrMatrix.from_coo(2, 3, [0], [2]))
-
-    def test_ugraph_rejects_bad_edges(self):
-        ones = np.ones(3, dtype=np.int64)
-        with pytest.raises(ValueError, match="u < v"):
-            UGraph(3, np.array([[1, 0]]), np.ones(1), ones)
-        with pytest.raises(ValueError, match="u < v"):
-            UGraph(3, np.array([[1, 1]]), np.ones(1), ones)
-        with pytest.raises(ValueError, match="out of range"):
-            UGraph(3, np.array([[0, 3]]), np.ones(1), ones)
-        with pytest.raises(ValueError, match="out of range"):
-            UGraph(3, np.array([[-1, 2]]), np.ones(1), ones)
-        with pytest.raises(ValueError, match="duplicate"):
-            UGraph(3, np.array([[0, 2], [1, 2], [0, 2]]), np.ones(3), ones)
-        assert UGraph(3, np.array([[0, 1], [0, 2], [1, 2]]), np.ones(3), ones).n_edges == 3
 
 
 class TestHypergraphModel:
@@ -291,8 +277,8 @@ class TestBuildsMatchReference:
     @given(square_patterns(full_diagonal=False))
     def test_graph_model_matches_unique_rows_build(self, a):
         g = build_graph_model(a)
-        assert np.array_equal(g.edges, reference_graph_edges(a))
-        assert np.array_equal(g.edge_cost, np.ones(g.n_edges))
+        assert np.array_equal(g.pins.reshape(-1, 2), reference_graph_edges(a))
+        assert np.array_equal(g.net_cost, np.ones(g.n_nets))
         assert np.array_equal(g.vertex_weight, a.row_nnz())
 
 
@@ -316,10 +302,32 @@ class TestGraphCut:
         hub = 3
         incident_cut = sum(
             1
-            for (u, v) in g.edges
+            for (u, v) in g.nets
             if hub in (u, v) and assignment[u] != assignment[v]
         )
         assert incident_cut == 3
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.data())
+    def test_cut_counts_distinct_split_pairs(self, data):
+        # one-way edges, self loops, repeated cells and empty rows all occur
+        a = data.draw(square_patterns(full_diagonal=False))
+        n = a.n_rows
+        p = data.draw(st.integers(1, min(n, 4)))
+        assignment = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        assignment[data.draw(st.permutations(range(n)))[:p]] = np.arange(p)  # fill every part
+        pairs = {
+            (min(i, j), max(i, j))
+            for i in range(n)
+            for j in a.col_indices[a.row_offsets[i] : a.row_offsets[i + 1]].tolist()
+            if i != j
+        }
+        expected = sum(1 for u, v in pairs if assignment[u] != assignment[v])
+        g = build_graph_model(a)
+        pi = make_partition(assignment, g.vertex_weight, p)
+        assert evaluate_graph_cut(g, pi).cut_value == expected
+        if p == 2:
+            assert HypergraphBisection(g, assignment.astype(np.int8)).cut() == expected
 
     def test_unassigned_vertex_rejected(self):
         a_hat, _ = figure_instance_overcount()
@@ -405,7 +413,7 @@ class TestPredictedVolume:
         assert (lam[3] - 1) * d == 2 * d
         g = build_graph_model(a_hat)
         incident_cut = sum(
-            1 for (u, v) in g.edges if 3 in (u, v) and assignment[u] != assignment[v]
+            1 for (u, v) in g.nets if 3 in (u, v) and assignment[u] != assignment[v]
         )
         assert incident_cut * d == 3 * d
 

@@ -17,7 +17,6 @@ from gcnpart import (
     MiniBatchSpec,
     Partition,
     PartitionConfig,
-    UGraph,
     build_graph_model,
     build_hypergraph_model,
     build_stochastic_hypergraph,
@@ -35,7 +34,6 @@ from gcnpart.partition import (
     HypergraphBisection,
     _contract,
     _fm_passes,
-    _graph_nets,
     _grow_bfs,
     _match,
     _merge_identical_nets,
@@ -59,8 +57,7 @@ def clique_pair_graph():
         for i in range(4):
             for j in range(i + 1, 4):
                 edges.append((base + i, base + j))
-    e = np.array(edges)
-    return UGraph(8, e, np.ones(len(e)), np.ones(8, dtype=np.int64))
+    return hypergraph_from_nets(8, edges, np.ones(len(edges)), np.ones(8, dtype=np.int64))
 
 
 class TestPartitionConfig:
@@ -112,12 +109,12 @@ class TestGraphFm:
         pi = partition_graph_fm(g, PartitionConfig(p=2, seed=1))
         assert evaluate_graph_cut(g, pi).cut_value == 0
         # exhaustive check: 0 really is optimal
-        assert brute_force_best_graph_bipartition(g.edges, g.vertex_weight, 0.01) == 0
+        assert brute_force_best_graph_bipartition(g.nets, g.vertex_weight, 0.01) == 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_path_of_four_cuts_one(self, seed):
         edges = np.array([(0, 1), (1, 2), (2, 3)])
-        g = UGraph(4, edges, np.ones(3), np.ones(4, dtype=np.int64))
+        g = hypergraph_from_nets(4, edges, np.ones(3), np.ones(4, dtype=np.int64))
         pi = partition_graph_fm(g, PartitionConfig(p=2, seed=seed))
         assert evaluate_graph_cut(g, pi).cut_value == 1
         assert brute_force_best_graph_bipartition(edges, g.vertex_weight, 0.01) == 1
@@ -266,10 +263,9 @@ class TestFmEngineExactness:
         rng = np.random.default_rng([seed, 31])
         g = build_graph_model(normalize_adjacency(random_undirected(12, 0.3, seed)))
         side = rng.integers(0, 2, size=12).astype(np.int8)
-        nets = _graph_nets(g)
         pi = Partition.from_assignment(side, g.vertex_weight, 2, 1.0)
-        assert recomputed_cut(nets, side) == evaluate_graph_cut(g, pi).cut_value
-        assert_exact_under_moves(nets, side, rng.integers(0, 12, size=40))
+        assert recomputed_cut(g, side) == evaluate_graph_cut(g, pi).cut_value
+        assert_exact_under_moves(g, side, rng.integers(0, 12, size=40))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_hypergraph_gains_and_cut_stay_exact_under_random_moves(self, seed):
@@ -411,7 +407,7 @@ class TestFmPasses:
         weights = rng.integers(1, 7, size=n).astype(np.float64)
         side = rng.integers(0, 2, size=n).astype(np.int8)
         cap = float(weights.sum()) / 2.0 + float(rng.integers(0, 6))
-        for h in (build_hypergraph_model(a_hat), _graph_nets(build_graph_model(a_hat))):
+        for h in (build_hypergraph_model(a_hat), build_graph_model(a_hat)):
             ref = HypergraphBisection(h, side)
             reference_fm_passes(ref, weights, cap, 1, FM_PASSES)
             eng = HypergraphBisection(h, side)
