@@ -14,7 +14,6 @@ from .gcn import (
     feedforward,
     init_model,
     nll_loss_and_grad,
-    relu_and_derivative,
     train_serial,
 )
 from .models import (

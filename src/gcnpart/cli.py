@@ -40,7 +40,7 @@ from .partition import (
     random_partition,
 )
 from .runtime import FullBatch, MiniBatch, SimNetwork, scatter, train_epochs
-from .sparse import CsrMatrix, is_symmetric, normalize_adjacency
+from .sparse import is_symmetric, normalize_adjacency
 from .sparse import transpose_sparse  # noqa: F401  perfbench traces cli.transpose_sparse
 
 SCHEMA_VERSION = 1
@@ -162,15 +162,6 @@ def synth_labels(n: int, n_classes: int, seed: int, fraction: float = 0.1) -> La
     return LabelSet(ids, rng.integers(0, n_classes, size=count), n_classes)
 
 
-def _symmetrized(a: CsrMatrix) -> CsrMatrix:
-    """Union pattern of a and a^T with unit values (model construction for
-    directed inputs covers both phases with one model)."""
-    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
-    rows, cols = np.concatenate([rows, a.col_indices]), np.concatenate([a.col_indices, rows])
-    both = CsrMatrix.from_coo(a.n_rows, a.n_cols, rows, cols)
-    return CsrMatrix(a.n_rows, a.n_cols, both.row_offsets, both.col_indices, np.ones(both.nnz))
-
-
 def _build_partition(
     pid: str, cfg: ExperimentConfig, weights, model_matrix, graph_model, hyper_model
 ) -> Partition:
@@ -212,7 +203,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     log.info("loaded %s: %d vertices, %d stored entries", dataset, n, a_raw.nnz)
 
     a_hat = normalize_adjacency(a_raw, add_self_loops=True)
-    model_matrix = _symmetrized(a_hat) if cfg.directed else a_hat
+    model_matrix = a_hat
+    if cfg.directed:  # both phases' models are built on the unit pattern of Â + Â^T
+        model_matrix = graphio.pattern_from_pairs(
+            n, np.stack([np.repeat(np.arange(n), a_hat.row_nnz()), a_hat.col_indices], axis=1), directed=False)
     graph_model = build_graph_model(model_matrix)
     hyper_model = build_hypergraph_model(model_matrix)
     weights = a_hat.row_nnz()

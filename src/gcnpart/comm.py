@@ -1,15 +1,15 @@
 """Point-to-point communication planning for a row-partitioned matrix.
 
-For ranks m != n, send[m][n] lists the global rows owned by m that appear
-as nonzero columns in n's rows: exactly the feature/gradient rows n must
-receive from m, each listed once however many local rows of n reference
-it. recv_from[m] lists the ranks m expects a message from. The plan is a
-pure function of the matrix pattern and the row ownership, computed once
-before training. The backward phase uses the plan of the transposed
-matrix, which is the forward plan when the matrix equals its transpose.
+For ranks m != c, list m -> c holds the global rows owned by m that
+appear as nonzero columns in c's rows: exactly the feature/gradient rows
+c must receive from m, each listed once however many local rows of c
+reference it. The plan is a pure function of the matrix pattern and the
+row ownership, computed once before training. The backward phase uses the
+plan of the transposed matrix, which is the forward plan when the matrix
+equals its transpose.
 
-Send selectors are sorted index lists (not stored diagonal matrices);
-receivers index payload rows positionally against the sorted list.
+The plan is CSR over the p x p (sender, receiver) pairs; receivers index
+payload rows positionally against each sorted list.
 """
 
 from __future__ import annotations
@@ -23,39 +23,56 @@ from .models import Partition
 from .sparse import CsrMatrix, unique_keys
 
 
+def _frozen(x) -> np.ndarray:
+    out = np.asarray(x, dtype=np.int64).view()  # a read-only view; x stays writable
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class CommPlan:
+    """List m -> c is ids[bounds[m * p + c] : bounds[m * p + c + 1]] (list
+    m -> m is empty). Cached read-only views of these: sizes[m, c], the
+    length of list m -> c; send[m][c], the list; recv_from[c], the
+    ascending ranks with a nonempty list to c; and receives[c], the
+    (sender, rows) of each message to c by sender rank."""
+
     p: int
-    owner: np.ndarray
-    send: tuple  # send[m][n]: sorted global row ids m ships to n; send[m][m] empty
-    recv_from: tuple  # recv_from[m]: ascending ranks with a nonempty send to m
+    owner: np.ndarray  # each row's rank
+    ids: np.ndarray
+    bounds: np.ndarray
 
     def __post_init__(self):
-        owner = np.asarray(self.owner, dtype=np.int64)
-        owner.setflags(write=False)
-        object.__setattr__(self, "owner", owner)
+        for name in ("owner", "ids", "bounds"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        return _frozen(np.diff(self.bounds).reshape(self.p, self.p))
+
+    @cached_property
+    def send(self) -> tuple:
+        b, p = self.bounds.tolist(), self.p
+        return tuple(tuple(self.ids[b[q] : b[q + 1]] for q in range(m * p, m * p + p)) for m in range(p))
+
+    @cached_property
+    def recv_from(self) -> tuple:
+        return tuple(_frozen(np.flatnonzero(self.sizes[:, c])) for c in range(self.p))
 
     @cached_property
     def receives(self) -> tuple:
-        """receives[m]: (sender, rows) of each message to m, by sender rank."""
-        return tuple([(int(s), len(self.send[s][m])) for s in self.recv_from[m]] for m in range(self.p))
+        return tuple([(s, int(self.sizes[s, c])) for s in self.recv_from[c].tolist()] for c in range(self.p))
 
     def to_report(self) -> dict:
         """JSON-ready summary: per-pair row counts and per-rank totals."""
-        pairs = {}
-        for m in range(self.p):
-            for n in range(self.p):
-                if len(self.send[m][n]):
-                    pairs[f"{m}->{n}"] = int(len(self.send[m][n]))
-        sent_rows = [int(sum(len(lst) for lst in self.send[m])) for m in range(self.p)]
-        msgs = [int(sum(1 for lst in self.send[m] if len(lst))) for m in range(self.p)]
+        rows, msgs = self.sizes.sum(axis=1).tolist(), np.count_nonzero(self.sizes, axis=1).tolist()
         return {
             "p": self.p,
-            "pair_row_counts": pairs,
-            "rows_sent_per_rank": sent_rows,
+            "pair_row_counts": {f"{m}->{c}": int(self.sizes[m, c]) for m, c in zip(*np.nonzero(self.sizes))},
+            "rows_sent_per_rank": rows,
             "messages_per_rank": msgs,
-            "total_rows_sent": int(sum(sent_rows)),
-            "total_messages": int(sum(msgs)),
+            "total_rows_sent": sum(rows),
+            "total_messages": sum(msgs),
         }
 
 
@@ -85,15 +102,7 @@ def build_comm_plan(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = 
     sender = owner[a.col_indices]
     cross = consumer != sender
     keys = unique_keys((sender[cross] * p + consumer[cross]) * n + a.col_indices[cross])
-    return plan_from_lists(p, owner, keys % n, np.searchsorted(keys // n, np.arange(p * p + 1)))
-
-
-def plan_from_lists(p: int, owner, ids: np.ndarray, bounds: np.ndarray) -> CommPlan:
-    """The plan whose list m -> c is ids[bounds[m * p + c] : bounds[m * p + c + 1]]."""
-    b = bounds.tolist()
-    send = tuple(tuple(ids[b[q] : b[q + 1]] for q in range(m * p, m * p + p)) for m in range(p))
-    sizes = np.diff(bounds)
-    return CommPlan(p, owner, send, tuple(np.flatnonzero(sizes[m::p]) for m in range(p)))
+    return CommPlan(p, owner, keys % n, np.searchsorted(keys // n, np.arange(p * p + 1)))
 
 
 @dataclass(frozen=True)
@@ -106,10 +115,5 @@ class PlanVolume:
 
 def plan_volume(plan: CommPlan, d: int) -> PlanVolume:
     """Words and message counts for one d-wide transfer round of the plan."""
-    words = np.array(
-        [d * sum(len(lst) for lst in plan.send[m]) for m in range(plan.p)], dtype=np.int64
-    )
-    msgs = np.array(
-        [sum(1 for lst in plan.send[m] if len(lst)) for m in range(plan.p)], dtype=np.int64
-    )
+    words, msgs = d * plan.sizes.sum(axis=1), np.count_nonzero(plan.sizes, axis=1).astype(np.int64)
     return PlanVolume(words, int(words.sum()), msgs, int(msgs.sum()))

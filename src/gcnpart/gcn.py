@@ -99,13 +99,8 @@ class LabelSet:
         return len(self.labeled_ids)
 
 
-def relu_and_derivative(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max(z, 0) and its derivative; the subgradient at 0 is taken as 0."""
-    return activate("relu", z), activate("relu", z, derivative=True)
-
-
 def activate(name: str, z: np.ndarray, derivative: bool = False) -> np.ndarray:
-    """The activation at z, or with derivative=True its derivative alone."""
+    """The activation at z, or with derivative=True its derivative (relu's is 0 at 0)."""
     z = dense(z)
     if name == "relu":
         return (z > 0).astype(np.float64) if derivative else np.maximum(z, 0.0)

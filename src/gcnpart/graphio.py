@@ -133,7 +133,7 @@ class _Text:
             raise self.error(i, message(i) if callable(message) else message)
 
 
-def _pattern_from_pairs(n: int, pairs: np.ndarray, directed: bool) -> CsrMatrix:
+def pattern_from_pairs(n: int, pairs: np.ndarray, directed: bool) -> CsrMatrix:
     """The n x n unit pattern of an (m, 2) array of (row, col) pairs."""
     arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if len(arr) and (arr.min() < 0 or arr.max() >= n):
@@ -178,7 +178,7 @@ def read_edge_list(path, directed: bool = False) -> CsrMatrix:
     n = int(counts[-1]) if len(counts) else int(top.max(initial=-1)) + 1
     if n <= 0:
         raise GraphParseError(path, 0, "no vertices (empty file without an n= header)")
-    return _pattern_from_pairs(n, uv, directed)
+    return pattern_from_pairs(n, uv, directed)
 
 
 def _vertex_count(line: str) -> int | None:
@@ -226,7 +226,7 @@ def read_matrix_market(path) -> CsrMatrix:
         raise t.error(size, f"size line declares {dims[2]} entries, file lists {len(entries)}")
     if dims[0] != dims[1]:
         raise GraphParseError(path, 0, "adjacency matrix must be square")
-    return _pattern_from_pairs(int(dims[0]), ij, directed=symmetry == "general")
+    return pattern_from_pairs(int(dims[0]), ij, directed=symmetry == "general")
 
 
 def write_matrix_market(path, a: CsrMatrix) -> None:

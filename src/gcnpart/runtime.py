@@ -40,16 +40,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .comm import CommPlan, build_comm_plan, plan_from_lists
+from .comm import CommPlan, build_comm_plan
 from .gcn import GcnModel, LabelSet, activate
 from .models import MiniBatchSpec, Partition
 from .sparse import (
     CsrMatrix,
-    RowBlock,
     add_identity,
     check_key_range,
     dense,
-    gather_rows,
     is_symmetric,
     prime_spmm_schedules,
     ranges,
@@ -60,10 +58,10 @@ from .sparse import (
     unique_keys,
 )
 
-# Not called here since mini-batch steps mask operands built once; kept
-# because perfbench/experiment.py traces them under these names.
+# Not called here (mini-batch steps mask operands built once, and scatter
+# reads halo layouts); perfbench/experiment.py traces them by these names.
 from .models import induced_pattern  # noqa: F401
-from .sparse import normalize_adjacency  # noqa: F401
+from .sparse import gather_rows, normalize_adjacency  # noqa: F401
 
 SCHEDULERS = ("round", "threads")
 # Longest a "threads" rank blocks on one receive or barrier; the workers of
@@ -173,8 +171,8 @@ class ProcState:
     lists the rank's own rows, then each sender's send list to it in
     ascending sender rank; its columns index the rows of [own block;
     payloads in that order]. send_fwd/send_bwd map each destination to the
-    local positions of the rows sent there. The phases share one plan,
-    operand and send map exactly when Â equals Â^T bit for bit.
+    local positions of the rows sent there, slices of one array per phase.
+    The phases share one plan, operand and send map iff Â equals Â^T bit for bit.
     Weight replicas are private copies, kept identical across ranks by the
     deterministic allreduce.
 
@@ -227,10 +225,10 @@ class _HaloLayout:
 
     Rank m's rows are rows[row_start[m]:row_start[m + 1]]; position is
     each vertex's place in rows, and row q of rows has the entries
-    entry_start[q]:entry_start[q + 1], in ascending ext slot. Per entry: its global column, its value and its flat ext slot
-    (its rank's ext start plus its operand column). Per ext slot: the
-    send-list slot it receives, or -1 for a rank's own row. Per send-list
-    slot, lists in (sender, receiver) order: its global id and its pair
+    entry_start[q]:entry_start[q + 1], in ascending ext slot. Per entry:
+    its global column, its value and its flat ext slot (its rank's ext
+    start plus its operand column). Per ext slot: the slot of plan.ids it
+    receives, or -1 for a rank's own row. Per slot of plan.ids: its pair
     sender * p + receiver.
     """
 
@@ -244,7 +242,6 @@ class _HaloLayout:
     slot: np.ndarray
     ext_start: np.ndarray  # rank m's ext slots are ext_start[m]:ext_start[m + 1]
     listed_at: np.ndarray
-    listed: np.ndarray
     pair: np.ndarray
 
     def operands(self) -> list[CsrMatrix]:
@@ -257,9 +254,8 @@ def _halo_layout(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = Non
     """a's halo layout under its plan for the owners pi, from one sort of
     a's entries; every column of a rank's rows is in its ext."""
     plan = build_comm_plan(a, pi, p)
-    p, owner = plan.p, plan.owner
+    p, owner, ids, sizes = plan.p, plan.owner, plan.ids, plan.sizes
     n = len(owner)
-    sizes = np.array([[len(ids) for ids in lists] for lists in plan.send], dtype=np.int64)
     rows = stable_argsort(owner, p)  # the rows of rank 0, then 1, ...
     n_own = np.bincount(owner, minlength=p)
     row_start = np.zeros(p + 1, dtype=np.int64)
@@ -270,10 +266,9 @@ def _halo_layout(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = Non
     # senders before s; listed_slot: the flat ext slot of each listed row
     list_at = (ext_start[:-1] + n_own + np.cumsum(sizes, axis=0) - sizes).ravel()
     pair = np.repeat(np.arange(p * p, dtype=np.int64), sizes.ravel())
-    listed = np.concatenate([ids for lists in plan.send for ids in lists])
-    listed_slot = (list_at - np.cumsum(sizes) + sizes.ravel())[pair] + np.arange(len(listed))
+    listed_slot = (list_at - plan.bounds[:-1])[pair] + np.arange(len(ids))
     listed_at = np.full(int(ext_start[-1]), -1, dtype=np.int64)
-    listed_at[listed_slot] = np.arange(len(listed))
+    listed_at[listed_slot] = np.arange(len(ids))
 
     position = np.empty(n, dtype=np.int64)
     position[rows] = np.arange(n)
@@ -284,26 +279,30 @@ def _halo_layout(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = Non
     slot = (ext_start - row_start)[owner[row]] + position[a.col_indices]
     cross = np.flatnonzero(owner[row] != owner[a.col_indices])
     keys = (owner[a.col_indices[cross]] * p + owner[row[cross]]) * n + a.col_indices[cross]
-    slot[cross] = listed_slot[sorted_search(pair * n + listed, keys)]
+    slot[cross] = listed_slot[sorted_search(pair * n + ids, keys)]
     check_key_range(n, ext_start[-1])
     order = np.argsort(position[row] * int(ext_start[-1]) + slot)  # unique keys
     entry_start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(a.row_nnz()[rows], out=entry_start[1:])
     return _HaloLayout(plan, rows, row_start, position, entry_start, a.col_indices[order], a.values[order],
-                       slot[order], ext_start, listed_at, listed, pair)
+                       slot[order], ext_start, listed_at, pair)
+
+
+def _send_maps(p: int, positions: np.ndarray, bounds: np.ndarray) -> list[dict]:
+    """Per sender m, each c's positions[bounds[m * p + c] : bounds[m * p + c + 1]] if nonempty."""
+    b = bounds.tolist()
+    return [{c: positions[b[q] : b[q + 1]] for c, q in enumerate(range(m * p, m * p + p)) if b[q + 1] > b[q]}
+            for m in range(p)]
 
 
 def _send_positions(ph: _HaloLayout) -> list[dict]:
-    """Per rank, each destination's local positions of the rows the rank
-    sends there. gather_rows raises KeyError for a listed row that its
-    sender does not own."""
-    send = []
-    for m, lists in enumerate(ph.plan.send):
-        mine = ph.rows[ph.row_start[m] : ph.row_start[m + 1]]
-        pos = gather_rows(RowBlock(mine, np.arange(len(mine)).reshape(-1, 1)), np.concatenate(lists))[:, 0]
-        parts = np.split(pos, np.cumsum([len(ids) for ids in lists])[:-1])
-        send.append({d: part for d, part in enumerate(parts) if len(part)})
-    return send
+    """Per rank, each receiver's local positions of the rows sent there;
+    KeyError for a listed row that its sender does not own."""
+    plan, sender = ph.plan, ph.pair // ph.plan.p
+    bad = np.flatnonzero(plan.owner[plan.ids] != sender)
+    if len(bad):
+        raise KeyError(f"row {int(plan.ids[bad[0]])} is not owned by rank {int(sender[bad[0]])}, which sends it")
+    return _send_maps(plan.p, ph.position[plan.ids] - ph.row_start[sender], plan.bounds)
 
 
 def scatter(
@@ -565,9 +564,9 @@ class FullBatch:
 @dataclass(frozen=True)
 class MiniBatch:
     """Per-step vertex sampling; the fixed global partition is restricted to
-    each batch's induced sub-adjacency, renormalized as
-    normalize_adjacency does. The owners, the features and whether the
-    phases share one operand come from the states being trained.
+    each batch's induced sub-adjacency, renormalized as normalize_adjacency
+    does; the states' forward operands must be adjacency so normalized
+    (ValueError if not). Owners, features and operand sharing come from them.
     Each train_epochs call builds every rank's halo operands of the whole
     graph once. Each epoch draws its batches_per_epoch batches up front,
     then one vectorized pass keeps, for every step at once, the entries
@@ -630,6 +629,8 @@ class _MiniBatchIndex:
 
 def _mini_batch_index(states, labels: LabelSet, adjacency: CsrMatrix) -> _MiniBatchIndex:
     n, p = adjacency.n_rows, len(states)
+    if sum(len(st.global_rows) for st in states) != n:
+        raise ValueError(f"the states hold {sum(len(st.global_rows) for st in states)} rows, the adjacency {n}")
     owner = np.empty(n, dtype=np.int64)
     features = np.empty((n, states[0].dims[0]))
     for st in states:
@@ -637,15 +638,19 @@ def _mini_batch_index(states, labels: LabelSet, adjacency: CsrMatrix) -> _MiniBa
         features[st.global_rows] = st.h0
     # add_identity sums a raw self loop and I to 2, as normalize_adjacency does
     a = add_identity(CsrMatrix(n, n, adjacency.row_offsets, adjacency.col_indices, np.ones(adjacency.nnz)))
-    shared = states[0].plan_bwd is states[0].plan_fwd
-    return _MiniBatchIndex(
-        p=p,
-        owner=owner,
-        features=features,
-        label_index=_label_index(labels, n),
-        fwd=_halo_layout(a, owner, p),
-        bwd=None if shared else _halo_layout(transpose_sparse(a), owner, p),
-    )
+    fwd = _halo_layout(a, owner, p)
+    # steps renormalize their batches of A+I, so the states must hold A+I
+    # normalized by the whole graph's degrees: rows, ext slots, value bits
+    row = np.repeat(fwd.rows, np.diff(fwd.entry_start))
+    inv = 1.0 / np.sqrt(np.bincount(row, weights=fwd.values, minlength=n))
+    want = (np.diff(fwd.entry_start), fwd.slot, (fwd.values * inv[row] * inv[fwd.col]).view(np.int64))
+    parts = [(st.a_fwd.row_nnz(), st.a_fwd.col_indices + e, st.a_fwd.values.view(np.int64))
+             for st, e in zip(states, fwd.ext_start.tolist())]
+    if not all(map(np.array_equal, map(np.concatenate, zip(*parts)), want)):
+        raise ValueError("the states' forward operands are not MiniBatch.adjacency normalized as "
+                         "normalize_adjacency does, which each mini-batch step renormalizes")
+    bwd = None if states[0].plan_bwd is states[0].plan_fwd else _halo_layout(transpose_sparse(a), owner, p)
+    return _MiniBatchIndex(p, owner, features, _label_index(labels, n), fwd, bwd)
 
 
 def _epoch_steps(index: _MiniBatchIndex, states, labels: LabelSet, batches: np.ndarray):
@@ -668,13 +673,7 @@ def _epoch_steps(index: _MiniBatchIndex, states, labels: LabelSet, batches: np.n
         """Step t's plan of a phase, and each rank's send positions."""
         ids, positions, bounds = sends
         bt = bounds[t * p * p : (t + 1) * p * p + 1]
-        q = bt.tolist()
-        by_rank = [
-            {c: positions[q[k] : q[k + 1]] for c, k in enumerate(range(s * p, s * p + p))
-             if q[k + 1] > q[k]}
-            for s in range(p)
-        ]
-        return plan_from_lists(p, index.owner[batches[t]], ids, bt), by_rank
+        return CommPlan(p, index.owner[batches[t]], ids[bt[0] : bt[-1]], bt - bt[0]), _send_maps(p, positions, bt)
 
     for t in range(len(batches)):
         plan_fwd, send_fwd = plan(sends_fwd, t)
@@ -759,12 +758,12 @@ def _epoch_pass(index: _MiniBatchIndex, labels: LabelSet, batches: np.ndarray):
         np.cumsum(np.bincount(row, minlength=len(pos)), out=offsets[1:])
         operands = CsrMatrix.batch(starts, np.diff(edges, axis=1).ravel(), offsets, cols, values)
 
-        n_listed = max(len(ph.listed), 1)
+        n_listed = max(len(ph.plan.ids), 1)
         listed = ph.listed_at[used % width]
         sent = listed >= 0
         keys = np.sort(used[sent] // width * n_listed + listed[sent])
         list_step, listed = np.divmod(keys, n_listed)  # in (step, send-list slot) order
-        hit = np.searchsorted(found, list_step * n + ph.listed[listed])
+        hit = np.searchsorted(found, list_step * n + ph.plan.ids[listed])
         bounds = np.zeros(n_steps * p * p + 1, dtype=np.int64)
         pairs = list_step * p * p + ph.pair[listed]
         np.cumsum(np.bincount(pairs, minlength=n_steps * p * p), out=bounds[1:])

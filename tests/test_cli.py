@@ -1,5 +1,7 @@
 """Experiment driver: config validation, end-to-end runs, determinism."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -320,3 +322,49 @@ def test_symmetry_check_equals_transpose_and_compare(n, extra_cols, seed, kind):
         np.array_equal(x, y) for x, y in ((a.row_offsets, t.row_offsets), (a.col_indices, t.col_indices),
                                           (a.values.view(np.int64), t.values.view(np.int64))))
     assert is_symmetric(a) == want
+
+
+WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+# sha256 of traffic_integers(report.json) on the first seed-1 instance of
+# each benchmark workload, recorded while CommPlan still stored nested send
+# lists. A change that alters partitions or traffic on purpose updates
+# these and says so.
+PINNED_TRAFFIC = {
+    "fm-grid": "e6f3347c2bd9122be9381f1daf1c45e6b100cfddb5e45e7ecd390b2a10bd2a1d",
+    "fullbatch-large": "0c80512b362e4a5b66e8dcd4d770ee3f49a65b0be84095a30f593aa9ba238570",
+    "minibatch-directed": "878b167c2e9c38b5bffaf285720301f93720758802fd0ddecfc6b1cc39d73102",
+}
+
+
+def traffic_integers(doc) -> list:
+    """report.json's exact integers, run by run: the partitioner, its part
+    weights, the three cuts, the plan block and each epoch's word and
+    message counts. Losses and the comparison floats depend on BLAS and
+    libm, so they are left out."""
+    def exact(x):
+        assert x == int(x)
+        return int(x)
+
+    return [
+        [run["partitioner"], run["partition"]["part_weights"],
+         [exact(run["cuts"][k]) for k in ("graph_cut", "hypergraph_cut", "predicted_volume_words")],
+         run["plan"],
+         [[e[k] for k in ("total_words", "max_words_per_proc", "total_msgs", "max_msgs_per_proc")]
+          for e in run["epochs"]]]
+        for run in doc["runs"]
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TRAFFIC))
+def test_traffic_integers_pinned(name, tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look the module up
+    spec.loader.exec_module(workloads)
+    w = workloads.WORKLOADS[name]
+    argv = w.write_inputs(w.instance_seeds(1)[0], tmp_path)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    doc = json.loads((tmp_path / "out" / "report.json").read_text())
+    got = hashlib.sha256(json.dumps(traffic_integers(doc), sort_keys=True).encode()).hexdigest()
+    assert got == PINNED_TRAFFIC[name]

@@ -1,5 +1,7 @@
 """Communication plan construction and the cut-equals-volume identity."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,8 +133,8 @@ class TestBuildCommPlan:
                 assert np.array_equal(plan_a.send[m][n], plan_t.send[m][n])
 
     @settings(deadline=None, max_examples=300)
-    @given(plan_instances())
-    def test_matches_per_rank_reference(self, instance):
+    @given(plan_instances(), st.integers(1, 9))
+    def test_matches_per_rank_reference(self, instance, d):
         a, owner, p = instance
         plan = build_comm_plan(a, owner, p)
         send, recv_from = reference_plan(a, owner, p)
@@ -142,6 +144,25 @@ class TestBuildCommPlan:
                 assert np.array_equal(plan.send[m][n], send[m][n])
             assert plan.recv_from[m].dtype == np.int64
             assert np.array_equal(plan.recv_from[m], recv_from[m])
+        sizes = [[len(send[m][n]) for n in range(p)] for m in range(p)]
+        assert plan.sizes.tolist() == sizes
+        assert plan.receives == tuple([(s, sizes[s][m]) for s in recv_from[m]] for m in range(p))
+        rows = [sum(row) for row in sizes]
+        msgs = [sum(1 for k in row if k) for row in sizes]
+        want = {
+            "p": p,
+            "pair_row_counts": {f"{m}->{n}": sizes[m][n] for m in range(p) for n in range(p) if sizes[m][n]},
+            "rows_sent_per_rank": rows,
+            "messages_per_rank": msgs,
+            "total_rows_sent": sum(rows),
+            "total_messages": sum(msgs),
+        }
+        assert json.dumps(plan.to_report(), sort_keys=True) == json.dumps(want, sort_keys=True)
+        vol = plan_volume(plan, d)
+        assert vol.words_per_proc.dtype == vol.msgs_per_proc.dtype == np.int64
+        assert vol.words_per_proc.tolist() == [d * k for k in rows]
+        assert vol.msgs_per_proc.tolist() == msgs
+        assert (vol.total_words, vol.total_msgs) == (d * sum(rows), sum(msgs))
 
     def test_owner_length_mismatch_rejected(self):
         a = normalize_adjacency(random_undirected(6, 0.5, 0))

@@ -14,9 +14,9 @@ from gcnpart import (
     init_model,
     nll_loss_and_grad,
     normalize_adjacency,
-    relu_and_derivative,
     train_serial,
 )
+from gcnpart.gcn import activate
 
 from helpers import random_labels, random_undirected
 
@@ -206,18 +206,20 @@ class TestApplyUpdate:
 
 class TestRelu:
     def test_zero_input_uses_zero_subgradient(self):
-        h, dh = relu_and_derivative(np.zeros((2, 2)))
+        z = np.zeros((2, 2))
+        h, dh = activate("relu", z), activate("relu", z, derivative=True)
         assert np.array_equal(h, np.zeros((2, 2)))
         assert np.array_equal(dh, np.zeros((2, 2)))
 
     def test_simple_values(self):
-        h, dh = relu_and_derivative(np.array([[-1.0, 2.0]]))
+        z = np.array([[-1.0, 2.0]])
+        h, dh = activate("relu", z), activate("relu", z, derivative=True)
         assert np.array_equal(h, [[0.0, 2.0]])
         assert np.array_equal(dh, [[0.0, 1.0]])
 
     def test_output_vanishes_where_derivative_does(self):
         z = np.random.default_rng(7).standard_normal((6, 6))
-        h, dh = relu_and_derivative(z)
+        h, dh = activate("relu", z), activate("relu", z, derivative=True)
         assert np.array_equal(h * (1.0 - dh), np.zeros_like(h))
 
 

@@ -13,7 +13,7 @@ from gcnpart.graphio import (
     _INT64_MAX,
     GraphParseError,
     _int64,
-    _pattern_from_pairs,
+    pattern_from_pairs,
     load_graph,
     read_edge_list,
     read_hypergraph,
@@ -129,7 +129,7 @@ class TestMatrixMarket:
     )
     def test_dedup_on_keys_matches_unique_rows(self, instance):
         n, pairs, directed = instance
-        got = _pattern_from_pairs(n, pairs, directed)
+        got = pattern_from_pairs(n, pairs, directed)
         # the np.unique(axis=0) build that 1-D keys replaced
         both = pairs if directed else pairs + [(v, u) for (u, v) in pairs]
         arr = np.unique(np.asarray(both, dtype=np.int64).reshape(-1, 2), axis=0)
@@ -147,9 +147,9 @@ class TestMatrixMarket:
     def test_pairs_out_of_range_rejected(self):
         # a key r * n + c would alias an out-of-range pair onto another entry
         with pytest.raises(ValueError, match="out of range"):
-            _pattern_from_pairs(3, [(0, 5)], directed=True)
+            pattern_from_pairs(3, [(0, 5)], directed=True)
         with pytest.raises(ValueError, match="out of range"):
-            _pattern_from_pairs(3, [(-1, 2)], directed=False)
+            pattern_from_pairs(3, [(-1, 2)], directed=False)
 
     def test_load_graph_dispatch(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -262,7 +262,7 @@ def reference_edge_list(path, directed: bool = False) -> CsrMatrix:
     n = declared_n if declared_n is not None else max_id + 1
     if n <= 0:
         raise GraphParseError(path, 0, "no vertices (empty file without an n= header)")
-    return _pattern_from_pairs(n, pairs, directed)
+    return pattern_from_pairs(n, pairs, directed)
 
 
 def reference_matrix_market(path) -> CsrMatrix:
@@ -308,7 +308,7 @@ def reference_matrix_market(path) -> CsrMatrix:
         )
     if dims[0] != dims[1]:
         raise GraphParseError(path, 0, "adjacency matrix must be square")
-    return _pattern_from_pairs(dims[0], entries, directed=symmetry == "general")
+    return pattern_from_pairs(dims[0], entries, directed=symmetry == "general")
 
 
 def reference_hypergraph(path) -> Hypergraph:

@@ -40,7 +40,7 @@ from gcnpart import (
 )
 from gcnpart import runtime
 from gcnpart.models import induced_pattern, net_connectivity
-from gcnpart.sparse import CsrMatrix, RowBlock, gather_rows, restrict
+from gcnpart.sparse import CsrMatrix, RowBlock, add_identity, gather_rows, restrict
 
 from helpers import (
     grid_graph,
@@ -265,9 +265,11 @@ class TestScatter:
         foreign = next(
             v for v in range(20) if pi.assignment[v] not in (src, dst) and v not in listed
         )
-        send = [list(row) for row in plan.send]
-        send[src][dst] = np.sort(np.append(send[src][dst], foreign))
-        bad = dataclasses.replace(plan, send=tuple(map(tuple, send)))
+        q = src * 4 + dst
+        lo, hi = plan.bounds[q], plan.bounds[q + 1]
+        ids = np.concatenate([plan.ids[:lo], np.sort(np.append(plan.ids[lo:hi], foreign)), plan.ids[hi:]])
+        bounds = plan.bounds + (np.arange(len(plan.bounds)) > q)
+        bad = dataclasses.replace(plan, ids=ids, bounds=bounds)
         monkeypatch.setattr(runtime, "build_comm_plan", lambda *args: bad)
         with pytest.raises(KeyError, match=f"row {foreign} is not owned"):
             scatter(a_hat, h0, pi, model)
@@ -319,7 +321,7 @@ class TestScatter:
             assert list(got.listed_at) == listed_at
             assert np.array_equal(got.col, np.concatenate(col))
             assert np.array_equal(got.slot, np.concatenate(slot))
-            assert np.array_equal(got.listed, np.concatenate(lists))
+            assert np.array_equal(got.plan.ids, np.concatenate(lists))
 
     def test_three_processor_block_rows(self):
         a, assignment = three_processor_transfer_instance()
@@ -959,3 +961,25 @@ class TestMiniBatch:
         )
         metrics = train_epochs(states, net, labels, 1, mode)
         assert len(metrics) == 1  # runs fine; label-free batches contribute 0
+
+    @pytest.mark.parametrize("scheduler", runtime.SCHEDULERS)
+    def test_states_not_scattered_from_renormalized_adjacency_raise(self, scheduler):
+        # each step renormalizes its batch of MiniBatch.adjacency as
+        # normalize_adjacency does, so states scattered from another
+        # operand (the row mean M = D^-1 (A+I), or another graph's
+        # normalization) would train a different model than their own
+        raw, a_hat, h0, labels, model = build_instance(16, (3, 4, 2), 18)
+        pi = partition_for(a_hat, 4, 18)
+        tilde = add_identity(raw)
+        deg = np.add.reduceat(tilde.values, tilde.row_offsets[:-1])
+        row_mean = CsrMatrix(16, 16, tilde.row_offsets, tilde.col_indices,
+                             tilde.values / np.repeat(deg, tilde.row_nnz()))
+        other = build_instance(16, (3, 4, 2), 19)[0]
+        larger = build_instance(17, (3, 4, 2), 18)[0]
+        wrong = "not MiniBatch.adjacency normalized"
+        cases = [(row_mean, raw, wrong), (a_hat, other, wrong), (a_hat, larger, "hold 16 rows, the adjacency 17")]
+        for operand, adjacency, message in cases:
+            states = scatter(operand, h0, pi, model)
+            mode = MiniBatch(spec=MiniBatchSpec(8), batches_per_epoch=2, seed=3, adjacency=adjacency)
+            with pytest.raises(ValueError, match=message):
+                train_epochs(states, SimNetwork(4), labels, 1, mode, scheduler=scheduler)
