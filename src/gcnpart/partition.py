@@ -16,9 +16,9 @@ Aykanat, IEEE TPDS 1999; Karypis et al., DAC 1997):
 * coarsen: seeded heavy-connectivity matching pairs vertices, clusters
   are contracted, single-pin nets dropped and identical nets merged by
   summing their costs (both exact for the connectivity-1 cut), until about
-  COARSEN_TO vertices remain or a level shrinks by less than 10%. A
-  cluster outweighs neither the window of balanced side weights nor the
-  heaviest vertex, whichever is more;
+  COARSEN_TO vertices remain, a level shrinks by less than 10% or no two
+  vertices fit in one cluster. A cluster outweighs neither the window of
+  balanced side weights nor the heaviest vertex, whichever is more;
 * split the coarsest level: the best of RESTARTS seeded BFS region-growing
   splits, each refined by Fiduccia-Mattheyses passes;
 * uncoarsen: project the split onto each finer level and refine it with
@@ -36,14 +36,21 @@ A side of a bisection toward q leaf parts may hold at most q * (1+eps) *
 W_avg (its true leaf budget); the bisection itself is held to an even
 share of that ratio per remaining level (_side_cap), which leaves slack for
 the levels below. A final k-way weight repair mops up borderline leaves and
-the result is verified against the global cap.
+the result is verified against the global cap. The repair is also all of
+random placement's balancing (_final_repair): it moves the lightest vertex
+of the heaviest over-cap part to the lightest part while that lowers the
+total overweight, and otherwise takes the first improving move or swap of
+a full search. A move costs O(p) Python work and one heap step, not a
+scan of the graph.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from heapq import heapify, heappop, heappush
+import itertools
 import numpy as np
 
 from .models import (
@@ -539,8 +546,9 @@ def _initial_split(h: Hypergraph, cap, min_count, rng) -> np.ndarray:
 def _bisect(h: Hypergraph, cap: float, min_count: int, rng) -> np.ndarray:
     """Side per vertex of one bisection by a multilevel V-cycle.
 
-    Coarsen by matching until about COARSEN_TO vertices remain or a level
-    keeps more than MIN_SHRINK of its vertices; split the coarsest level;
+    Coarsen by matching until about COARSEN_TO vertices remain, a level
+    keeps more than MIN_SHRINK of its vertices or no two vertices fit in
+    one cluster; split the coarsest level;
     then project the split onto each finer level and refine it with FM.
     A cluster weighs at most 2 * cap - total, the width of the window of
     balanced side weights (or the heaviest vertex, if that is more), so a
@@ -549,6 +557,12 @@ def _bisect(h: Hypergraph, cap: float, min_count: int, rng) -> np.ndarray:
     max_w = max(float(h.vertex_weight.max()), 2.0 * cap - float(h.vertex_weight.sum()))
     levels = [(h, None)]
     while h.n_vertices > COARSEN_TO:
+        lightest = np.partition(h.vertex_weight.astype(np.float64), 1)
+        if lightest[0] + lightest[1] > max_w:
+            # _match would pair nothing; its visit order is still drawn so
+            # that the rng stream, and every split after this one, stay put
+            rng.permutation(h.n_vertices)
+            break
         cluster_of = _match(h, max_w, rng)
         n_coarse = int(cluster_of.max()) + 1
         if n_coarse > MIN_SHRINK * h.n_vertices:
@@ -597,13 +611,29 @@ def _recursive_bisect(
 
 
 def _final_repair(assignment, weights, p: int, epsilon: float) -> np.ndarray:
-    """Greedy k-way weight repair; raises if balance stays infeasible."""
+    """Greedy k-way weight repair; raises BalanceInfeasibleError if balance
+    stays infeasible.
+
+    Empty parts are filled first, each with the lightest vertex of a part
+    that keeps another. Then, while a part is above the cap, it applies the
+    first move that strictly lowers the total overweight (delta_violation <
+    0): over-cap parts heaviest first, their vertices lightest first,
+    target parts lightest first, ties to the lower id throughout; if no
+    single move helps, the first such exchange of a heavy vertex of an
+    over-cap part for a lighter one elsewhere.
+
+    The first candidate (the heaviest part's lightest vertex to the
+    lightest part) almost always wins, for O(p) Python work and one heap
+    step: part weights and counts are Python numbers, and each part's
+    vertices come in (weight, id) order from one sort, read through a
+    cursor that skips vertices that left, plus a heap of vertices that
+    arrived. When it is not legal (a one-vertex part, the part itself as
+    target, or no lower overweight), the full search runs."""
     assignment = assignment.copy()
     weights = np.asarray(weights, dtype=np.int64)
-    pw = np.zeros(p, dtype=np.float64)
-    np.add.at(pw, assignment, weights.astype(np.float64))
+    pw = np.bincount(assignment, weights=weights.astype(np.float64), minlength=p)
     counts = np.bincount(assignment, minlength=p)
-    cap = (1.0 + epsilon) * weights.sum() / p
+    cap = float((1.0 + epsilon) * weights.sum() / p)
 
     # every part must end non-empty
     while (counts == 0).any():
@@ -618,63 +648,98 @@ def _final_repair(assignment, weights, p: int, epsilon: float) -> np.ndarray:
         counts[empty] += 1
         pw[empty] += weights[v]
 
-    def violation() -> float:
-        return float(np.maximum(pw - cap, 0.0).sum())
+    parts = range(p)
+    part_w, size, weight_of = pw.tolist(), counts.tolist(), weights.tolist()
+    # part m's vertices at the start are listed[cursor[m]:ends[m]], by (weight, id)
+    listed = np.lexsort((weights, assignment)).tolist()
+    ends = np.cumsum(counts)
+    cursor, ends = (ends - counts).tolist(), ends.tolist()
+    stamp = [0] * len(weight_of)  # the number of the move that last placed a vertex
+    arrived = [[] for _ in parts]  # per part, a heap of (weight, id, stamp)
+    moves = itertools.count(1)
+
+    def place(v: int, t: int) -> None:
+        stamp[v] = k = next(moves)
+        heappush(arrived[t], (weight_of[v], v, k))
+        assignment[v] = t
+
+    def lightest(m: int) -> int:
+        """m's vertex of least (weight, id)."""
+        i, end = cursor[m], ends[m]
+        while i < end and stamp[listed[i]]:
+            i += 1
+        cursor[m] = i
+        heap = arrived[m]
+        while heap and stamp[heap[0][1]] != heap[0][2]:
+            heappop(heap)
+        if i < end and not (heap and heap[0] < (weight_of[listed[i]], listed[i])):
+            return listed[i]
+        return heap[0][1]
+
+    def members(m: int) -> list[int]:
+        """m's vertices in (weight, id) order."""
+        stay = [v for v in listed[cursor[m] : ends[m]] if not stamp[v]]
+        came = [v for _, v, k in arrived[m] if stamp[v] == k]
+        return sorted(stay + came, key=lambda v: (weight_of[v], v))
 
     def delta_violation(m: int, t: int, shift: float) -> float:
         """Violation change when `shift` weight leaves part m for part t."""
-        dm = max(0.0, pw[m] - shift - cap) - max(0.0, pw[m] - cap)
-        dt = max(0.0, pw[t] + shift - cap) - max(0.0, pw[t] - cap)
+        dm = max(0.0, part_w[m] - shift - cap) - max(0.0, part_w[m] - cap)
+        dt = max(0.0, part_w[t] + shift - cap) - max(0.0, part_w[t] - cap)
         return dm + dt
 
-    def move_one(over) -> bool:
-        """Overweight parts heaviest-first, their vertices lightest-first,
-        targets lightest-first: apply the first strictly improving move."""
-        for m in over:
-            members = np.flatnonzero(assignment == m)
-            if len(members) < 2:
-                continue
-            targets = np.lexsort((np.arange(p), pw))
-            for v in members[np.lexsort((members, weights[members]))]:
-                for t in targets:
-                    if t != m and delta_violation(m, t, float(weights[v])) < 0:
-                        pw[m] -= weights[v]
-                        pw[t] += weights[v]
-                        counts[m] -= 1
-                        counts[t] += 1
-                        assignment[v] = t
-                        return True
-        return False
+    def move(v: int, m: int, t: int) -> None:
+        part_w[m] -= weight_of[v]
+        part_w[t] += weight_of[v]
+        size[m] -= 1
+        size[t] += 1
+        place(v, t)
 
-    def swap_one(over) -> bool:
-        """For chunky weights where single moves are stuck: exchange a heavy
-        vertex of an overweight part for a lighter one elsewhere."""
+    def search() -> bool:
+        """Apply the first improving move in full order, else the first
+        improving exchange (for chunky weights where single moves are
+        stuck): heaviest vertices of over-cap parts first, each for a
+        lighter vertex of a target part, lightest first."""
+        over = sorted((m for m in parts if part_w[m] > cap), key=lambda m: -part_w[m])
+        targets = sorted(parts, key=part_w.__getitem__)
+        group = cache(members)
         for m in over:
-            members = np.flatnonzero(assignment == m)
-            targets = np.lexsort((np.arange(p), pw))
-            for v in members[np.lexsort((members, -weights[members]))]:
+            if size[m] < 2:
+                continue
+            for v in group(m):
+                for t in targets:
+                    if t != m and delta_violation(m, t, float(weight_of[v])) < 0:
+                        move(v, m, t)
+                        return True
+        for m in over:
+            for v in sorted(group(m), key=lambda v: (-weight_of[v], v)):
                 for t in targets:
                     if t == m:
                         continue
-                    others = np.flatnonzero(assignment == t)
-                    others = others[weights[others] < weights[v]]
-                    for u in others[np.lexsort((others, weights[others]))]:
-                        if delta_violation(m, t, float(weights[v] - weights[u])) < 0:
-                            pw[m] += weights[u] - weights[v]
-                            pw[t] += weights[v] - weights[u]
-                            assignment[v] = t
-                            assignment[u] = m
+                    for u in group(t):
+                        shift = weight_of[v] - weight_of[u]
+                        if shift <= 0:
+                            break
+                        if delta_violation(m, t, float(shift)) < 0:
+                            part_w[m] -= shift
+                            part_w[t] += shift
+                            place(v, t)
+                            place(u, m)
                             return True
         return False
 
-    while violation() > 0:
-        before = violation()
-        over = np.flatnonzero(pw > cap)
-        over = over[np.argsort(-pw[over], kind="stable")]
-        if not (move_one(over) or swap_one(over)):
+    while True:
+        m = max(parts, key=part_w.__getitem__)
+        if not part_w[m] > cap:
+            return assignment
+        t = min(parts, key=part_w.__getitem__)
+        if size[m] >= 2 and t != m:
+            v = lightest(m)
+            if delta_violation(m, t, float(weight_of[v])) < 0:
+                move(v, m, t)
+                continue
+        if not search():
             raise BalanceInfeasibleError("balance repair cannot make progress")
-        assert violation() < before
-    return assignment
 
 
 def _require_power_of_two(p: int) -> None:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -48,12 +48,12 @@ from .sparse import (
     add_identity,
     check_key_range,
     dense,
-    is_symmetric,
     prime_spmm_schedules,
     ranges,
     sorted_search,
     spmm,
     stable_argsort,
+    transpose_order,
     transpose_sparse,
     unique_keys,
 )
@@ -172,7 +172,8 @@ class ProcState:
     ascending sender rank; its columns index the rows of [own block;
     payloads in that order]. send_fwd/send_bwd map each destination to the
     local positions of the rows sent there, slices of one array per phase.
-    The phases share one plan, operand and send map iff Â equals Â^T bit for bit.
+    The phases share one plan and send map iff Â's pattern is symmetric,
+    and also one operand iff Â equals Â^T bit for bit.
     Weight replicas are private copies, kept identical across ranks by the
     deterministic allreduce.
 
@@ -226,10 +227,10 @@ class _HaloLayout:
     Rank m's rows are rows[row_start[m]:row_start[m + 1]]; position is
     each vertex's place in rows, and row q of rows has the entries
     entry_start[q]:entry_start[q + 1], in ascending ext slot. Per entry:
-    its global column, its value and its flat ext slot (its rank's ext
-    start plus its operand column). Per ext slot: the slot of plan.ids it
-    receives, or -1 for a rank's own row. Per slot of plan.ids: its pair
-    sender * p + receiver.
+    its place among a's entries, its global column, its value and its flat
+    ext slot (its rank's ext start plus its operand column). Per ext slot:
+    the slot of plan.ids it receives, or -1 for a rank's own row. Per slot
+    of plan.ids: its pair sender * p + receiver.
     """
 
     plan: CommPlan
@@ -237,6 +238,7 @@ class _HaloLayout:
     row_start: np.ndarray
     position: np.ndarray
     entry_start: np.ndarray
+    entry: np.ndarray
     col: np.ndarray
     values: np.ndarray
     slot: np.ndarray
@@ -284,8 +286,8 @@ def _halo_layout(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = Non
     order = np.argsort(position[row] * int(ext_start[-1]) + slot)  # unique keys
     entry_start = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(a.row_nnz()[rows], out=entry_start[1:])
-    return _HaloLayout(plan, rows, row_start, position, entry_start, a.col_indices[order], a.values[order],
-                       slot[order], ext_start, listed_at, pair)
+    return _HaloLayout(plan, rows, row_start, position, entry_start, order, a.col_indices[order],
+                       a.values[order], slot[order], ext_start, listed_at, pair)
 
 
 def _send_maps(p: int, positions: np.ndarray, bounds: np.ndarray) -> list[dict]:
@@ -305,6 +307,20 @@ def _send_positions(ph: _HaloLayout) -> list[dict]:
     return _send_maps(plan.p, ph.position[plan.ids] - ph.row_start[sender], plan.bounds)
 
 
+def _backward_layout(a_hat: CsrMatrix, fwd: _HaloLayout, pi, p) -> _HaloLayout:
+    """The halo layout of a_hat's transpose, given a_hat's: fwd itself if
+    the two are equal bit for bit; fwd with the transpose's values if they
+    have one pattern (transpose_order), so plan and send positions are
+    shared; otherwise built from transpose_sparse(a_hat)."""
+    order = transpose_order(a_hat)
+    if order is None:
+        return _halo_layout(transpose_sparse(a_hat), pi, p)
+    values = a_hat.values[order]  # the transpose's, in a_hat's entry order
+    if np.array_equal(values.view(np.int64), a_hat.values.view(np.int64)):
+        return fwd
+    return replace(fwd, values=values[fwd.entry])
+
+
 def scatter(
     a_hat: CsrMatrix,
     h0: np.ndarray,
@@ -314,17 +330,18 @@ def scatter(
     p: int | None = None,
 ) -> list[ProcState]:
     """Distribute row blocks per the partition and replicate the weights.
-    The backward phase multiplies by a_hat's transpose. When a_hat equals
-    it bit for bit (is_symmetric), the phases share one plan, operand and
-    send positions per rank, so plan_bwd is plan_fwd; otherwise the
-    backward ones come from transpose_sparse(a_hat)."""
+    The backward phase multiplies by a_hat's transpose. When the two have
+    one pattern, the phases share one plan and send positions per rank, so
+    plan_bwd is plan_fwd; when they are also equal bit for bit, they share
+    the operands as well (_backward_layout)."""
     h0 = dense(h0)
     if h0.shape != (a_hat.n_rows, model.dims[0]):
         raise ValueError(f"h0 has shape {h0.shape}, expected ({a_hat.n_rows}, {model.dims[0]})")
     fwd = _halo_layout(a_hat, pi, p)
-    bwd = fwd if is_symmetric(a_hat) else _halo_layout(transpose_sparse(a_hat), pi, p)
+    bwd = _backward_layout(a_hat, fwd, pi, p)
     a_fwd, send_fwd = fwd.operands(), _send_positions(fwd)
-    a_bwd, send_bwd = (a_fwd, send_fwd) if bwd is fwd else (bwd.operands(), _send_positions(bwd))
+    a_bwd = a_fwd if bwd is fwd else bwd.operands()
+    send_bwd = send_fwd if bwd.plan is fwd.plan else _send_positions(bwd)
     rows = np.split(fwd.rows, fwd.row_start[1:-1])
     return [
         ProcState(
@@ -649,7 +666,7 @@ def _mini_batch_index(states, labels: LabelSet, adjacency: CsrMatrix) -> _MiniBa
     if not all(map(np.array_equal, map(np.concatenate, zip(*parts)), want)):
         raise ValueError("the states' forward operands are not MiniBatch.adjacency normalized as "
                          "normalize_adjacency does, which each mini-batch step renormalizes")
-    bwd = None if states[0].plan_bwd is states[0].plan_fwd else _halo_layout(transpose_sparse(a), owner, p)
+    bwd = None if states[0].a_bwd is states[0].a_fwd else _halo_layout(transpose_sparse(a), owner, p)
     return _MiniBatchIndex(p, owner, features, _label_index(labels, n), fwd, bwd)
 
 

@@ -439,19 +439,26 @@ def transpose_sparse(a: CsrMatrix) -> CsrMatrix:
     return CsrMatrix(a.n_cols, a.n_rows, offsets, rows[order], a.values[order])
 
 
-def is_symmetric(a: CsrMatrix) -> bool:
-    """Whether a equals its transpose bit for bit, pattern and values. One
-    stable sort of the column indices lists the entries in the transpose's
-    CSR order (by column, then row). a is symmetric when the transpose's
-    column sequence and value bits equal a's: then each index occurs as
-    often in both, so row j of a and of its transpose have the same length
-    and hold the same columns."""
+def transpose_order(a: CsrMatrix) -> "np.ndarray | None":
+    """If a's pattern equals its transpose's, the order of a's entries in
+    the transpose's CSR order, so that the transpose is a with values
+    a.values[order]; otherwise None. One stable sort of the column indices
+    lists the entries by column, then row. The patterns are equal when the
+    transpose's column sequence, the rows in that order, equals a's: then
+    each index occurs as often in both, so row j of a and of its transpose
+    have the same length and hold the same columns."""
     if a.n_rows != a.n_cols:
-        return False
+        return None
     order = stable_argsort(a.col_indices, a.n_cols)
     rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
+    return order if np.array_equal(rows[order], a.col_indices) else None
+
+
+def is_symmetric(a: CsrMatrix) -> bool:
+    """Whether a equals its transpose bit for bit, pattern and values."""
+    order = transpose_order(a)
     bits = a.values.view(np.int64)
-    return np.array_equal(rows[order], a.col_indices) and np.array_equal(bits[order], bits)
+    return order is not None and np.array_equal(bits[order], bits)
 
 
 def restrict(a: CsrMatrix, rows, cols) -> CsrMatrix:

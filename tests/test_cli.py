@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import gcnpart
 from gcnpart import CsrMatrix, transpose_sparse
-from gcnpart.sparse import is_symmetric
+from gcnpart.sparse import is_symmetric, transpose_order
 from gcnpart.cli import ExperimentConfig, main, parse_args, run_experiment
 
 from helpers import grid_graph
@@ -318,10 +318,15 @@ def test_symmetry_check_equals_transpose_and_compare(n, extra_cols, seed, kind):
     pattern = CsrMatrix.from_coo(*mask.shape, rows, cols)
     a = CsrMatrix(*mask.shape, pattern.row_offsets, pattern.col_indices, d[rows, cols])
     t = transpose_sparse(a)
-    want = a.shape == t.shape and all(
-        np.array_equal(x, y) for x, y in ((a.row_offsets, t.row_offsets), (a.col_indices, t.col_indices),
-                                          (a.values.view(np.int64), t.values.view(np.int64))))
+    one_pattern = a.shape == t.shape and all(
+        np.array_equal(x, y) for x, y in ((a.row_offsets, t.row_offsets), (a.col_indices, t.col_indices)))
+    want = one_pattern and np.array_equal(a.values.view(np.int64), t.values.view(np.int64))
     assert is_symmetric(a) == want
+    # with one pattern, the transpose is a with its values in transpose order
+    order = transpose_order(a)
+    assert (order is not None) == one_pattern
+    if one_pattern:
+        assert np.array_equal(a.values[order].view(np.int64), t.values.view(np.int64))
 
 
 WORKLOADS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

@@ -33,6 +33,7 @@ from gcnpart.partition import (
     MATCH_NET_LIMIT,
     HypergraphBisection,
     _contract,
+    _final_repair,
     _fm_passes,
     _grow_bfs,
     _match,
@@ -101,6 +102,157 @@ class TestRandomPartition:
     def test_p_exceeding_n_rejected(self):
         with pytest.raises(ValueError):
             random_partition(np.ones(3, dtype=np.int64), PartitionConfig(p=4))
+
+
+# The move step of _final_repair before it kept per-part cursors and
+# heaps, kept as an oracle: every move scans all vertices for the members
+# of each over-cap part and sorts them. The body is the old function's.
+def reference_final_repair(assignment, weights, p: int, epsilon: float) -> np.ndarray:
+    """Greedy k-way weight repair; raises if balance stays infeasible."""
+    assignment = assignment.copy()
+    weights = np.asarray(weights, dtype=np.int64)
+    pw = np.zeros(p, dtype=np.float64)
+    np.add.at(pw, assignment, weights.astype(np.float64))
+    counts = np.bincount(assignment, minlength=p)
+    cap = (1.0 + epsilon) * weights.sum() / p
+
+    # every part must end non-empty
+    while (counts == 0).any():
+        empty = int(np.argmax(counts == 0))
+        movable = np.flatnonzero(counts[assignment] >= 2)
+        if len(movable) == 0:
+            raise BalanceInfeasibleError("cannot populate every part")
+        v = int(movable[np.lexsort((movable, weights[movable]))][0])
+        counts[assignment[v]] -= 1
+        pw[assignment[v]] -= weights[v]
+        assignment[v] = empty
+        counts[empty] += 1
+        pw[empty] += weights[v]
+
+    def violation() -> float:
+        return float(np.maximum(pw - cap, 0.0).sum())
+
+    def delta_violation(m: int, t: int, shift: float) -> float:
+        """Violation change when `shift` weight leaves part m for part t."""
+        dm = max(0.0, pw[m] - shift - cap) - max(0.0, pw[m] - cap)
+        dt = max(0.0, pw[t] + shift - cap) - max(0.0, pw[t] - cap)
+        return dm + dt
+
+    def move_one(over) -> bool:
+        """Overweight parts heaviest-first, their vertices lightest-first,
+        targets lightest-first: apply the first strictly improving move."""
+        for m in over:
+            members = np.flatnonzero(assignment == m)
+            if len(members) < 2:
+                continue
+            targets = np.lexsort((np.arange(p), pw))
+            for v in members[np.lexsort((members, weights[members]))]:
+                for t in targets:
+                    if t != m and delta_violation(m, t, float(weights[v])) < 0:
+                        pw[m] -= weights[v]
+                        pw[t] += weights[v]
+                        counts[m] -= 1
+                        counts[t] += 1
+                        assignment[v] = t
+                        return True
+        return False
+
+    def swap_one(over) -> bool:
+        """For chunky weights where single moves are stuck: exchange a heavy
+        vertex of an overweight part for a lighter one elsewhere."""
+        for m in over:
+            members = np.flatnonzero(assignment == m)
+            targets = np.lexsort((np.arange(p), pw))
+            for v in members[np.lexsort((members, -weights[members]))]:
+                for t in targets:
+                    if t == m:
+                        continue
+                    others = np.flatnonzero(assignment == t)
+                    others = others[weights[others] < weights[v]]
+                    for u in others[np.lexsort((others, weights[others]))]:
+                        if delta_violation(m, t, float(weights[v] - weights[u])) < 0:
+                            pw[m] += weights[u] - weights[v]
+                            pw[t] += weights[v] - weights[u]
+                            assignment[v] = t
+                            assignment[u] = m
+                            return True
+        return False
+
+    while violation() > 0:
+        before = violation()
+        over = np.flatnonzero(pw > cap)
+        over = over[np.argsort(-pw[over], kind="stable")]
+        if not (move_one(over) or swap_one(over)):
+            raise BalanceInfeasibleError("balance repair cannot make progress")
+        assert violation() < before
+    return assignment
+
+
+def repair_outcome(repair, assignment, weights, p, epsilon):
+    """The repaired assignment, or the message of the BalanceInfeasibleError
+    it raised."""
+    try:
+        return repair(assignment, weights, p, epsilon).tolist()
+    except BalanceInfeasibleError as err:
+        return str(err)
+
+
+@st.composite
+def repair_instances(draw):
+    """Weights: small (1-8), small plus a few hubs of 50-500, or
+    Pareto-tailed. Assignments: uniform, skewed toward part 0, or over a
+    subset of the parts, leaving others empty."""
+    p = draw(st.integers(1, 16))
+    n = draw(st.integers(1, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["small", "hubs", "pareto"]))
+    if kind == "pareto":
+        weights = np.minimum(1 + 2 * rng.pareto(1.2, n), 10**4).astype(np.int64)
+    else:
+        weights = rng.integers(1, 9, n)
+        if kind == "hubs":
+            hubs = rng.choice(n, size=min(n, draw(st.integers(1, 3))), replace=False)
+            weights[hubs] = rng.integers(50, 501, len(hubs))
+    spread = draw(st.sampled_from(["uniform", "skewed", "empty"]))
+    if spread == "uniform":
+        assignment = rng.integers(0, p, n)
+    elif spread == "skewed":
+        assignment = (p * rng.random(n) ** 3).astype(np.int64)
+    else:
+        used = rng.choice(p, size=draw(st.integers(1, p)), replace=False)
+        assignment = used[rng.integers(0, len(used), n)]
+    epsilon = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5]))
+    return assignment.astype(np.int64), weights.astype(np.int64), p, epsilon
+
+
+class TestFinalRepair:
+    @settings(deadline=None, max_examples=400)
+    @given(repair_instances())
+    def test_matches_reference(self, instance):
+        assert repair_outcome(_final_repair, *instance) == repair_outcome(reference_final_repair, *instance)
+
+    @pytest.mark.parametrize(
+        "assignment, weights, p, epsilon, want",
+        [
+            # part 0 holds one vertex above the cap: the search moves one
+            # out of part 1 instead, and then no exchange helps part 0
+            ([0, 1, 1, 1, 2], [9, 3, 3, 2, 1], 3, 0.1, "balance repair cannot make progress"),
+            # the lightest vertex of the heaviest part (6) overfills the
+            # lightest part; part 1's 1 moves instead, then nothing helps
+            ([0, 0, 1, 1, 1, 2], [6, 6, 1, 5, 5, 7], 3, 0.0, "balance repair cannot make progress"),
+            # no single move lowers the overweight, an exchange does
+            ([0, 0, 1, 1], [4, 4, 3, 3], 2, 0.0, [1, 0, 0, 1]),
+            # part 1 sits exactly on the cap and keeps its vertices
+            ([0, 0, 0, 0, 1, 1, 1, 2, 2], [1] * 9, 3, 0.0, [2, 0, 0, 0, 1, 1, 1, 2, 2]),
+            # part 2 starts empty and takes the lightest vertex of a part
+            # that keeps another
+            ([0, 0, 0, 1, 1], [3, 2, 2, 1, 2], 3, 0.5, [0, 2, 0, 2, 1]),
+        ],
+    )
+    def test_named_cases(self, assignment, weights, p, epsilon, want):
+        instance = (np.array(assignment, dtype=np.int64), np.array(weights, dtype=np.int64), p, epsilon)
+        assert repair_outcome(reference_final_repair, *instance) == want
+        assert repair_outcome(_final_repair, *instance) == want
 
 
 class TestGraphFm:
@@ -743,11 +895,18 @@ PINNED_DIGESTS = {
     ("chunglu300", "gp"): "d2d427650b1890c30f9d4bdcde24c967fe8e40ad09b8b5b2d303721e39277c50",
     ("chunglu300", "hp"): "649c18cc5313566c9fe75dcff9426e3318736f3c02a28a68168a1fd5a6c032b9",
     ("chunglu300", "shp"): "2e86eac9ff60b8c89f50738b31e9d83c3c67f02da4151e246a1bd44986f55709",
+    # RP (on Â's row nnz, as the CLI weighs it), recorded before the balance
+    # repair's move step was rewritten; grid84 is at p = 16 only
+    ("grid12", "rp"): "06176f382d90dc0d639c9b48efc83b06bed4c187b80b2c1c44b0cde2f25d5198",
+    ("grid16", "rp"): "f2c9e9215940602bc837f0463162b33ca843c4020626842a2f7637916067fc6b",
+    ("community8", "rp"): "8a5f5788387997b12fe8288bb311359351988655de2057dbb393df9e88680342",
+    ("chunglu300", "rp"): "a1e2674d9662a4f0eb6cb5e79a4a76bc777d400473c2194e5c3845778b20d6a9",
+    ("grid84", "rp"): "1045d80a0c83ecb7f2fd3929d63f00ffa0f4d7d6f8c47d34faa3a3ddd2062abb",
 }
 
 
 def test_partitions_pinned():
-    """GP, HP and SHP assignments are byte-identical to the recorded ones,
+    """RP, GP, HP and SHP assignments are byte-identical to the recorded ones,
     so refactors of the partitioners prove "partitions unchanged" here."""
     graphs = {
         "grid12": grid_graph(12, 12),
@@ -762,6 +921,7 @@ def test_partitions_pinned():
         if name == "chunglu300":
             assert h.net_sizes().max() > MATCH_NET_LIMIT
         runs = {
+            "rp": lambda cfg: random_partition(a_hat.row_nnz(), cfg),
             "gp": lambda cfg: partition_graph_fm(g, cfg),
             "hp": lambda cfg: partition_hypergraph_fm(h, cfg),
             "shp": lambda cfg: partition_stochastic(a_hat, MiniBatchSpec(a_hat.n_rows // 4), 8, cfg),
@@ -773,4 +933,11 @@ def test_partitions_pinned():
                     assignment = run(PartitionConfig(p=p, seed=seed)).assignment
                     digest.update(assignment.astype("<i8").tobytes())
             got[name, tag] = digest.hexdigest()
+    # RP on the fullbatch-large benchmark's shape: an 84x84 grid at p = 16
+    a_hat = normalize_adjacency(grid_graph(84, 84))
+    digest = hashlib.sha256()
+    for seed in range(3):
+        assignment = random_partition(a_hat.row_nnz(), PartitionConfig(p=16, seed=seed)).assignment
+        digest.update(assignment.astype("<i8").tobytes())
+    got["grid84", "rp"] = digest.hexdigest()
     assert got == PINNED_DIGESTS

@@ -282,12 +282,14 @@ class TestScatter:
         states = scatter(a, np.zeros((a.n_rows, 2)), owner, model, p=p)
         a_t = transpose_sparse(a)
         shared = bit_equal(a, a_t)
+        one_pattern = (np.array_equal(a.row_offsets, a_t.row_offsets)
+                       and np.array_equal(a.col_indices, a_t.col_indices))
         for st_ in states:
             rows = np.flatnonzero(owner == st_.rank)
             assert np.array_equal(st_.global_rows, rows)
             assert (st_.a_bwd is st_.a_fwd) == shared
-            assert (st_.send_bwd is st_.send_fwd) == shared
-            assert (st_.plan_bwd is st_.plan_fwd) == shared
+            assert (st_.send_bwd is st_.send_fwd) == one_pattern
+            assert (st_.plan_bwd is st_.plan_fwd) == one_pattern
             for b, op, send in ((a, st_.a_fwd, st_.send_fwd), (a_t, st_.a_bwd, st_.send_bwd)):
                 plan = build_comm_plan(b, owner, p)
                 want = reference_halo_operand(b, plan, st_.rank, rows)
@@ -653,6 +655,8 @@ class TestTrainEpochs:
         pi = partition_hypergraph_fm(h, PartitionConfig(p=4, seed=0))
         want, _, _ = train_serial(model, m, transpose_sparse(m), h0, labels, epochs=3)
         states = scatter(m, h0, pi, model)
+        # one plan, two operands: M^T has M's pattern
+        assert all(st_.plan_bwd is st_.plan_fwd and st_.a_bwd is not st_.a_fwd for st_ in states)
         metrics = train_epochs(states, SimNetwork(4), labels, 3, scheduler=scheduler)
         for st_ in states:
             for ws, wp in zip(want.weights, st_.weights):
