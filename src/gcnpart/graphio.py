@@ -13,10 +13,14 @@ per line, then an optional vertex-weight line. Partition files carry one
 part id per line, so third-party partitioners can be plugged in.
 
 Every reader reads its file once through one tokenizer (_Text): it splits
-lines and tokens exactly as open() and str.split() do, keeps the token
-count of each line, and converts all data tokens to int64 in one numpy
-call. Errors are found from those arrays: the first bad line is reported
-as file:line, including integers beyond int64.
+lines and tokens exactly as open() and str.split() do, keeping each
+token's start and end offset and the token count of each line, and reads
+integer tokens from the character codes. A plain token (an optional ASCII
+sign and 1 to 18 ASCII digits) is read by vectorized Horner steps, one per
+digit position; any other is read as int() reads it. No str is made per
+plain token, so a load's memory grows with the file's bytes. Errors are
+found from those arrays: the first bad line is reported as file:line,
+including integers beyond int64.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ _SPACE += "".join(map(chr, range(0x2000, 0x200B)))
 _IS_SPACE = np.zeros(0x3002, dtype=bool)
 _IS_SPACE[[ord(c) for c in _SPACE]] = True
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: a plain token always fits int64
 
 
 def _int64(tokens) -> tuple[np.ndarray, np.ndarray]:
@@ -69,33 +74,39 @@ def _int64(tokens) -> tuple[np.ndarray, np.ndarray]:
 class _Text:
     """A text file cut into lines and tokens the way open() and str.split()
     cut it: lines end at newlines after universal-newline translation, and
-    tokens are separated by Python whitespace. Line i (0-based, file line
-    i + 1) holds count[i] tokens, from token first[i] on; lead[:, i] holds
-    the code points of the first two characters of the stripped line (0
-    past its end). Readers find every error from these arrays."""
+    tokens are separated by Python whitespace. Token k is
+    text[start[k]:end[k]], taken from the edges of the file's non-space
+    characters; line i (0-based, file line i + 1) holds count[i] tokens,
+    from token first[i] on; lead[:, i] holds the code points of the first
+    two characters of the stripped line (0 past its end). No token is kept
+    as a str: ints() reads them from the character codes, and readers find
+    every error from these arrays."""
 
     def __init__(self, path):
         with open(path, "r", encoding="utf-8") as fh:
             self.text = text = fh.read()
         self.path = path
-        self.tokens = text.split()
-        if text.isascii():
+        if text.isascii():  # whitespace is 9-13 and 28-32; unsigned codes below wrap past 4
             codes = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-        else:  # code points past the table are no whitespace, newline or lead
+            space = ((codes - 9) <= 4) | ((codes - 28) <= 4)
+        else:  # code points past the table are no whitespace, newline, lead or digit
             codes = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
             codes = np.minimum(codes, len(_IS_SPACE) - 1)
-        word = ~np.take(_IS_SPACE, codes)
-        starts = np.flatnonzero(word & ~np.concatenate(([False], word[:-1])))
+            space = np.take(_IS_SPACE, codes)
+        self.codes = codes
+        word = np.zeros(len(codes) + 2, dtype=bool)  # padded with a space at each end
+        np.logical_not(space, out=word[1:-1])
+        edges = np.flatnonzero(word[1:] != word[:-1])  # each token's start, then its end
+        self.start, self.end = edges[0::2], edges[1::2]
         newlines = np.flatnonzero(codes == ord("\n"))
         self.bounds = np.concatenate(([-1], newlines, [len(codes)]))
-        line_of = np.searchsorted(newlines, starts)  # of each token
-        self.count = np.bincount(line_of, minlength=len(newlines) + 1)
-        self.first = np.cumsum(self.count) - self.count
-        nonblank = self.count > 0
-        at = starts[self.first[nonblank]]
-        padded = np.append(codes, 0)
+        # no token starts on a newline: the tokens before each one end its line
+        self.first = np.concatenate(([0], np.searchsorted(self.start, newlines)))
+        self.count = np.diff(self.first, append=len(self.start))
+        at = self.start[self.first[self.count > 0]]
         self.lead = np.zeros((2, len(self.count)), dtype=codes.dtype)
-        self.lead[0, nonblank], self.lead[1, nonblank] = padded[at], padded[at + 1]
+        second = np.where(at + 1 < len(codes), np.take(codes, at + 1, mode="clip"), 0)
+        self.lead[:, self.count > 0] = codes[at], second
 
     def starts_with(self, chars: str) -> np.ndarray:
         """Lines whose stripped text starts with one of chars."""
@@ -107,12 +118,36 @@ class _Text:
     def stripped(self, i: int) -> str:
         return self.raw(i).strip()
 
+    def token(self, k: int) -> str:
+        return self.text[self.start[k] : self.end[k]]
+
     def ints(self, index) -> tuple[np.ndarray, np.ndarray]:
-        """_int64 of the tokens at the given ascending indices."""
+        """_int64 of the tokens at the given indices. A plain token, an
+        optional ASCII sign and 1 to 18 ASCII digits, always fits int64 and
+        is read here, one Horner step over the character codes per digit
+        position; any other token (non-ASCII digits, '_', 19 or more
+        digits, junk) goes through _int64 on its slice of the text, so
+        values and flags are _int64's either way."""
         index = np.asarray(index, dtype=np.int64)
-        if len(index) and index[-1] - index[0] == len(index) - 1:  # one run of tokens
-            return _int64(self.tokens[index[0] : index[-1] + 1])
-        return _int64([self.tokens[k] for k in index.tolist()])
+        lo, hi = self.start[index], self.end[index]
+        sign = self.codes[lo]
+        size = hi - lo - ((sign == ord("+")) | (sign == ord("-")))  # digits after any sign
+        plain = (size >= 1) & (size <= _PLAIN_DIGITS)
+        values = np.zeros(len(index), dtype=np.int64)
+        # right-aligned: step j reads the j-th code before each token's end,
+        # counted as 0 when it lies before the digits (or the file)
+        for j in range(int(size.max(initial=0, where=plain)), 0, -1):
+            digit = np.take(self.codes, hi - j, mode="clip") - ord("0")
+            digit *= size >= j
+            plain &= digit <= 9  # unsigned: a code below '0' wraps past 9
+            values *= 10
+            values += digit
+        np.negative(values, out=values, where=sign == ord("-"))
+        flags = np.zeros(len(index), dtype=np.int8)
+        other = np.flatnonzero(~plain)
+        if len(other):
+            values[other], flags[other] = _int64([self.token(k) for k in index[other].tolist()])
+        return values, flags
 
     def first_two(self, lines) -> tuple[np.ndarray, np.ndarray]:
         """ints of the first two tokens of each line given, as (m, 2) arrays."""
@@ -131,6 +166,12 @@ class _Text:
             i, k = min(hits)
             message = checks[k][1]
             raise self.error(i, message(i) if callable(message) else message)
+
+
+def _either(mask: np.ndarray) -> np.ndarray:
+    """mask.any(axis=1) of an (m, 2) mask, without numpy's per-row cost of
+    reducing a short axis."""
+    return mask[:, 0] | mask[:, 1]
 
 
 def pattern_from_pairs(n: int, pairs: np.ndarray, directed: bool) -> CsrMatrix:
@@ -154,7 +195,7 @@ def read_edge_list(path, directed: bool = False) -> CsrMatrix:
     data = np.flatnonzero((t.count > 0) & ~t.starts_with("#%") & ~n_line)
     pair = data[t.count[data] >= 2]
     uv, flags = t.first_two(pair)
-    top = uv.max(axis=1, initial=-1)
+    top = np.maximum(uv[:, 0], uv[:, 1])
     n_lines = np.flatnonzero(n_line)
     counts = [_vertex_count(t.stripped(i)) for i in n_lines.tolist()]
     bad_count = np.array([c is None for c in counts], dtype=bool)
@@ -165,11 +206,11 @@ def read_edge_list(path, directed: bool = False) -> CsrMatrix:
     declared = np.append(counts, -1)[which]
     t.fail_first(
         (data[t.count[data] < 2], lambda i: f"expected 'u v', got {t.stripped(i)!r}"),
-        (pair[(flags == 1).any(axis=1)], lambda i: f"non-integer endpoint in {t.stripped(i)!r}"),
-        (pair[(uv < 0).any(axis=1)], "negative vertex id"),
+        (pair[_either(flags == 1)], lambda i: f"non-integer endpoint in {t.stripped(i)!r}"),
+        (pair[_either(uv < 0)], "negative vertex id"),
         (pair[(which >= 0) & (top >= declared)],
          lambda i: f"vertex id beyond declared n={declared[np.searchsorted(pair, i)]}"),
-        (pair[(which < 0) & (flags == 2).any(axis=1)],
+        (pair[(which < 0) & _either(flags == 2)],
          lambda i: f"vertex id beyond int64 in {t.stripped(i)!r}"),
         (n_lines[bad_count], lambda i: f"bad vertex count {t.stripped(i)!r}"),
         (n_lines[seen >= counts],
@@ -218,8 +259,8 @@ def read_matrix_market(path) -> CsrMatrix:
     ij -= 1
     t.fail_first(
         (entries[t.count[entries] < 2], lambda i: f"bad entry {t.stripped(i)!r}"),
-        (pair[(flags == 1).any(axis=1)], lambda i: f"non-integer index in {t.stripped(i)!r}"),
-        (pair[(flags == 2).any(axis=1) | (ij < 0).any(axis=1) | (ij >= dims[:2]).any(axis=1)],
+        (pair[_either(flags == 1)], lambda i: f"non-integer index in {t.stripped(i)!r}"),
+        (pair[_either((flags == 2) | (ij < 0) | (ij >= dims[:2]))],
          "index out of declared range"),
     )
     if len(entries) != dims[2]:
@@ -290,7 +331,7 @@ def read_hypergraph(path) -> Hypergraph:
 
     def outside(i):  # the lowest pin when negative, else the highest
         j = int(np.searchsorted(nets, i))
-        net = [int(x) for x in t.tokens[lo + starts[j] : lo + starts[j] + t.count[i]]]
+        net = [int(t.token(k)) for k in range(lo + starts[j], lo + starts[j] + t.count[i])]
         return f"pin {min(net) if min(net) < 0 else max(net)} outside 0..{n_vertices - 1}"
 
     def if_weights(failed: bool):  # the weight line when it fails a check

@@ -650,8 +650,12 @@ def _final_repair(assignment, weights, p: int, epsilon: float) -> np.ndarray:
 
     parts = range(p)
     part_w, size, weight_of = pw.tolist(), counts.tolist(), weights.tolist()
-    # part m's vertices at the start are listed[cursor[m]:ends[m]], by (weight, id)
-    listed = np.lexsort((weights, assignment)).tolist()
+    # part m's vertices at the start are listed[cursor[m]:ends[m]], by (weight, id):
+    # one stable sort of the key part * span + weight - low
+    low = int(weights.min())
+    span = int(weights.max()) - low + 1
+    check_key_range(p, span)
+    listed = stable_argsort(assignment * span + (weights - low), p * span).tolist()
     ends = np.cumsum(counts)
     cursor, ends = (ends - counts).tolist(), ends.tolist()
     stamp = [0] * len(weight_of)  # the number of the move that last placed a vertex
@@ -683,9 +687,11 @@ def _final_repair(assignment, weights, p: int, epsilon: float) -> np.ndarray:
         return sorted(stay + came, key=lambda v: (weight_of[v], v))
 
     def delta_violation(m: int, t: int, shift: float) -> float:
-        """Violation change when `shift` weight leaves part m for part t."""
-        dm = max(0.0, part_w[m] - shift - cap) - max(0.0, part_w[m] - cap)
-        dt = max(0.0, part_w[t] + shift - cap) - max(0.0, part_w[t] - cap)
+        """Violation change when `shift` weight leaves part m for part t. A
+        part that stays above the cap changes by exactly the shift, so a move
+        between two such parts is no gain, without rounding."""
+        dm = max(part_w[m] - shift, cap) - max(part_w[m], cap)
+        dt = max(part_w[t] + shift, cap) - max(part_w[t], cap)
         return dm + dt
 
     def move(v: int, m: int, t: int) -> None:

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gcnpart import CsrMatrix, Hypergraph, Partition
@@ -12,6 +12,7 @@ from gcnpart.graphio import (
     _SPACE,
     _INT64_MAX,
     GraphParseError,
+    _Text,
     _int64,
     pattern_from_pairs,
     load_graph,
@@ -226,7 +227,10 @@ class TestPartitionFormat:
 
 
 # ---------------------------------------------------------------------------
-# the line-by-line readers the bulk tokenizer replaced, kept as references
+# the line-by-line readers the bulk tokenizer replaced, kept as references;
+# integers outside int64 are errors at their line
+
+_INT64_MIN = -_INT64_MAX - 1
 
 
 def reference_edge_list(path, directed: bool = False) -> CsrMatrix:
@@ -243,6 +247,8 @@ def reference_edge_list(path, directed: bool = False) -> CsrMatrix:
                     declared_n = int(line[2:])
                 except ValueError:
                     raise GraphParseError(path, line_no, f"bad vertex count {line!r}")
+                if not _INT64_MIN <= declared_n <= _INT64_MAX:
+                    raise GraphParseError(path, line_no, f"bad vertex count {line!r}")
                 if max_id >= declared_n:
                     raise GraphParseError(path, line_no, f"vertex id {max_id} seen before {line!r}")
                 continue
@@ -257,6 +263,8 @@ def reference_edge_list(path, directed: bool = False) -> CsrMatrix:
                 raise GraphParseError(path, line_no, "negative vertex id")
             if declared_n is not None and (u >= declared_n or v >= declared_n):
                 raise GraphParseError(path, line_no, f"vertex id beyond declared n={declared_n}")
+            if max(u, v) > _INT64_MAX:
+                raise GraphParseError(path, line_no, f"vertex id beyond int64 in {line!r}")
             pairs.append((u, v))
             max_id = max(max_id, u, v)
     n = declared_n if declared_n is not None else max_id + 1
@@ -286,9 +294,14 @@ def reference_matrix_market(path) -> CsrMatrix:
                 continue
             parts = line.split()
             if dims is None:
-                if len(parts) != 3:
+                try:
+                    if len(parts) != 3:
+                        raise ValueError
+                    dims = (int(parts[0]), int(parts[1]), int(parts[2]))
+                except ValueError:
                     raise GraphParseError(path, line_no, "expected 'rows cols nnz'")
-                dims = (int(parts[0]), int(parts[1]), int(parts[2]))
+                if not all(_INT64_MIN <= x <= _INT64_MAX for x in dims):
+                    raise GraphParseError(path, line_no, "matrix size beyond int64")
                 size_line = line_no
                 continue
             if len(parts) < 2:
@@ -320,6 +333,8 @@ def reference_hypergraph(path) -> Hypergraph:
         n_vertices, n_nets = (int(x) for x in lines[0][1].split())
     except ValueError:
         raise GraphParseError(path, lines[0][0], "header must be 'n_vertices n_nets'")
+    if n_nets < 0 or not all(_INT64_MIN <= x <= _INT64_MAX for x in (n_vertices, n_nets)):
+        raise GraphParseError(path, lines[0][0], "header must be 'n_vertices n_nets'")
     if len(lines) < 1 + n_nets:
         raise GraphParseError(path, lines[-1][0], f"expected {n_nets} net lines")
     nets = []
@@ -335,9 +350,12 @@ def reference_hypergraph(path) -> Hypergraph:
     if len(lines) > 1 + n_nets:
         line_no, line = lines[1 + n_nets]
         try:
-            weights = np.array([int(x) for x in line.split()], dtype=np.int64)
+            weights = [int(x) for x in line.split()]
         except ValueError:
             raise GraphParseError(path, line_no, "non-integer vertex weight")
+        if not all(_INT64_MIN <= w <= _INT64_MAX for w in weights):
+            raise GraphParseError(path, line_no, "vertex weight beyond int64")
+        weights = np.array(weights, dtype=np.int64)
         if len(weights) != n_vertices:
             raise GraphParseError(path, line_no, "weight line has wrong length")
     else:
@@ -355,6 +373,8 @@ def reference_partition_ids(path) -> np.ndarray:
             try:
                 ids.append(int(line))
             except ValueError:
+                raise GraphParseError(path, line_no, f"bad part id {line!r}")
+            if not _INT64_MIN <= ids[-1] <= _INT64_MAX:
                 raise GraphParseError(path, line_no, f"bad part id {line!r}")
     if not ids:
         raise GraphParseError(path, 0, "empty partition file")
@@ -664,3 +684,79 @@ def test_int64_reads_tokens_as_int_does(tokens):
             assert (flag, value) == (2, _INT64_MAX if want > 0 else -_INT64_MAX)
         else:
             assert (flag, value) == (0, want)
+
+
+@st.composite
+def wide_tokens(draw):
+    """ASCII integers of 18 to 20 digits and the neighbours of +-2**63,
+    unsigned or with either sign."""
+    value = draw(st.one_of(st.integers(17, 19).flatmap(lambda k: st.integers(10**k, 10 * 10**k - 1)),
+                           st.integers(2**63 - 2, 2**63 + 1)))
+    return draw(st.sampled_from(["", "+", "-"])) + str(value)
+
+
+# Gaps between tokens: every whitespace character, \r\n and blank lines.
+GAPS = st.lists(st.sampled_from(list(_SPACE) + ["\r\n", "\n\n", "\r\n\r\n"]),
+                min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def token_text(draw):
+    """Tokens from int_tokens, wide_tokens and small integers, separated by
+    random whitespace; the last line may lack its newline."""
+    tokens = draw(st.lists(st.one_of(int_tokens(), wide_tokens(), st.integers(-9, 99).map(str)),
+                           max_size=12))
+    text = draw(st.sampled_from(["", " ", "\n", "\r\n"]))
+    for token in tokens:
+        text += token + draw(GAPS)
+    return text if draw(st.booleans()) else text.rstrip(_SPACE)
+
+
+def reads_as(token: str, value: int) -> bool:
+    try:
+        return int(token) == value
+    except ValueError:
+        return False
+
+
+class TestTokenizer:
+    """_Text's token slices and line counts are str.split()'s, and ints()
+    reads every token as _int64 does."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(token_text())
+    def test_tokens_and_ints(self, tmp_path_factory, text):
+        path = write_raw(tmp_path_factory, text)
+        t = _Text(path)
+        tokens = text.split()
+        assert [t.token(k) for k in range(len(t.start))] == tokens
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        assert t.count.tolist() == [len(line.split()) for line in lines]
+        values, flags = t.ints(np.arange(len(tokens)))
+        want_values, want_flags = _int64(tokens)
+        assert values.tolist() == want_values.tolist()
+        assert flags.tolist() == want_flags.tolist()
+
+    @pytest.mark.parametrize("top", [0x80, 0x3003])
+    def test_every_character_separates_as_split_does(self, tmp_path, top):
+        # below 0x80 the file is ASCII, else the whitespace table is read
+        text = "".join(f"7{chr(c)}" for c in range(top))
+        path = tmp_path / "t.txt"
+        path.write_bytes(text.encode("utf-8"))
+        t = _Text(path)
+        assert [t.token(k) for k in range(len(t.start))] == text.split()
+
+    @settings(deadline=None, max_examples=300)
+    @given(token_text())
+    def test_readers_match_reference(self, tmp_path_factory, text):
+        # _int64 reads -2**63 as int64's least value in a clean selection of
+        # tokens but as beyond int64 next to junk, which no line-by-line
+        # reader can follow (test_int64_reads_tokens_as_int_does pins both)
+        assume(not any(reads_as(token, _INT64_MIN) for token in text.split()))
+        readers = [(read_edge_list, reference_edge_list), (read_partition_ids, reference_partition_ids),
+                   (read_hypergraph, reference_hypergraph)]
+        path = write_raw(tmp_path_factory, text)
+        for read, reference in readers:
+            assert outcome(read, path) == outcome(reference, path)
+        mm = write_raw(tmp_path_factory, "%%MatrixMarket matrix coordinate pattern general\n" + text)
+        assert outcome(read_matrix_market, mm) == outcome(reference_matrix_market, mm)

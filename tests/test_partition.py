@@ -133,9 +133,11 @@ def reference_final_repair(assignment, weights, p: int, epsilon: float) -> np.nd
         return float(np.maximum(pw - cap, 0.0).sum())
 
     def delta_violation(m: int, t: int, shift: float) -> float:
-        """Violation change when `shift` weight leaves part m for part t."""
-        dm = max(0.0, pw[m] - shift - cap) - max(0.0, pw[m] - cap)
-        dt = max(0.0, pw[t] + shift - cap) - max(0.0, pw[t] - cap)
+        """Violation change when `shift` weight leaves part m for part t. A
+        part that stays above the cap changes by exactly the shift, so a move
+        between two such parts is no gain, without rounding."""
+        dm = max(pw[m] - shift, cap) - max(pw[m], cap)
+        dt = max(pw[t] + shift, cap) - max(pw[t], cap)
         return dm + dt
 
     def move_one(over) -> bool:
@@ -199,15 +201,19 @@ def repair_outcome(repair, assignment, weights, p, epsilon):
 
 @st.composite
 def repair_instances(draw):
-    """Weights: small (1-8), small plus a few hubs of 50-500, or
-    Pareto-tailed. Assignments: uniform, skewed toward part 0, or over a
-    subset of the parts, leaving others empty."""
+    """Weights: small (1-8), small plus a few hubs of 50-500, Pareto-tailed,
+    or signed (-3-8, zero and negative ones included, which the repair's
+    sort key must order after shifting by the least weight). Assignments:
+    uniform, skewed toward part 0, or over a subset of the parts, leaving
+    others empty."""
     p = draw(st.integers(1, 16))
     n = draw(st.integers(1, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["small", "hubs", "pareto"]))
+    kind = draw(st.sampled_from(["small", "hubs", "pareto", "signed"]))
     if kind == "pareto":
         weights = np.minimum(1 + 2 * rng.pareto(1.2, n), 10**4).astype(np.int64)
+    elif kind == "signed":
+        weights = rng.integers(-3, 9, n)
     else:
         weights = rng.integers(1, 9, n)
         if kind == "hubs":
