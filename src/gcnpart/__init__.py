@@ -4,7 +4,7 @@ stochastic partitioning models and partitioners, exact point-to-point
 communication planning, and a simulated multi-processor runtime with full
 communication accounting."""
 
-from .comm import CommPlan, build_comm_plan, plan_volume
+from .comm import CommPlan, build_comm_plan
 from .gcn import (
     ForwardTrace,
     GcnModel,
@@ -46,7 +46,6 @@ from .runtime import (
     ProcState,
     SimNetwork,
     allreduce_sum,
-    parallel_backprop,
     parallel_feedforward,
     scatter,
     train_epochs,

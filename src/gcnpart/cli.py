@@ -98,54 +98,45 @@ class ExperimentConfig:
             raise ValueError("--seed is mandatory (runs carry no wall-clock entropy)")
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def parse_args(argv=None) -> ExperimentConfig:
+    """Each option's dest is an ExperimentConfig field; an option not given
+    is left out of the namespace, so the field's default applies."""
     ap = argparse.ArgumentParser(
         prog="gcnpart",
         description="simulated distributed GCN training with partitioning models",
+        argument_default=argparse.SUPPRESS,
     )
     ap.add_argument("--graph", required=True, help="path to the input graph")
-    ap.add_argument("--format", default="edge_list", choices=graphio.FORMATS)
+    ap.add_argument("--format", dest="fmt", choices=graphio.FORMATS)
     ap.add_argument("--directed", action="store_true")
-    ap.add_argument("-p", type=int, default=4, help="number of simulated processors")
-    ap.add_argument(
-        "--partitioner",
-        default="rp,hp",
-        help="comma-separated subset of rp,gp,hp,shp,file",
-    )
-    ap.add_argument("--partition-file", default=None)
-    ap.add_argument("--epsilon", type=float, default=0.01)
-    ap.add_argument("--layers", type=int, default=2)
-    ap.add_argument("--dims", default="8,8,4", help="comma-separated d_0..d_L")
-    ap.add_argument("--epochs", type=int, default=5)
-    ap.add_argument("--mode", default="full", choices=("full", "mini"))
-    ap.add_argument("--batch-size", type=int, default=None)
-    ap.add_argument("--batches", type=int, default=8)
+    ap.add_argument("-p", type=int, help="number of simulated processors")
+    ap.add_argument("--partitioner", dest="partitioners", type=_names, metavar="PARTITIONER",
+                    help="comma-separated subset of rp,gp,hp,shp,file")
+    ap.add_argument("--partition-file")
+    ap.add_argument("--epsilon", type=float)
+    ap.add_argument("--layers", type=int)
+    ap.add_argument("--dims", type=_ints, help="comma-separated d_0..d_L")
+    ap.add_argument("--epochs", type=int)
+    ap.add_argument("--mode", choices=("full", "mini"))
+    ap.add_argument("--batch-size", type=int)
+    ap.add_argument("--batches", type=int)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--emit-plan", action="store_true")
-    ap.add_argument("--out", default="out", help="output directory for reports")
-    ap.add_argument("--scheduler", default="round", choices=("round", "threads"))
-    ap.add_argument("--learning-rate", type=float, default=0.1)
-    ns = ap.parse_args(argv)
-    return ExperimentConfig(
-        graph=ns.graph,
-        fmt=ns.format,
-        directed=ns.directed,
-        p=ns.p,
-        partitioners=tuple(x.strip() for x in ns.partitioner.split(",") if x.strip()),
-        partition_file=ns.partition_file,
-        epsilon=ns.epsilon,
-        layers=ns.layers,
-        dims=tuple(int(x) for x in ns.dims.split(",")),
-        epochs=ns.epochs,
-        mode=ns.mode,
-        batch_size=ns.batch_size,
-        batches=ns.batches,
-        seed=ns.seed,
-        out=ns.out,
-        emit_plan=ns.emit_plan,
-        scheduler=ns.scheduler,
-        learning_rate=ns.learning_rate,
-    )
+    ap.add_argument("--out", help="output directory for reports")
+    ap.add_argument("--scheduler", choices=("round", "threads"))
+    ap.add_argument("--learning-rate", type=float)
+    return ExperimentConfig(**vars(ap.parse_args(argv)))
 
 
 def synth_features(n: int, d0: int, seed: int) -> np.ndarray:

@@ -104,16 +104,3 @@ def build_comm_plan(a: CsrMatrix, pi: "Partition | np.ndarray", p: int | None = 
     keys = unique_keys((sender[cross] * p + consumer[cross]) * n + a.col_indices[cross])
     return CommPlan(p, owner, keys % n, np.searchsorted(keys // n, np.arange(p * p + 1)))
 
-
-@dataclass(frozen=True)
-class PlanVolume:
-    words_per_proc: np.ndarray
-    total_words: int
-    msgs_per_proc: np.ndarray
-    total_msgs: int
-
-
-def plan_volume(plan: CommPlan, d: int) -> PlanVolume:
-    """Words and message counts for one d-wide transfer round of the plan."""
-    words, msgs = d * plan.sizes.sum(axis=1), np.count_nonzero(plan.sizes, axis=1).astype(np.int64)
-    return PlanVolume(words, int(words.sum()), msgs, int(msgs.sum()))

@@ -1,5 +1,4 @@
-"""File formats: edge lists, MatrixMarket patterns, hypergraph and
-partition text files.
+"""File formats: edge lists, MatrixMarket patterns and partition files.
 
 Edge list: whitespace-separated "u v" pairs, 0-based; '#' and '%' start
 comments; an optional "n=<count>" line declares the vertex count (needed
@@ -8,9 +7,8 @@ for graphs with isolated trailing vertices or empty edge sets).
 MatrixMarket: coordinate format, 1-based, pattern or real, general or
 symmetric.
 
-Hypergraph text: header "n_vertices n_nets", one space-separated pin list
-per line, then an optional vertex-weight line. Partition files carry one
-part id per line, so third-party partitioners can be plugged in.
+Partition file: one part id per line, so third-party partitioners can be
+plugged in ('#' and '%' start comments).
 
 Every reader reads its file once through one tokenizer (_Text): it splits
 lines and tokens exactly as open() and str.split() do, keeping each
@@ -27,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .models import Hypergraph, Partition
+from .models import Partition
 from .sparse import CsrMatrix, check_key_range, unique_keys
 
 
@@ -43,21 +41,17 @@ _SPACE += "".join(map(chr, range(0x2000, 0x200B)))
 _IS_SPACE = np.zeros(0x3002, dtype=bool)
 _IS_SPACE[[ord(c) for c in _SPACE]] = True
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MIN = int(np.iinfo(np.int64).min)
 _PLAIN_DIGITS = 18  # 10**18 - 1 < 2**63: a plain token always fits int64
 
 
 def _int64(tokens) -> tuple[np.ndarray, np.ndarray]:
-    """Tokens read as int() reads them, and a flag per token: 0 read, 1 not
-    an integer, 2 an integer beyond int64 (its value is then clamped to
-    +-(2**63 - 1)). One numpy call parses a clean file: numpy reads each
-    string with int(), signs, '_', leading zeros and non-ASCII digits
-    alike, and raises on a token that is no integer or overflows int64,
-    after which the tokens are read and flagged one by one."""
-    try:
-        return np.array(tokens, dtype=np.int64), np.zeros(len(tokens), np.int8)
-    except (ValueError, OverflowError):
-        pass
-    values = np.zeros(len(tokens), dtype=np.int64)  # a bad file: flag token by token
+    """Tokens read as int() reads them (signs, '_', leading zeros and
+    non-ASCII digits alike), and a flag per token: 0 read, 1 not an
+    integer, 2 an integer outside int64 (its value is then clamped to
+    +-(2**63 - 1)). _Text.ints reads plain tokens itself and hands only
+    the others here, one by one."""
+    values = np.zeros(len(tokens), dtype=np.int64)
     flags = np.zeros(len(tokens), dtype=np.int8)
     for k, token in enumerate(tokens):
         try:
@@ -65,7 +59,7 @@ def _int64(tokens) -> tuple[np.ndarray, np.ndarray]:
         except ValueError:
             flags[k] = 1
             continue
-        if abs(value) > _INT64_MAX:
+        if not _INT64_MIN <= value <= _INT64_MAX:
             flags[k], value = 2, _INT64_MAX if value > 0 else -_INT64_MAX
         values[k] = value
     return values, flags
@@ -228,7 +222,7 @@ def _vertex_count(line: str) -> int | None:
         n = int(line[2:])
     except ValueError:
         return None
-    return n if abs(n) <= _INT64_MAX else None
+    return n if _INT64_MIN <= n <= _INT64_MAX else None
 
 
 def read_matrix_market(path) -> CsrMatrix:
@@ -270,16 +264,6 @@ def read_matrix_market(path) -> CsrMatrix:
     return pattern_from_pairs(int(dims[0]), ij, directed=symmetry == "general")
 
 
-def write_matrix_market(path, a: CsrMatrix) -> None:
-    """Write the pattern in coordinate general form (1-based)."""
-    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%%MatrixMarket matrix coordinate pattern general\n")
-        fh.write(f"{a.n_rows} {a.n_cols} {a.nnz}\n")
-        for i, j in zip(rows, a.col_indices):
-            fh.write(f"{i + 1} {j + 1}\n")
-
-
 FORMATS = ("edge_list", "matrix_market")
 
 
@@ -293,76 +277,15 @@ def load_graph(path, fmt: str, directed: bool = False) -> CsrMatrix:
 
 
 # ---------------------------------------------------------------------------
-# hypergraph and partition text formats
-
-
-def write_hypergraph(path, h: Hypergraph, with_weights: bool = True) -> None:
-    pins, offsets = h.pins.tolist(), h.offsets.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{h.n_vertices} {h.n_nets}\n")
-        for lo, hi in zip(offsets[:-1], offsets[1:]):
-            fh.write(" ".join(map(str, pins[lo:hi])) + "\n")
-        if with_weights:
-            fh.write(" ".join(map(str, h.vertex_weight.tolist())) + "\n")
-
-
-def read_hypergraph(path) -> Hypergraph:
-    """Blank lines are skipped; errors name the file line they were found on.
-    Pins are sorted and deduplicated per net by one sort of the keys
-    net * n_vertices + pin."""
-    t = _Text(path)
-    lines = np.flatnonzero(t.count > 0)
-    if not len(lines):
-        raise GraphParseError(path, 0, "empty hypergraph file")
-    head, bad = t.ints(t.first[lines[0]] + np.arange(t.count[lines[0]]))
-    if len(head) != 2 or bad.any() or head[1] < 0:
-        raise t.error(lines[0], "header must be 'n_vertices n_nets'")
-    n_vertices, n_nets = int(head[0]), int(head[1])
-    if len(lines) < 1 + n_nets:
-        raise t.error(lines[-1], f"expected {n_nets} net lines")
-    nets, weight_line = lines[1 : 1 + n_nets], lines[1 + n_nets : 2 + n_nets]
-    # blank lines hold no tokens: the pins, then the weights, are one run
-    lo = t.first[lines[0]] + 2
-    n_pins = int(t.count[nets].sum())
-    values, flags = t.ints(np.arange(lo, lo + n_pins + t.count[weight_line].sum()))
-    pins, weights, weight_flags = values[:n_pins], values[n_pins:], flags[n_pins:]
-    starts = np.cumsum(t.count[nets]) - t.count[nets]  # each net's first pin
-    low, high = np.minimum.reduceat(pins, starts), np.maximum.reduceat(pins, starts)
-
-    def outside(i):  # the lowest pin when negative, else the highest
-        j = int(np.searchsorted(nets, i))
-        net = [int(t.token(k)) for k in range(lo + starts[j], lo + starts[j] + t.count[i])]
-        return f"pin {min(net) if min(net) < 0 else max(net)} outside 0..{n_vertices - 1}"
-
-    def if_weights(failed: bool):  # the weight line when it fails a check
-        return weight_line if failed else weight_line[:0]
-
-    t.fail_first(
-        (nets[np.logical_or.reduceat(flags[:n_pins] == 1, starts)], "non-integer pin"),
-        (nets[(low < 0) | (high >= n_vertices)], outside),
-        (if_weights((weight_flags == 1).any()), "non-integer vertex weight"),
-        (if_weights((weight_flags == 2).any()), "vertex weight beyond int64"),
-        (if_weights(len(weights) != n_vertices), "weight line has wrong length"),
-    )
-    if not len(weight_line):
-        weights = np.ones(n_vertices, dtype=np.int64)
-    keys = unique_keys(np.repeat(np.arange(n_nets), t.count[nets]) * n_vertices + pins)
-    offsets = np.searchsorted(keys, np.arange(n_nets + 1) * n_vertices)
-    return Hypergraph(n_vertices, offsets, keys % max(n_vertices, 1), np.ones(n_nets), weights)
-
-
-def write_partition(path, pi: Partition) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for part in pi.assignment:
-            fh.write(f"{int(part)}\n")
+# partition files
 
 
 def read_partition_ids(path) -> np.ndarray:
-    """One part id per line; p is inferred as max id + 1."""
+    """One non-negative part id per line; p is inferred as max id + 1."""
     t = _Text(path)
     lines = np.flatnonzero((t.count > 0) & ~t.starts_with("#%"))
     ids, flags = t.ints(t.first[lines])
-    bad = lines[(t.count[lines] != 1) | (flags != 0)]
+    bad = lines[(t.count[lines] != 1) | (flags != 0) | (ids < 0)]
     t.fail_first((bad, lambda i: f"bad part id {t.stripped(i)!r}"))
     if not len(ids):
         raise GraphParseError(path, 0, "empty partition file")

@@ -1,14 +1,16 @@
 """Deterministic simulated distributed-memory GCN training runtime.
 
-p logical processors execute parallel feedforward and backpropagation over
-1D row-partitioned matrices. Rows move between ranks only through
-SimNetwork's per-pair FIFO channels, which are plain deques, and weight
-gradients through the scheduler's rank-ordered allreduce-sum. Every
-payload is counted (rows x cols words), giving exact communication
-accounting per epoch, phase, and layer.
+p logical processors train a GCN over 1D row-partitioned matrices
+(train_epochs: each step is a forward sweep, backpropagation and one
+allreduced update) or run a forward-only pass (parallel_feedforward).
+Rows move between ranks only through SimNetwork's per-pair FIFO
+channels, which are plain deques, and weight gradients through the
+scheduler's rank-ordered allreduce-sum. Every payload is counted (rows x
+cols words), giving exact communication accounting per epoch, phase, and
+layer.
 
-Each rank's work is written once, as a generator (the rank program). It
-yields at two kinds of sync point:
+Each rank's work in a training step is written once, as a generator (the
+rank program, _rank_epoch). It yields at two kinds of sync point:
 
 * ``None``, a send barrier: the rank has posted this layer's sends and
   next receives what its plan promises.
@@ -431,11 +433,12 @@ def _rank_forward(st: ProcState, net: SimNetwork, epoch: int, step: int):
         _fwd_compute(st, net, k, tag)
 
 
-def _rank_backward(st: ProcState, net: SimNetwork, labels: tuple, epoch: int, step: int):
-    """Loss contribution, then per layer: post sends, send barrier, receive
-    and compute, dW contribution, update. labels is the rank's
-    (local_rows, y, count), as _resolve_labels or _epoch_steps gives it. Returns
-    the global loss."""
+def _rank_epoch(st: ProcState, net: SimNetwork, labels: tuple, epoch: int, step: int):
+    """One training step: the forward sweep, the loss contribution, then
+    per layer backward: post sends, send barrier, receive and compute, dW
+    contribution, update. labels is the rank's (local_rows, y, count), as
+    _resolve_labels or _epoch_steps gives it. Returns the global loss."""
+    yield from _rank_forward(st, net, epoch, step)
     count = labels[2]
     total = yield _local_loss_grad(st, *labels)
     for k in range(st.n_layers, 0, -1):
@@ -445,11 +448,6 @@ def _rank_backward(st: ProcState, net: SimNetwork, labels: tuple, epoch: int, st
         dw = yield _bwd_compute(st, net, k, tag)
         st.weights[k - 1] = st.weights[k - 1] - st.learning_rate * dw
     return float(total[0, 0]) / count if count else 0.0
-
-
-def _rank_epoch(st, net, labels, epoch, step):
-    yield from _rank_forward(st, net, epoch, step)
-    return (yield from _rank_backward(st, net, labels, epoch, step))
 
 
 def _drive_round(programs) -> list:
@@ -536,25 +534,11 @@ def _run(programs, net: SimNetwork, scheduler: str) -> list:
 
 
 def parallel_feedforward(states, net: SimNetwork, scheduler: str = "round", epoch: int = 0):
-    """One forward pass over all layers; fills each rank's h/z blocks."""
+    """One forward pass over all layers, no update: inference. Fills each
+    rank's h/z blocks; train_epochs runs the same forward sweep in every
+    training step."""
     _run([_rank_forward(st, net, epoch, 0) for st in states], net, scheduler)
     return states
-
-
-def parallel_backprop(states, net: SimNetwork, labels: LabelSet, scheduler: str = "round", epoch: int = 0):
-    """Loss gradient, backward sweep, allreduced updates; forward trace must
-    be present. Returns the states and the epoch's metrics."""
-    if not all(st.h and st.h[-1] is not None for st in states):
-        raise ValueError("run parallel_feedforward before parallel_backprop")
-    if len(labels) == 0:
-        raise ValueError("label set is empty")
-    start = time.perf_counter()
-    rank_labels = _resolve_labels(states, labels)
-    programs = [_rank_backward(st, net, lab, epoch, 0) for st, lab in zip(states, rank_labels)]
-    loss = _run(programs, net, scheduler)[0]
-    wall = time.perf_counter() - start
-    recs = [r for r in net.records(epoch=epoch) if r.phase == "bwd"]
-    return states, _metrics_from_records(recs, len(states), wall, loss)
 
 
 def _metrics_from_records(recs, p: int, wall: float, loss: float) -> EpochMetrics:

@@ -8,10 +8,11 @@ bipartition search, and central finite differences.
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 
-from gcnpart import CsrMatrix, Hypergraph, LabelSet, normalize_adjacency
+from gcnpart import CsrMatrix, Hypergraph, LabelSet, Partition, normalize_adjacency
 
 
 def hypergraph_from_nets(n_vertices: int, nets, net_cost, vertex_weight) -> Hypergraph:
@@ -20,6 +21,23 @@ def hypergraph_from_nets(n_vertices: int, nets, net_cost, vertex_weight) -> Hype
     offsets = np.cumsum([0] + [len(pins) for pins in nets])
     pins = np.concatenate([np.zeros(0, dtype=np.int64), *nets])
     return Hypergraph(n_vertices, offsets, pins, net_cost, vertex_weight)
+
+
+# ---------------------------------------------------------------------------
+# input files
+
+
+def write_matrix_market(path, a: CsrMatrix) -> None:
+    """a's pattern in MatrixMarket coordinate general form (1-based)."""
+    rows = np.repeat(np.arange(a.n_rows), a.row_nnz()).tolist()
+    entries = "".join(f"{i + 1} {j + 1}\n" for i, j in zip(rows, a.col_indices.tolist()))
+    head = f"%%MatrixMarket matrix coordinate pattern general\n{a.n_rows} {a.n_cols} {a.nnz}\n"
+    Path(path).write_text(head + entries, encoding="utf-8")
+
+
+def write_partition(path, pi: Partition) -> None:
+    """A partition file: one part id per line."""
+    Path(path).write_text("".join(f"{part}\n" for part in pi.assignment.tolist()), encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from gcnpart import CsrMatrix, transpose_sparse
 from gcnpart.sparse import is_symmetric, transpose_order
 from gcnpart.cli import ExperimentConfig, main, parse_args, run_experiment
 
-from helpers import grid_graph
+from helpers import grid_graph, write_partition
 
 
 def write_grid(tmp_path, rows=8, cols=8):
@@ -105,6 +105,14 @@ class TestConfigValidation:
         assert cfg.partitioners == ("rp", "gp", "hp")
         assert cfg.dims == (4, 8, 3)
         assert cfg.mode == "mini" and cfg.batch_size == 32
+        # options not given take ExperimentConfig's defaults
+        assert parse_args(["--graph", "g", "--seed", "0"]) == ExperimentConfig(graph="g", seed=0)
+
+    def test_non_integer_dims_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["--graph", "g", "--seed", "0", "--dims", "4,x"])
+        assert exc.value.code == 2
+        assert "--dims: expected comma-separated integers, got '4,x'" in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -167,7 +175,7 @@ class TestRunExperiment:
         # the internal bisection partitioners need powers of two; external
         # partition files (and rp) drive the whole pipeline at any p
         from gcnpart import PartitionConfig, normalize_adjacency, random_partition
-        from gcnpart.graphio import load_graph, write_partition
+        from gcnpart.graphio import load_graph
 
         graph = write_grid(tmp_path, 6, 6)
         a_hat = normalize_adjacency(load_graph(graph, "edge_list"))
@@ -263,6 +271,19 @@ class TestMainExitCodes:
         )
         assert code == 1
         assert "gcnpart:" in capsys.readouterr().err
+
+    def test_negative_part_id_is_one_at_its_line(self, tmp_path, capsys):
+        pfile = tmp_path / "part.txt"
+        pfile.write_text("0\n-1\n1\n")
+        code = main(
+            [
+                "--graph", str(write_grid(tmp_path, 1, 3)), "-p", "2", "--partitioner", "file",
+                "--partition-file", str(pfile), "--layers", "1", "--dims", "3,2",
+                "--seed", "1", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert f"{pfile}:2: bad part id '-1'" in capsys.readouterr().err
 
 
 class TestDirectedValidation:

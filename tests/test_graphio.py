@@ -1,13 +1,13 @@
-"""Graph, hypergraph, and partition file formats."""
+"""Graph and partition file formats."""
 
 import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcnpart import CsrMatrix, Hypergraph, Partition
+from gcnpart import CsrMatrix, Partition
 from gcnpart.graphio import (
     _SPACE,
     _INT64_MAX,
@@ -17,16 +17,12 @@ from gcnpart.graphio import (
     pattern_from_pairs,
     load_graph,
     read_edge_list,
-    read_hypergraph,
     read_matrix_market,
     read_partition,
     read_partition_ids,
-    write_hypergraph,
-    write_matrix_market,
-    write_partition,
 )
 
-from helpers import hypergraph_from_nets
+from helpers import write_matrix_market, write_partition
 
 
 class TestEdgeList:
@@ -160,49 +156,6 @@ class TestMatrixMarket:
             load_graph(path, "adjacency_soup")
 
 
-class TestHypergraphFormat:
-    def test_round_trip(self, tmp_path):
-        h = hypergraph_from_nets(
-            4,
-            (np.array([0, 1]), np.array([1, 2, 3]), np.array([2])),
-            np.ones(3),
-            np.array([2, 3, 1, 4], dtype=np.int64),
-        )
-        path = tmp_path / "h.txt"
-        write_hypergraph(path, h)
-        back = read_hypergraph(path)
-        assert back.n_vertices == 4 and back.n_nets == 3
-        for a, b in zip(h.nets, back.nets):
-            assert np.array_equal(a, b)
-        assert np.array_equal(h.vertex_weight, back.vertex_weight)
-
-    def test_weightless_file_defaults_to_unit(self, tmp_path):
-        path = tmp_path / "h.txt"
-        path.write_text("3 1\n0 2\n")
-        h = read_hypergraph(path)
-        assert np.array_equal(h.vertex_weight, np.ones(3, dtype=np.int64))
-
-    @pytest.mark.parametrize(
-        "text, where",
-        [
-            ("3 2\n\n0 1\n1 x\n", ":4: non-integer pin"),  # the blank line counts
-            ("3 2\n0 1\n1 7\n", ":3: pin 7 outside 0..2"),
-            ("3 2\n0 1\n\n-1 2\n", ":4: pin -1 outside 0..2"),
-            ("3 1\n0 2\n\n1 1\n", ":4: weight line has wrong length"),
-            ("3 1\n0 2\n1 x 1\n", ":3: non-integer vertex weight"),
-            ("\n3\n0 2\n", ":2: header must be"),
-            ("3 2\n0 2\n\n", ":2: expected 2 net lines"),
-        ],
-        ids=["blank-line", "out-of-range", "negative", "weight-length", "weight-int",
-             "header", "missing-net"],
-    )
-    def test_errors_carry_file_line(self, tmp_path, text, where):
-        path = tmp_path / "h.txt"
-        path.write_text(text)
-        with pytest.raises(GraphParseError, match="^" + re.escape(f"{path}{where}")):
-            read_hypergraph(path)
-
-
 class TestPartitionFormat:
     def test_round_trip(self, tmp_path):
         weights = np.array([1, 2, 1, 2], dtype=np.int64)
@@ -224,6 +177,12 @@ class TestPartitionFormat:
         path.write_text("0\nx\n")
         with pytest.raises(GraphParseError, match=":2:"):
             read_partition_ids(path)
+
+    def test_negative_id_carries_line_number(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0\n-1\n1\n")
+        with pytest.raises(GraphParseError, match="^" + re.escape(f"{path}:2: bad part id '-1'")):
+            read_partition(path, np.ones(3, dtype=np.int64), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -324,45 +283,6 @@ def reference_matrix_market(path) -> CsrMatrix:
     return pattern_from_pairs(dims[0], entries, directed=symmetry == "general")
 
 
-def reference_hypergraph(path) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(no, ln.strip()) for no, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines:
-        raise GraphParseError(path, 0, "empty hypergraph file")
-    try:
-        n_vertices, n_nets = (int(x) for x in lines[0][1].split())
-    except ValueError:
-        raise GraphParseError(path, lines[0][0], "header must be 'n_vertices n_nets'")
-    if n_nets < 0 or not all(_INT64_MIN <= x <= _INT64_MAX for x in (n_vertices, n_nets)):
-        raise GraphParseError(path, lines[0][0], "header must be 'n_vertices n_nets'")
-    if len(lines) < 1 + n_nets:
-        raise GraphParseError(path, lines[-1][0], f"expected {n_nets} net lines")
-    nets = []
-    for line_no, line in lines[1 : 1 + n_nets]:
-        try:
-            pins = sorted({int(x) for x in line.split()})
-        except ValueError:
-            raise GraphParseError(path, line_no, "non-integer pin")
-        if pins[0] < 0 or pins[-1] >= n_vertices:
-            bad = pins[0] if pins[0] < 0 else pins[-1]
-            raise GraphParseError(path, line_no, f"pin {bad} outside 0..{n_vertices - 1}")
-        nets.append(pins)
-    if len(lines) > 1 + n_nets:
-        line_no, line = lines[1 + n_nets]
-        try:
-            weights = [int(x) for x in line.split()]
-        except ValueError:
-            raise GraphParseError(path, line_no, "non-integer vertex weight")
-        if not all(_INT64_MIN <= w <= _INT64_MAX for w in weights):
-            raise GraphParseError(path, line_no, "vertex weight beyond int64")
-        weights = np.array(weights, dtype=np.int64)
-        if len(weights) != n_vertices:
-            raise GraphParseError(path, line_no, "weight line has wrong length")
-    else:
-        weights = np.ones(n_vertices, dtype=np.int64)
-    return hypergraph_from_nets(n_vertices, nets, np.ones(n_nets), weights)
-
-
 def reference_partition_ids(path) -> np.ndarray:
     ids = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -374,7 +294,7 @@ def reference_partition_ids(path) -> np.ndarray:
                 ids.append(int(line))
             except ValueError:
                 raise GraphParseError(path, line_no, f"bad part id {line!r}")
-            if not _INT64_MIN <= ids[-1] <= _INT64_MAX:
+            if not 0 <= ids[-1] <= _INT64_MAX:
                 raise GraphParseError(path, line_no, f"bad part id {line!r}")
     if not ids:
         raise GraphParseError(path, 0, "empty partition file")
@@ -389,9 +309,6 @@ def outcome(read, path):
         return type(exc), str(exc)
     if isinstance(got, CsrMatrix):
         return got.shape, got.row_offsets.tolist(), got.col_indices.tolist(), got.values.tolist()
-    if isinstance(got, Hypergraph):
-        return (got.n_vertices, got.offsets.tolist(), got.pins.tolist(),
-                got.net_cost.tolist(), got.vertex_weight.tolist())
     return got.dtype, got.tolist()
 
 
@@ -515,37 +432,6 @@ def partition_line(draw):
     return draw(number(-1, 5))
 
 
-@st.composite
-def hypergraph_text(draw):
-    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 4))
-    header = f"{n} {m}"
-    if draw(st.integers(0, 7)) == 0:
-        header = draw(st.sampled_from([f"{n}", f"{n} {m} 1", f"{n} x"]))
-    nets = [
-        joined(draw, draw(st.lists(
-            st.one_of(number(-1, n), st.just("x")) if draw(st.integers(0, 7)) == 0
-            else number(0, max(n - 1, 0)),
-            min_size=1, max_size=5,
-        )))
-        for _ in range(m if draw(st.integers(0, 7)) else max(m - 1, 0))
-    ]
-    tail = draw(st.sampled_from(["none", "weights", "short", "bad", "extra"]))
-    if tail != "none":
-        count = n if tail in ("weights", "extra") else n + 1
-        weights = [draw(number(1, 4)) for _ in range(count)]
-        if tail == "bad" and weights:
-            weights[0] = "w"
-        nets.append(joined(draw, weights) if weights else "0")
-        if tail == "extra":
-            nets.append("anything here")
-    lines = [header] + nets
-    out = []
-    for text in lines:
-        out += [""] * draw(st.integers(0, 1))
-        out.append(text + draw(ENDS))
-    return "".join(out)
-
-
 def write_raw(tmp_path_factory, text: str):
     path = tmp_path_factory.getbasetemp() / "bulk-reader-input.txt"
     path.write_bytes(text.encode("utf-8"))
@@ -574,12 +460,6 @@ class TestBulkReadersMatchReference:
     def test_partition_ids(self, tmp_path_factory, text):
         path = write_raw(tmp_path_factory, text)
         assert outcome(read_partition_ids, path) == outcome(reference_partition_ids, path)
-
-    @settings(deadline=None, max_examples=200)
-    @given(hypergraph_text())
-    def test_hypergraph(self, tmp_path_factory, text):
-        path = write_raw(tmp_path_factory, text)
-        assert outcome(read_hypergraph, path) == outcome(reference_hypergraph, path)
 
     @pytest.mark.parametrize(
         "text",
@@ -636,13 +516,6 @@ class TestOverflowNamesLine:
         self.check(tmp_path, read_partition_ids, f"0\n{self.BIG}\n",
                    f":2: bad part id '{self.BIG}'")
 
-    def test_hypergraph(self, tmp_path):
-        self.check(tmp_path, read_hypergraph, f"2 1\n0 1\n1 {self.BIG}\n",
-                   ":3: vertex weight beyond int64")
-        self.check(tmp_path, read_hypergraph, f"2 1\n0 {self.BIG} 88888888888888888888\n",
-                   f":2: pin {self.BIG} outside 0..1")
-
-
 # digits int() reads: ASCII, Arabic-Indic, fullwidth and Devanagari
 DIGIT_SCRIPTS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
                  "".join(map(chr, range(0xFF10, 0xFF1A))), "".join(map(chr, range(0x0966, 0x0970))))
@@ -667,23 +540,18 @@ def int_tokens(draw):
 @settings(deadline=None, max_examples=500)
 @given(st.lists(int_tokens(), max_size=8))
 def test_int64_reads_tokens_as_int_does(tokens):
+    # one rule per token, whatever the tokens beside it
     values, flags = _int64(tokens)
-    read = []
-    for token in tokens:
+    for token, value, flag in zip(tokens, values.tolist(), flags.tolist()):
         try:
-            read.append(int(token))
+            want = int(token)
         except ValueError:
-            read.append(None)
-    if all(x is not None and -(2**63) <= x <= _INT64_MAX for x in read):  # one numpy call reads them
-        assert values.tolist() == read and not flags.any()
-        return
-    for value, flag, want in zip(values.tolist(), flags.tolist(), read):
-        if want is None:
             assert (flag, value) == (1, 0)
-        elif abs(want) > _INT64_MAX:
-            assert (flag, value) == (2, _INT64_MAX if want > 0 else -_INT64_MAX)
-        else:
+            continue
+        if _INT64_MIN <= want <= _INT64_MAX:
             assert (flag, value) == (0, want)
+        else:
+            assert (flag, value) == (2, _INT64_MAX if want > 0 else -_INT64_MAX)
 
 
 @st.composite
@@ -710,13 +578,6 @@ def token_text(draw):
     for token in tokens:
         text += token + draw(GAPS)
     return text if draw(st.booleans()) else text.rstrip(_SPACE)
-
-
-def reads_as(token: str, value: int) -> bool:
-    try:
-        return int(token) == value
-    except ValueError:
-        return False
 
 
 class TestTokenizer:
@@ -749,12 +610,7 @@ class TestTokenizer:
     @settings(deadline=None, max_examples=300)
     @given(token_text())
     def test_readers_match_reference(self, tmp_path_factory, text):
-        # _int64 reads -2**63 as int64's least value in a clean selection of
-        # tokens but as beyond int64 next to junk, which no line-by-line
-        # reader can follow (test_int64_reads_tokens_as_int_does pins both)
-        assume(not any(reads_as(token, _INT64_MIN) for token in text.split()))
-        readers = [(read_edge_list, reference_edge_list), (read_partition_ids, reference_partition_ids),
-                   (read_hypergraph, reference_hypergraph)]
+        readers = [(read_edge_list, reference_edge_list), (read_partition_ids, reference_partition_ids)]
         path = write_raw(tmp_path_factory, text)
         for read, reference in readers:
             assert outcome(read, path) == outcome(reference, path)

@@ -28,7 +28,6 @@ from gcnpart import (
     feedforward,
     init_model,
     normalize_adjacency,
-    parallel_backprop,
     parallel_feedforward,
     partition_hypergraph_fm,
     predicted_total_volume,
@@ -375,22 +374,16 @@ class TestParallelFeedforward:
 
 
 class TestParallelBackprop:
+    """The backward phase of a train_epochs step."""
+
     def test_single_rank_bit_exact_vs_serial(self):
         _, a_hat, h0, labels, model = build_instance(10, (3, 4, 2), 7)
         net = SimNetwork(1)
         states = scatter(a_hat, h0, partition_for(a_hat, 1, 7), model)
-        parallel_feedforward(states, net)
-        parallel_backprop(states, net, labels)
+        train_epochs(states, net, labels, 1)
         want, _, _ = train_serial(model, a_hat, a_hat, h0, labels, epochs=1)
         for ws, wp in zip(want.weights, states[0].weights):
             assert np.array_equal(ws, wp)
-
-    def test_requires_forward_trace(self):
-        _, a_hat, h0, labels, model = build_instance(8, (3, 2), 8)
-        net = SimNetwork(2)
-        states = scatter(a_hat, h0, partition_for(a_hat, 2, 8), model)
-        with pytest.raises(ValueError):
-            parallel_backprop(states, net, labels)
 
     def test_rows_sent_regardless_of_gradient_values(self):
         # backward messages are fixed by the plan, not by payload content
@@ -398,10 +391,8 @@ class TestParallelBackprop:
         pi = partition_for(a_hat, 4, 9)
         net = SimNetwork(4)
         states = scatter(a_hat, h0, pi, model)
-        parallel_feedforward(states, net)
-        before = len(net.log)
-        parallel_backprop(states, net, labels)
-        bwd = [r for r in net.log[before:] if r.phase == "bwd"]
+        train_epochs(states, net, labels, 1)
+        bwd = [r for r in net.log if r.phase == "bwd"]
         plan = build_comm_plan(a_hat, pi)
         nonempty_pairs = sum(
             1 for m in range(4) for n in range(4) if len(plan.send[m][n])
@@ -409,6 +400,7 @@ class TestParallelBackprop:
         assert len(bwd) == nonempty_pairs * model.n_layers
 
     def test_split_ops_agree_across_schedulers(self):
+        # an inference pass, then a training step, on one directed instance
         _, a_hat, h0, labels, model = build_instance(18, (3, 4, 2), 21, directed=True)
         pi = partition_for(a_hat, 4, 21)
         runs = []
@@ -416,14 +408,16 @@ class TestParallelBackprop:
             net = SimNetwork(4)
             states = scatter(a_hat, h0, pi, model)
             parallel_feedforward(states, net, scheduler=scheduler)
-            _, metrics = parallel_backprop(states, net, labels, scheduler=scheduler)
-            runs.append((metrics, states, net))
-        (m1, st1, net1), (m2, st2, net2) = runs
+            outputs = [st_.h[-1] for st_ in states]
+            (metrics,) = train_epochs(states, net, labels, 1, scheduler=scheduler)
+            runs.append((outputs, metrics, states, net))
+        (h1, m1, st1, net1), (h2, m2, st2, net2) = runs
+        assert all(np.array_equal(a, b) for a, b in zip(h1, h2))
         assert m1.loss == m2.loss
         for a, b in zip(st1, st2):
             for wa, wb in zip(a.weights, b.weights):
                 assert np.array_equal(wa, wb)
-        assert len(net1.log) > 0
+        assert any(r.phase == "bwd" for r in net1.log)
         assert sorted_records(net1) == sorted_records(net2)
 
 
@@ -671,12 +665,8 @@ class TestTrainEpochs:
         train_epochs(states, net, labels, 1)
         fwd_rows = sum(r.rows for r in net.log if r.phase == "fwd" and r.layer == 1)
         bwd_rows = sum(r.rows for r in net.log if r.phase == "bwd" and r.layer == 1)
-        from gcnpart import plan_volume
-
-        fwd_plan = build_comm_plan(a_hat, pi)
-        bwd_plan = build_comm_plan(transpose_sparse(a_hat), pi)
-        assert fwd_rows == plan_volume(fwd_plan, 1).total_words
-        assert bwd_rows == plan_volume(bwd_plan, 1).total_words
+        assert fwd_rows == build_comm_plan(a_hat, pi).sizes.sum()
+        assert bwd_rows == build_comm_plan(transpose_sparse(a_hat), pi).sizes.sum()
 
     def test_message_ceiling_per_layer_per_phase(self):
         _, a_hat, h0, labels, model = build_instance(30, (3, 3, 3, 3), 15)
@@ -787,16 +777,11 @@ class TestTrainEpochs:
         _, a_hat, h0, labels, model = build_instance(8, (3, 2), 17)
         net = SimNetwork(2)
         states = scatter(a_hat, h0, partition_for(a_hat, 2, 17), model)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown scheduler"):
             train_epochs(states, net, labels, 1, scheduler="eager")
         with pytest.raises(ValueError, match="unknown scheduler"):
             parallel_feedforward(states, net, scheduler="eager")
         assert net.log == []
-        parallel_feedforward(states, net)
-        n_fwd = len(net.log)
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            parallel_backprop(states, net, labels, scheduler="eager")
-        assert len(net.log) == n_fwd
         for w0, w in zip(model.weights, states[0].weights):
             assert np.array_equal(w0, w)
 
