@@ -145,10 +145,10 @@ def synth_features(n: int, d0: int, seed: int) -> np.ndarray:
     return rng.standard_normal((n, d0))
 
 
-def synth_labels(n: int, n_classes: int, seed: int, fraction: float = 0.1) -> LabelSet:
+def synth_labels(n: int, n_classes: int, seed: int) -> LabelSet:
     """Seeded random classes on a seeded 10% vertex subset."""
     rng = np.random.default_rng([int(seed), 0x1AB5])
-    count = max(1, round(fraction * n))
+    count = max(1, round(0.1 * n))
     ids = np.sort(rng.choice(n, size=count, replace=False))
     return LabelSet(ids, rng.integers(0, n_classes, size=count), n_classes)
 
@@ -170,10 +170,7 @@ def _build_partition(
             model_matrix, MiniBatchSpec(cfg.batch_size), cfg.batches, pcfg
         )
     if pid == "file":
-        pi = graphio.read_partition(cfg.partition_file, weights, cfg.epsilon)
-        if pi.p != cfg.p:
-            raise ValueError(f"partition file has p={pi.p}, config says p={cfg.p}")
-        return pi
+        return graphio.read_partition(cfg.partition_file, weights, cfg.p, cfg.epsilon)
     raise ValueError(f"unknown partitioner {pid!r}")
 
 
@@ -193,7 +190,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     dataset = Path(cfg.graph).stem
     log.info("loaded %s: %d vertices, %d stored entries", dataset, n, a_raw.nnz)
 
-    a_hat = normalize_adjacency(a_raw, add_self_loops=True)
+    a_hat = normalize_adjacency(a_raw)
     model_matrix = a_hat
     if cfg.directed:  # both phases' models are built on the unit pattern of Â + Â^T
         model_matrix = graphio.pattern_from_pairs(

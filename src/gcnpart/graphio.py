@@ -248,6 +248,8 @@ def read_matrix_market(path) -> CsrMatrix:
     if flags.any():
         bad_size = "expected 'rows cols nnz'" if (flags == 1).any() else "matrix size beyond int64"
         raise t.error(size, bad_size)
+    if (dims[:2] < 0).any():
+        raise t.error(size, "negative matrix size")
     pair = entries[t.count[entries] >= 2]
     ij, flags = t.first_two(pair)
     ij -= 1
@@ -280,22 +282,28 @@ def load_graph(path, fmt: str, directed: bool = False) -> CsrMatrix:
 # partition files
 
 
-def read_partition_ids(path) -> np.ndarray:
-    """One non-negative part id per line; p is inferred as max id + 1."""
+def read_partition_ids(path, p: int) -> np.ndarray:
+    """One part id in [0, p) per line."""
     t = _Text(path)
     lines = np.flatnonzero((t.count > 0) & ~t.starts_with("#%"))
     ids, flags = t.ints(t.first[lines])
-    bad = lines[(t.count[lines] != 1) | (flags != 0) | (ids < 0)]
-    t.fail_first((bad, lambda i: f"bad part id {t.stripped(i)!r}"))
+    bad = (t.count[lines] != 1) | (flags != 0) | (ids < 0)
+    t.fail_first((lines[bad], lambda i: f"bad part id {t.stripped(i)!r}"),
+                 (lines[~bad & (ids >= p)], lambda i: f"bad part id {t.stripped(i)!r} for p={p}"))
     if not len(ids):
         raise GraphParseError(path, 0, "empty partition file")
     return ids
 
 
-def read_partition(path, weights, epsilon: float) -> Partition:
-    ids = read_partition_ids(path)
+def read_partition(path, weights, p: int, epsilon: float) -> Partition:
+    """The p-way partition a file lists, one id in [0, p) per vertex, each
+    part given at least one vertex."""
+    ids = read_partition_ids(path, p)
     if len(ids) != len(weights):
         raise ValueError(
             f"partition file covers {len(ids)} vertices, graph has {len(weights)}"
         )
-    return Partition.from_assignment(ids, weights, int(ids.max()) + 1, epsilon)
+    empty = np.flatnonzero(np.bincount(ids, minlength=p) == 0)
+    if len(empty):
+        raise GraphParseError(path, 0, f"part {int(empty[0])} of p={p} has no vertex")
+    return Partition.from_assignment(ids, weights, p, epsilon)

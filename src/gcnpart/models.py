@@ -230,29 +230,24 @@ class MiniBatchSpec:
             raise ValueError("batch_size must be >= 1")
 
 
-def sample_batches(n_vertices: int, spec: MiniBatchSpec, b: int, seed: int) -> list[np.ndarray]:
-    """b sorted vertex samples; every vertex equally likely per batch."""
-    if spec.batch_size > n_vertices:
-        raise ValueError("batch_size exceeds vertex count")
-    if b < 1:
-        raise ValueError("need at least one batch")
-    rng = np.random.default_rng([int(seed), 0xBA7C])
-    return [
-        np.sort(rng.choice(n_vertices, size=spec.batch_size, replace=False))
-        for _ in range(b)
-    ]
+def sample_batches(n_vertices: int, spec: MiniBatchSpec, b: int, rng: np.random.Generator) -> np.ndarray:
+    """b uniform batch_size-subsets of the vertices, one rng.choice draw
+    each in turn, as the rows of a (b, batch_size) array, each row sorted."""
+    batches = np.empty((b, spec.batch_size), dtype=np.int64)
+    for t in range(b):
+        batches[t] = rng.choice(n_vertices, size=spec.batch_size, replace=False)
+    batches.sort(axis=1)
+    return batches
 
 
-def induced_pattern(a: CsrMatrix, batch: np.ndarray, add_diagonal: bool = True) -> CsrMatrix:
-    """Vertex-induced sub-pattern with unit values, indexed by position
-    within the sorted batch; add_diagonal forces a full diagonal (self
-    loops) as the column-net model requires."""
+def induced_pattern(a: CsrMatrix, batch: np.ndarray) -> CsrMatrix:
+    """Vertex-induced sub-pattern with unit values and a full diagonal
+    (self loops), as the column-net model requires, indexed by position
+    within the sorted batch."""
     batch = np.asarray(batch, dtype=np.int64)
     if len(batch) == 0:
         raise ValueError("empty batch")
-    sub = restrict(a, batch, batch)
-    if add_diagonal:
-        sub = add_identity(sub)
+    sub = add_identity(restrict(a, batch, batch))
     # unit values (add_identity sums a diagonal the batch already had to 2)
     return CsrMatrix(sub.n_rows, sub.n_cols, sub.row_offsets, sub.col_indices, np.ones(sub.nnz))
 
@@ -260,14 +255,17 @@ def induced_pattern(a: CsrMatrix, batch: np.ndarray, add_diagonal: bool = True) 
 def build_stochastic_hypergraph(
     a: CsrMatrix, sampler: MiniBatchSpec, b: int, seed: int
 ) -> Hypergraph:
-    """Merged hypergraph over the full vertex set: the nets of every sampled
-    batch's column-net model concatenated in batch order, pins mapped back
-    to full-graph ids, with full-batch vertex weights."""
+    """Merged hypergraph over the full vertex set: the nets of the column-net
+    models of b batches (sample_batches from default_rng([seed, 0xBA7C]))
+    concatenated in batch order, pins mapped back to full-graph ids, with
+    full-batch vertex weights."""
     if a.n_rows != a.n_cols:
         raise ValueError("matrix must be square")
+    if b < 1:
+        raise ValueError("need at least one batch")
     a_t = transpose_sparse(a)
     offsets, pins = [np.zeros(1, dtype=np.int64)], []
-    for batch in sample_batches(a.n_rows, sampler, b, seed):
+    for batch in sample_batches(a.n_rows, sampler, b, np.random.default_rng([int(seed), 0xBA7C])):
         # the batch's column nets are the rows of A^T[batch, batch] plus the
         # diagonal, so none is empty
         t = induced_pattern(a_t, batch)

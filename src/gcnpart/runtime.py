@@ -44,12 +44,13 @@ import numpy as np
 
 from .comm import CommPlan, build_comm_plan
 from .gcn import GcnModel, LabelSet, activate
-from .models import MiniBatchSpec, Partition
+from .models import MiniBatchSpec, Partition, sample_batches
 from .sparse import (
     CsrMatrix,
     add_identity,
     check_key_range,
     dense,
+    gcn_scale,
     prime_spmm_schedules,
     ranges,
     sorted_search,
@@ -106,7 +107,6 @@ class SimNetwork:
         self.p = p
         self._channels = {(s, d): deque() for s in range(p) for d in range(p) if s != d}
         self.log: list[MessageRecord] = []
-        self._by_epoch: dict[int, list[MessageRecord]] = {}  # the log split by epoch
         self._log_lock = threading.Lock()
         self._sent = [threading.Condition(self._log_lock) for _ in range(p)]  # by receiver
         self.blocking = False
@@ -117,7 +117,6 @@ class SimNetwork:
         rec = MessageRecord(*tag, src, dst, *payload.shape)
         with self._log_lock:
             self.log.append(rec)
-            self._by_epoch.setdefault(rec.epoch, []).append(rec)
             self._channels[(src, dst)].append((tag, payload))
             if self.blocking:
                 self._sent[dst].notify_all()
@@ -142,13 +141,10 @@ class SimNetwork:
         return payload
 
     def records(self, epoch: int | None = None, step: int | None = None) -> list[MessageRecord]:
-        """The log's records, in log order, of one epoch and step if given;
-        an epoch's records are copied from its own list, not the log."""
+        """The log's records, in log order, of one epoch and step if given."""
         with self._log_lock:
-            recs = list(self.log if epoch is None else self._by_epoch.get(epoch, ()))
-        if step is not None:
-            recs = [r for r in recs if r.step == step]
-        return recs
+            recs = list(self.log)
+        return [r for r in recs if (epoch is None or r.epoch == epoch) and (step is None or r.step == step)]
 
 
 def allreduce_sum(contributions) -> np.ndarray:
@@ -642,9 +638,8 @@ def _mini_batch_index(states, labels: LabelSet, adjacency: CsrMatrix) -> _MiniBa
     fwd = _halo_layout(a, owner, p)
     # steps renormalize their batches of A+I, so the states must hold A+I
     # normalized by the whole graph's degrees: rows, ext slots, value bits
-    row = np.repeat(fwd.rows, np.diff(fwd.entry_start))
-    inv = 1.0 / np.sqrt(np.bincount(row, weights=fwd.values, minlength=n))
-    want = (np.diff(fwd.entry_start), fwd.slot, (fwd.values * inv[row] * inv[fwd.col]).view(np.int64))
+    values, _ = gcn_scale(n, np.repeat(fwd.rows, np.diff(fwd.entry_start)), fwd.col, fwd.values)
+    want = (np.diff(fwd.entry_start), fwd.slot, values.view(np.int64))
     parts = [(st.a_fwd.row_nnz(), st.a_fwd.col_indices + e, st.a_fwd.values.view(np.int64))
              for st, e in zip(states, fwd.ext_start.tolist())]
     if not all(map(np.array_equal, map(np.concatenate, zip(*parts)), want)):
@@ -739,16 +734,17 @@ def _epoch_pass(index: _MiniBatchIndex, labels: LabelSet, batches: np.ndarray):
         keep = found[hit] == col_key
         return e[keep], row[keep], hit[keep]
 
-    def phase(ph: _HaloLayout, transposed: bool, e, row, hit):
-        """Every step's operands of the phase, and its send lists: plan
-        ids, local positions and bounds per (step, sender, receiver). An
-        ext slot survives when a kept entry uses it (an own batch row by
-        its diagonal entry), and a sender's list to c keeps the rows whose
-        slot in c's ext survives. transposed: ph is the layout of A+I's
-        transpose, whose entry (row, col) holds A+I's entry (col, row)."""
-        # normalize_adjacency's v * inv[i] * inv[j], for A+I's entry (i, j)
-        i, j = (hit, at[row]) if transposed else (at[row], hit)
-        values = ph.values[e] * inv_at[i] * inv_at[j]
+    def phase(ph: _HaloLayout, e, row, hit, inv=None):
+        """Every step's operands of the phase, its send lists (plan ids,
+        local positions and bounds per (step, sender, receiver)) and the
+        batch rows' d^-1/2. An ext slot survives when a kept entry uses it
+        (an own batch row by its diagonal entry), and a sender's list to c
+        keeps the rows whose slot in c's ext survives. With inv (the
+        steps' d^-1/2 of A+I), ph is the layout of A+I's transpose, whose
+        entry (row, col) holds A+I's entry (col, row)."""
+        # rows and columns as positions in found, for A+I's entry (i, j)
+        i, j = (at[row], hit) if inv is None else (hit, at[row])
+        values, inv = gcn_scale(len(pos), i, j, ph.values[e], inv)
         width = int(ph.ext_start[-1])
         slot = row_step[row] * width + ph.slot[e]
         used = unique_keys(slot)  # surviving (step, ext slot) keys
@@ -768,16 +764,12 @@ def _epoch_pass(index: _MiniBatchIndex, labels: LabelSet, batches: np.ndarray):
         bounds = np.zeros(n_steps * p * p + 1, dtype=np.int64)
         pairs = list_step * p * p + ph.pair[listed]
         np.cumsum(np.bincount(pairs, minlength=n_steps * p * p), out=bounds[1:])
-        return operands, (hit - list_step * b, local_at[hit], bounds)
+        return operands, (hit - list_step * b, local_at[hit], bounds), inv
 
-    e, row, hit = entries(index.fwd)
-    deg = np.bincount(row, weights=index.fwd.values[e], minlength=len(pos))
-    inv_at = np.empty(len(pos))
-    inv_at[at] = 1.0 / np.sqrt(deg)
-    a_fwd, sends_fwd = phase(index.fwd, False, e, row, hit)
+    a_fwd, sends_fwd, inv = phase(index.fwd, *entries(index.fwd))
     a_bwd, sends_bwd = a_fwd, sends_fwd
     if index.bwd is not None:
-        a_bwd, sends_bwd = phase(index.bwd, True, *entries(index.bwd))
+        a_bwd, sends_bwd, _ = phase(index.bwd, *entries(index.bwd), inv)
     prime_spmm_schedules(a_fwd + a_bwd)
     label_at = index.label_index[row_ids]
     count = np.bincount(row_step[label_at >= 0], minlength=n_steps).tolist()
@@ -794,16 +786,17 @@ def train_epochs(
     mode: "FullBatch | MiniBatch" = FullBatch(),
     scheduler: str = "round",
 ) -> list[EpochMetrics]:
-    """Train for the given number of epochs, recording metrics per epoch.
+    """Train for the given number of epochs, recording metrics per epoch
+    from the messages that epoch appends to net.log (whatever it held).
 
     Each step runs one forward+backward and one update. A full-batch epoch
     is one step over the states themselves, whose operands' spmm
     schedules are built together before the first. A mini-batch epoch
-    first draws its batches_per_epoch batches, one rng.choice call per
-    step in step order, and builds every step's operands, plans and
-    schedules in one pass (_epoch_pass); then it runs the steps, each over
-    the states of one sampled induced subgraph, and the weights a step
-    leaves go back to the persistent states.
+    first draws its batches_per_epoch batches by sample_batches, from one
+    generator that persists across epochs, and builds every step's
+    operands, plans and schedules in one pass (_epoch_pass); then it runs
+    the steps, each over the states of one sampled induced subgraph, and
+    the weights a step leaves go back to the persistent states.
     """
     mini = isinstance(mode, MiniBatch)
     if mini:
@@ -816,14 +809,10 @@ def train_epochs(
         prime_spmm_schedules(op for st in states for op in (st.a_fwd, st.a_bwd))
     out = []
     for e in range(epochs):
-        start = time.perf_counter()
+        start, first = time.perf_counter(), len(net.log)
         losses = []
         if mini:
-            size = mode.spec.batch_size
-            batches = np.empty((mode.batches_per_epoch, size), dtype=np.int64)
-            for step in range(len(batches)):
-                batches[step] = rng.choice(len(index.owner), size=size, replace=False)
-            batches.sort(axis=1)
+            batches = sample_batches(len(index.owner), mode.spec, mode.batches_per_epoch, rng)
         steps = _epoch_steps(index, states, labels, batches) if mini else [(states, rank_labels)]
         for step, (step_states, step_labels) in enumerate(steps):
             programs = [
@@ -834,5 +823,5 @@ def train_epochs(
                 st.weights = sub.weights
         wall = time.perf_counter() - start
         loss = float(np.mean(losses)) if losses else 0.0
-        out.append(_metrics_from_records(net.records(epoch=e), len(states), wall, loss))
+        out.append(_metrics_from_records(net.log[first:], len(states), wall, loss))
     return out

@@ -1,14 +1,13 @@
 """CSR sparse and dense matrix kernels.
 
-Every numeric path in the package runs through this module: CSR storage,
-adjacency normalization D^{-1/2}(A+I)D^{-1/2}, sparse-dense and dense-dense
-products, CSR transpose, the bit-exact symmetry check and row/column
-restriction, and the row gather
-that realizes the diagonal selector matrices as index lists instead of
-materialized diagonals: scatter uses it once per rank and phase to find
-the local positions pos of the rank's send lists, and a payload is then
-values.take(pos, axis=0). CsrMatrix.batch builds many matrices over shared
-flat arrays and checks their invariants once.
+CSR storage, the GCN normalization D^{-1/2}(A+I)D^{-1/2} (gcn_scale, which
+normalize_adjacency and the runtime's mini-batch steps call), sparse-dense
+and dense-dense products, CSR transpose and the transpose order (one
+column sort), the bit-exact symmetry check, row/column restriction, and
+sorts and lookups on int64 keys. CsrMatrix.batch builds many matrices over
+shared flat arrays and checks their invariants once. RowBlock and
+gather_rows copy a block's rows by global id; nothing in the package calls
+them.
 
 All scalars are float64. Each spmm output row is the sequential sum of its
 products in ascending column order (CSR columns are sorted), built from
@@ -365,26 +364,27 @@ def add_identity(a: CsrMatrix) -> CsrMatrix:
     return CsrMatrix(n, n, offsets, cols, values)
 
 
-def normalize_adjacency(a: CsrMatrix, add_self_loops: bool = True) -> CsrMatrix:
-    """Return the degree-normalized adjacency D^{-1/2}(A+I)D^{-1/2}.
+def gcn_scale(n: int, i, j, values, inv_sqrt=None) -> tuple[np.ndarray, np.ndarray]:
+    """The GCN normalization of the entries (i, j, v) of an n x n matrix
+    A+I: each v * d_i^-1/2 * d_j^-1/2, in that order, and d^-1/2. d_i sums
+    the values of row i in entry order (out-degrees for directed input);
+    inv_sqrt, if given, is d^-1/2 instead, so that A+I's transpose can be
+    scaled by A+I's degrees. ValueError if a degree is not positive."""
+    if inv_sqrt is None:
+        deg = np.bincount(i, weights=values, minlength=n)
+        if np.any(deg <= 0):
+            raise ValueError(f"row {int(np.argmax(deg <= 0))} has non-positive degree; cannot normalize")
+        inv_sqrt = 1.0 / np.sqrt(deg)
+    return values * inv_sqrt[i] * inv_sqrt[j], inv_sqrt
 
-    D(i,i) sums row i of A+I (row sums, i.e. out-degrees for directed
-    input). With add_self_loops every degree is >= 1, so every diagonal
-    entry of the result is nonzero.
-    """
-    if a.n_rows != a.n_cols:
-        raise ValueError(f"adjacency must be square, got {a.shape}")
-    n = a.n_rows
-    tilde = add_identity(a) if add_self_loops else a
-    deg = np.zeros(n)
-    np.add.at(deg, np.repeat(np.arange(n), tilde.row_nnz()), tilde.values)
-    if np.any(deg <= 0):
-        bad = int(np.argmax(deg <= 0))
-        raise ValueError(f"row {bad} has non-positive degree; cannot normalize")
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    row_of = np.repeat(np.arange(n), tilde.row_nnz())
-    scaled = tilde.values * inv_sqrt[row_of] * inv_sqrt[tilde.col_indices]
-    return CsrMatrix(n, n, tilde.row_offsets, tilde.col_indices, scaled)
+
+def normalize_adjacency(a: CsrMatrix) -> CsrMatrix:
+    """Return the degree-normalized adjacency D^{-1/2}(A+I)D^{-1/2}, which
+    has a full diagonal; D(i,i) sums row i of A+I."""
+    tilde = add_identity(a)
+    rows = np.repeat(np.arange(a.n_rows), tilde.row_nnz())
+    values, _ = gcn_scale(a.n_rows, rows, tilde.col_indices, tilde.values)
+    return CsrMatrix(a.n_rows, a.n_cols, tilde.row_offsets, tilde.col_indices, values)
 
 
 def spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
@@ -426,14 +426,19 @@ def hadamard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x * y
 
 
-def transpose_sparse(a: CsrMatrix) -> CsrMatrix:
-    """CSR of A^T with sorted columns. Entries are ordered by one sort of
-    the int64 keys col * n_rows + row, which are unique because columns
-    strictly increase within each row, so the order is the stable
-    column order and each row's values are copied bit-exact."""
-    check_key_range(a.n_cols, a.n_rows)
+def _column_order(a: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """a's entries listed by column, then row, by one stable sort of the
+    column indices (entries run row by row), and each entry's row."""
     rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
-    order = np.argsort(a.col_indices * a.n_rows + rows)
+    return stable_argsort(a.col_indices, a.n_cols), rows
+
+
+def transpose_sparse(a: CsrMatrix) -> CsrMatrix:
+    """CSR of A^T with sorted columns: a's entries in _column_order, so
+    each row's values are copied bit-exact. Like from_coo, it refuses
+    shapes with more entries than int64 keys hold."""
+    check_key_range(a.n_cols, a.n_rows)
+    order, rows = _column_order(a)
     offsets = np.zeros(a.n_cols + 1, dtype=np.int64)
     np.cumsum(np.bincount(a.col_indices, minlength=a.n_cols), out=offsets[1:])
     return CsrMatrix(a.n_cols, a.n_rows, offsets, rows[order], a.values[order])
@@ -441,16 +446,14 @@ def transpose_sparse(a: CsrMatrix) -> CsrMatrix:
 
 def transpose_order(a: CsrMatrix) -> "np.ndarray | None":
     """If a's pattern equals its transpose's, the order of a's entries in
-    the transpose's CSR order, so that the transpose is a with values
-    a.values[order]; otherwise None. One stable sort of the column indices
-    lists the entries by column, then row. The patterns are equal when the
-    transpose's column sequence, the rows in that order, equals a's: then
-    each index occurs as often in both, so row j of a and of its transpose
-    have the same length and hold the same columns."""
+    the transpose's CSR order (_column_order), so that the transpose is a
+    with values a.values[order]; otherwise None. The patterns are equal
+    when the transpose's column sequence, the rows in that order, equals
+    a's: then each index occurs as often in both, so row j of a and of its
+    transpose have the same length and hold the same columns."""
     if a.n_rows != a.n_cols:
         return None
-    order = stable_argsort(a.col_indices, a.n_cols)
-    rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_nnz())
+    order, rows = _column_order(a)
     return order if np.array_equal(rows[order], a.col_indices) else None
 
 
@@ -472,14 +475,15 @@ def restrict(a: CsrMatrix, rows, cols) -> CsrMatrix:
     counts = a.row_offsets[rows + 1] - starts
     # entry ids of the selected rows, row after row
     idx = ranges(starts, counts)
-    keep = np.isin(a.col_indices[idx], cols)
-    idx = idx[keep]
+    # an entry is kept when its column is found at its insertion point in cols
+    col = a.col_indices[idx]
+    at = np.searchsorted(cols, col)
+    keep = at < len(cols)
+    keep[keep] = cols[at[keep]] == col[keep]
     out_rows = np.repeat(np.arange(len(rows)), counts)[keep]
     offsets = np.zeros(len(rows) + 1, dtype=np.int64)
     np.cumsum(np.bincount(out_rows, minlength=len(rows)), out=offsets[1:])
-    # kept columns are members of cols, so insertion points are positions
-    out_cols = np.searchsorted(cols, a.col_indices[idx])
-    return CsrMatrix(len(rows), len(cols), offsets, out_cols, a.values[idx])
+    return CsrMatrix(len(rows), len(cols), offsets, at[keep], a.values[idx[keep]])
 
 
 def gather_rows(block: RowBlock, wanted_global_ids) -> np.ndarray:

@@ -285,6 +285,24 @@ class TestMainExitCodes:
         assert code == 1
         assert f"{pfile}:2: bad part id '-1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ("0\n2\n1\n", ":2: bad part id '2' for p=2"),
+        ("0\n1000000000000\n1\n", ":2: bad part id '1000000000000' for p=2"),
+        ("1\n1\n1\n", ":0: part 0 of p=2 has no vertex"),
+    ])
+    def test_partition_file_is_checked_against_p(self, tmp_path, capsys, text, message):
+        pfile = tmp_path / "part.txt"
+        pfile.write_text(text)
+        code = main(
+            [
+                "--graph", str(write_grid(tmp_path, 1, 3)), "-p", "2", "--partitioner", "file",
+                "--partition-file", str(pfile), "--layers", "1", "--dims", "3,2",
+                "--seed", "1", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert f"{pfile}{message}" in capsys.readouterr().err
+
 
 class TestDirectedValidation:
     def test_asymmetric_matrix_market_requires_directed_flag(self, tmp_path):

@@ -98,6 +98,13 @@ class TestMatrixMarket:
         with pytest.raises(GraphParseError, match=":3:"):
             read_matrix_market(path)
 
+    @pytest.mark.parametrize("body", ["-3 -3 0\n", "3 -3 1\n1 1\n", "-1 2 -1\n"])
+    def test_negative_size_carries_line_number(self, tmp_path, body):
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate pattern general\n" + body)
+        with pytest.raises(GraphParseError, match="^" + re.escape(f"{path}:2: negative matrix size")):
+            read_matrix_market(path)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "m.mtx"
         path.write_text("2 2 0\n")
@@ -162,7 +169,7 @@ class TestPartitionFormat:
         pi = Partition.from_assignment(np.array([0, 1, 1, 0]), weights, 2, 0.5)
         path = tmp_path / "p.txt"
         write_partition(path, pi)
-        back = read_partition(path, weights, 0.5)
+        back = read_partition(path, weights, 2, 0.5)
         assert np.array_equal(back.assignment, pi.assignment)
         assert back.p == 2
 
@@ -170,19 +177,33 @@ class TestPartitionFormat:
         path = tmp_path / "p.txt"
         path.write_text("0\n1\n")
         with pytest.raises(ValueError, match="covers 2 vertices"):
-            read_partition(path, np.ones(3, dtype=np.int64), 0.5)
+            read_partition(path, np.ones(3, dtype=np.int64), 2, 0.5)
 
     def test_bad_id_carries_line_number(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("0\nx\n")
         with pytest.raises(GraphParseError, match=":2:"):
-            read_partition_ids(path)
+            read_partition_ids(path, 2)
 
     def test_negative_id_carries_line_number(self, tmp_path):
         path = tmp_path / "p.txt"
         path.write_text("0\n-1\n1\n")
         with pytest.raises(GraphParseError, match="^" + re.escape(f"{path}:2: bad part id '-1'")):
-            read_partition(path, np.ones(3, dtype=np.int64), 0.5)
+            read_partition(path, np.ones(3, dtype=np.int64), 2, 0.5)
+
+    def test_id_not_below_p_carries_line_number(self, tmp_path):
+        # rejected at its line before anything is sized by the largest id
+        path = tmp_path / "p.txt"
+        path.write_text("0\n1\n% note\n1000000000000\n")
+        with pytest.raises(GraphParseError, match="^" + re.escape(f"{path}:4: bad part id '1000000000000' for p=2")):
+            read_partition(path, np.ones(3, dtype=np.int64), 2, 0.5)
+        assert list(read_partition_ids(path, 10**12 + 1)) == [0, 1, 10**12]
+
+    def test_part_without_vertex_names_file_and_part(self, tmp_path):
+        path = tmp_path / "p.txt"
+        path.write_text("0\n2\n0\n")
+        with pytest.raises(GraphParseError, match="^" + re.escape(f"{path}:0: part 1 of p=3 has no vertex")):
+            read_partition(path, np.ones(3, dtype=np.int64), 3, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +282,8 @@ def reference_matrix_market(path) -> CsrMatrix:
                     raise GraphParseError(path, line_no, "expected 'rows cols nnz'")
                 if not all(_INT64_MIN <= x <= _INT64_MAX for x in dims):
                     raise GraphParseError(path, line_no, "matrix size beyond int64")
+                if dims[0] < 0 or dims[1] < 0:
+                    raise GraphParseError(path, line_no, "negative matrix size")
                 size_line = line_no
                 continue
             if len(parts) < 2:
@@ -283,7 +306,7 @@ def reference_matrix_market(path) -> CsrMatrix:
     return pattern_from_pairs(dims[0], entries, directed=symmetry == "general")
 
 
-def reference_partition_ids(path) -> np.ndarray:
+def reference_partition_ids(path, p) -> np.ndarray:
     ids = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -296,6 +319,8 @@ def reference_partition_ids(path) -> np.ndarray:
                 raise GraphParseError(path, line_no, f"bad part id {line!r}")
             if not 0 <= ids[-1] <= _INT64_MAX:
                 raise GraphParseError(path, line_no, f"bad part id {line!r}")
+            if ids[-1] >= p:
+                raise GraphParseError(path, line_no, f"bad part id {line!r} for p={p}")
     if not ids:
         raise GraphParseError(path, 0, "empty partition file")
     return np.asarray(ids, dtype=np.int64)
@@ -459,7 +484,9 @@ class TestBulkReadersMatchReference:
     @given(file_text(partition_line()))
     def test_partition_ids(self, tmp_path_factory, text):
         path = write_raw(tmp_path_factory, text)
-        assert outcome(read_partition_ids, path) == outcome(reference_partition_ids, path)
+        # ids reach 5, so p = 4 puts some at or above p
+        want = outcome(lambda q: reference_partition_ids(q, 4), path)
+        assert outcome(lambda q: read_partition_ids(q, 4), path) == want
 
     @pytest.mark.parametrize(
         "text",
@@ -513,7 +540,7 @@ class TestOverflowNamesLine:
                    ":3: index out of declared range")
 
     def test_partition(self, tmp_path):
-        self.check(tmp_path, read_partition_ids, f"0\n{self.BIG}\n",
+        self.check(tmp_path, lambda path: read_partition_ids(path, 2), f"0\n{self.BIG}\n",
                    f":2: bad part id '{self.BIG}'")
 
 # digits int() reads: ASCII, Arabic-Indic, fullwidth and Devanagari
@@ -610,7 +637,8 @@ class TestTokenizer:
     @settings(deadline=None, max_examples=300)
     @given(token_text())
     def test_readers_match_reference(self, tmp_path_factory, text):
-        readers = [(read_edge_list, reference_edge_list), (read_partition_ids, reference_partition_ids)]
+        readers = [(read_edge_list, reference_edge_list),
+                   (lambda q: read_partition_ids(q, _INT64_MAX), lambda q: reference_partition_ids(q, _INT64_MAX))]
         path = write_raw(tmp_path_factory, text)
         for read, reference in readers:
             assert outcome(read, path) == outcome(reference, path)

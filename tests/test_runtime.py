@@ -136,7 +136,8 @@ def reference_batch(states, labels, mode, rng, owner, features):
     batch, renormalize its induced subgraph and scatter it by the global
     owners, with the current weights."""
     batch = np.sort(rng.choice(len(owner), size=mode.spec.batch_size, replace=False))
-    sub_hat = normalize_adjacency(induced_pattern(mode.adjacency, batch, add_diagonal=False))
+    sub = restrict(mode.adjacency, batch, batch)
+    sub_hat = normalize_adjacency(CsrMatrix(sub.n_rows, sub.n_cols, sub.row_offsets, sub.col_indices, np.ones(sub.nnz)))
     st = states[0]
     model = GcnModel(st.dims, tuple(st.weights), st.activation, st.learning_rate)
     sub_states = scatter(sub_hat, features[batch], owner[batch], model, p=len(states))
@@ -586,6 +587,27 @@ class TestTrainEpochs:
                 for w0, wm in zip(states[0].weights, st.weights):
                     assert np.array_equal(w0, wm)
 
+    def test_each_epoch_counts_only_its_own_traffic(self):
+        # a second call, or an inference pass first, leaves records under
+        # the same epoch numbers on a reused network
+        dims = (3, 4, 2)
+        a_hat = normalize_adjacency(grid_graph(6, 6))
+        h0 = np.random.default_rng(6).standard_normal((36, dims[0]))
+        labels, model = random_labels(36, dims[-1], 8, 6), init_model(dims, seed=6)
+        pi = partition_for(a_hat, 4, 6)
+
+        def metrics(states, net):
+            return [dataclasses.replace(m, wallclock=0.0) for m in train_epochs(states, net, labels, 1)]
+
+        fresh = scatter(a_hat, h0, pi, model)
+        want = [metrics(fresh, SimNetwork(4)) for _ in range(2)]
+        assert want[0][0].total_words > 0
+        states, net = scatter(a_hat, h0, pi, model), SimNetwork(4)
+        assert [metrics(states, net) for _ in range(2)] == want
+        states, net = scatter(a_hat, h0, pi, model), SimNetwork(4)
+        parallel_feedforward(states, net)
+        assert metrics(states, net) == want[0]
+
     def test_measured_words_match_plan_and_cut(self):
         dims = (5, 5, 5)
         _, a_hat, h0, labels, model = build_instance(24, dims, 13)
@@ -865,6 +887,29 @@ class TestMiniBatch:
                         words = sum(r.words for r in recs if r.phase == phase and r.layer == k)
                         assert words == cuts[phase] * width, (epoch, step, phase, k)
 
+    def test_epochs_draw_their_batches_from_one_generator(self, monkeypatch):
+        # one rng.choice per step, in order, from default_rng([seed, 0x7B])
+        # across epochs; an epoch of no batches draws nothing
+        raw, a_hat, h0, labels, model = build_instance(24, (3, 4, 2), 21)
+        drawn, epoch_steps = [], runtime._epoch_steps
+
+        def recording(index, states, labels, batches):
+            drawn.append(batches.copy())
+            return epoch_steps(index, states, labels, batches)
+
+        monkeypatch.setattr(runtime, "_epoch_steps", recording)
+        states = scatter(a_hat, h0, partition_for(a_hat, 4, 21), model)
+        mode = MiniBatch(spec=MiniBatchSpec(9), batches_per_epoch=3, seed=31, adjacency=raw)
+        train_epochs(states, SimNetwork(4), labels, 2, mode)
+        rng = np.random.default_rng([31, 0x7B])
+        want = [[np.sort(rng.choice(24, size=9, replace=False)) for _ in range(3)] for _ in range(2)]
+        assert len(drawn) == 2
+        for got, batches in zip(drawn, want):
+            assert got.dtype == np.int64 and np.array_equal(got, np.array(batches))
+        none = dataclasses.replace(mode, batches_per_epoch=0)
+        (m,) = train_epochs(states, SimNetwork(4), labels, 1, none)
+        assert drawn[-1].shape == (0, 9) and (m.total_words, m.total_msgs, m.loss) == (0, 0, 0.0)
+
     def test_full_vertex_batch_equals_full_batch(self):
         raw, a_hat, h0, labels, model = build_instance(16, (3, 4, 2), 18)
         pi = partition_for(a_hat, 4, 18)
@@ -904,7 +949,7 @@ class TestMiniBatch:
         for epoch in range(2):
             for step in range(3):
                 batch = np.sort(rng.choice(24, size=10, replace=False))
-                sub = induced_pattern(raw, batch, add_diagonal=True)
+                sub = induced_pattern(raw, batch)
                 cut = owner_cut(build_hypergraph_model(sub), pi.assignment[batch])
                 words = sum(r.words for r in net.records(epoch=epoch, step=step))
                 assert words == cut * factor
@@ -926,7 +971,7 @@ class TestMiniBatch:
         for epoch in range(2):
             for step in range(3):
                 batch = np.sort(rng.choice(30, size=20, replace=False))
-                sub = induced_pattern(raw, batch, add_diagonal=True)
+                sub = induced_pattern(raw, batch)
                 own = pi.assignment[batch]
                 fwd_cut = owner_cut(build_hypergraph_model(sub), own)
                 bwd_cut = owner_cut(build_hypergraph_model(transpose_sparse(sub)), own)

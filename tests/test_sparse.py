@@ -219,10 +219,11 @@ class TestNormalizeAdjacency:
         with pytest.raises(ValueError):
             normalize_adjacency(CsrMatrix.from_coo(2, 3, [0], [1]))
 
-    def test_zero_row_without_self_loops_rejected(self):
-        a = CsrMatrix.from_coo(2, 2, [0], [1])
-        with pytest.raises(ValueError):
-            normalize_adjacency(a, add_self_loops=False)
+    def test_row_of_zero_degree_rejected(self):
+        # row 0 of A+I sums to (0 + -1) + 1 = 0
+        a = CsrMatrix.from_coo(2, 2, [0], [0], [-1.0])
+        with pytest.raises(ValueError, match="row 0 has non-positive degree"):
+            normalize_adjacency(a)
 
     def test_self_loops_fill_diagonal(self):
         a = CsrMatrix.from_coo(3, 3, [0], [1])

@@ -45,3 +45,18 @@ def test_every_public_name_has_a_caller(monkeypatch):
         live |= todo
         todo = set().union(*(public[name] for name in todo)) & public.keys() - live
     assert sorted(public.keys() - live) == []
+
+
+def test_noqa_imports_are_names_perfbench_rebinds(monkeypatch):
+    # an import kept only by "noqa: F401" must be a name that perfbench's
+    # LAYERS rebinds on the importing module, so that noqa keeps nothing else
+    rebound = {(getattr(owner, "__name__", None), attr)
+               for owner, attr, _, _ in load_experiment(monkeypatch).LAYERS}
+    kept = []
+    for path in sorted(SRC.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any("noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])):
+                kept += [(f"gcnpart.{path.stem}", alias.asname or alias.name) for alias in node.names]
+    assert kept and sorted(set(kept) - rebound) == []
