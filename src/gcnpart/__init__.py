@@ -53,9 +53,7 @@ from .runtime import (
 from .sparse import (
     CsrMatrix,
     RowBlock,
-    dmm,
     gather_rows,
-    hadamard,
     normalize_adjacency,
     spmm,
     transpose_sparse,

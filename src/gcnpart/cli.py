@@ -17,12 +17,13 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
 from . import graphio, report
 from .comm import build_comm_plan  # noqa: F401  perfbench traces cli.build_comm_plan
-from .gcn import LabelSet, init_model
+from .gcn import LabelSet, check_learning_rate, init_model
 from .models import (
     MiniBatchSpec,
     Partition,
@@ -38,13 +39,15 @@ from .partition import (
     partition_hypergraph_fm,
     partition_stochastic,
     random_partition,
+    require_power_of_two,
 )
-from .runtime import FullBatch, MiniBatch, SimNetwork, scatter, train_epochs
+from .runtime import SCHEDULERS, FullBatch, MiniBatch, SimNetwork, scatter, train_epochs
 from .sparse import is_symmetric, normalize_adjacency
 from .sparse import transpose_sparse  # noqa: F401  perfbench traces cli.transpose_sparse
 
 SCHEMA_VERSION = 1
 PARTITIONERS = ("rp", "gp", "hp", "shp", "file")
+MODES = ("full", "mini")
 
 log = logging.getLogger("gcnpart")
 
@@ -66,7 +69,6 @@ class ExperimentConfig:
     batches: int = 8
     seed: int = 0
     out: str = "out"
-    emit_plan: bool = False
     scheduler: str = "round"
     learning_rate: float = 0.1
 
@@ -78,8 +80,9 @@ class ExperimentConfig:
                 f"dims lists {len(self.dims)} entries but layers={self.layers} "
                 f"needs {self.layers + 1} (d_0..d_L)"
             )
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        PartitionConfig(p=self.p, epsilon=self.epsilon, seed=self.seed)
+        if {"gp", "hp", "shp"} & set(self.partitioners):
+            require_power_of_two(self.p)
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         unknown = [x for x in self.partitioners if x not in PARTITIONERS]
@@ -87,11 +90,16 @@ class ExperimentConfig:
             raise ValueError(f"unknown partitioner(s): {', '.join(unknown)}")
         if "file" in self.partitioners and not self.partition_file:
             raise ValueError("--partition-file is required with --partitioner file")
-        if self.mode not in ("full", "mini"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(f"unknown scheduler {self.scheduler!r}")
+        check_learning_rate(self.learning_rate)
         needs_batch = self.mode == "mini" or "shp" in self.partitioners
         if needs_batch and not self.batch_size:
             raise ValueError("--batch-size is required for mini-batch mode and shp")
+        if needs_batch:
+            MiniBatchSpec(self.batch_size)
         if needs_batch and self.batches < 1:
             raise ValueError(f"--batches must be >= 1 for mini-batch mode and shp, got {self.batches}")
         if self.seed is None:
@@ -128,13 +136,12 @@ def parse_args(argv=None) -> ExperimentConfig:
     ap.add_argument("--layers", type=int)
     ap.add_argument("--dims", type=_ints, help="comma-separated d_0..d_L")
     ap.add_argument("--epochs", type=int)
-    ap.add_argument("--mode", choices=("full", "mini"))
+    ap.add_argument("--mode", choices=MODES)
     ap.add_argument("--batch-size", type=int)
     ap.add_argument("--batches", type=int)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--emit-plan", action="store_true")
     ap.add_argument("--out", help="output directory for reports")
-    ap.add_argument("--scheduler", choices=("round", "threads"))
+    ap.add_argument("--scheduler", choices=SCHEDULERS)
     ap.add_argument("--learning-rate", type=float)
     return ExperimentConfig(**vars(ap.parse_args(argv)))
 
@@ -229,12 +236,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 seed=cfg.seed,
                 adjacency=a_raw,
             )
+        start = perf_counter()
         metrics = train_epochs(states, net, labels, cfg.epochs, mode, scheduler=cfg.scheduler)
+        wallclock = perf_counter() - start
         balance = pi.balance_ratio()
         if metrics:
             summaries.append(report.summarize_run(dataset, pid, metrics, balance))
         timing[pid] = {
-            "wallclock_s": float(sum(m.wallclock for m in metrics)),
+            "wallclock_s": wallclock,
             "note": "informational; simulated timing only",
         }
         runs_json.append(
@@ -251,24 +260,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                     "predicted_volume_words": predicted,
                 },
                 "plan": plan.to_report(),
-                "epochs": [
-                    {
-                        "loss": m.loss,
-                        "total_words": m.total_words,
-                        "max_words_per_proc": m.max_words_per_proc,
-                        "avg_words_per_proc": m.avg_words_per_proc,
-                        "total_msgs": m.total_msgs,
-                        "max_msgs_per_proc": m.max_msgs_per_proc,
-                    }
-                    for m in metrics
-                ],
+                "epochs": [asdict(m) for m in metrics],
             }
         )
-        if cfg.emit_plan:
-            plan_path = out_dir / f"plan_{pid}.json"
-            plan_path.write_text(
-                json.dumps(plan.to_report(), indent=2, sort_keys=True) + "\n"
-            )
 
     comparison = None
     if "rp" in cfg.partitioners and summaries:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sparse import CsrMatrix, dense, dmm, hadamard, spmm
+from .sparse import CsrMatrix, dense, spmm
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -37,8 +37,7 @@ class GcnModel:
             raise ValueError("need at least one layer (dims = d_0..d_L)")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
-            raise ValueError("learning rate must be positive and finite")
+        check_learning_rate(self.learning_rate)
         ws = tuple(dense(w) for w in self.weights)
         if len(ws) != self.n_layers:
             raise ValueError("need one weight matrix per layer")
@@ -55,14 +54,19 @@ class GcnModel:
         return len(self.dims) - 1
 
 
-def init_model(dims, seed: int, activation: str = "relu", learning_rate: float = 0.1) -> GcnModel:
+def check_learning_rate(eta: float) -> None:
+    if not (eta > 0 and np.isfinite(eta)):
+        raise ValueError("learning rate must be positive and finite")
+
+
+def init_model(dims, seed: int, learning_rate: float = 0.1) -> GcnModel:
     """Seeded uniform init in [-1/sqrt(d_{k-1}), +1/sqrt(d_{k-1})]."""
     rng = np.random.default_rng([int(seed), 0x57])
     ws = []
     for k in range(1, len(dims)):
         bound = 1.0 / np.sqrt(dims[k - 1])
         ws.append(rng.uniform(-bound, bound, size=(dims[k - 1], dims[k])))
-    return GcnModel(tuple(dims), tuple(ws), activation, learning_rate)
+    return GcnModel(tuple(dims), tuple(ws), learning_rate=learning_rate)
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ def feedforward(model: GcnModel, a_hat: CsrMatrix, h0: np.ndarray) -> ForwardTra
     z: list = [None]
     h: list = [h0]
     for k in range(1, model.n_layers + 1):
-        zk = dmm(spmm(a_hat, h[k - 1]), model.weights[k - 1])
+        zk = spmm(a_hat, h[k - 1]) @ model.weights[k - 1]
         z.append(zk)
         h.append(activate(model.activation, zk))
     return ForwardTrace(tuple(z), tuple(h))
@@ -162,15 +166,17 @@ def backprop(
     """
     L = model.n_layers
     grad_last = dense(grad_last)
+    if grad_last.shape != trace.z[L].shape:
+        raise ValueError(f"grad_last has shape {grad_last.shape}, expected {trace.z[L].shape}")
     g: list = [None] * (L + 1)
-    g[L] = hadamard(grad_last, activate(model.activation, trace.z[L], derivative=True))
+    g[L] = grad_last * activate(model.activation, trace.z[L], derivative=True)
     grads_w: list = [None] * L
     for k in range(L, 0, -1):
         aggregated = spmm(a_back, g[k])
-        grads_w[k - 1] = dmm(trace.h[k - 1].T, aggregated)
+        grads_w[k - 1] = trace.h[k - 1].T @ aggregated
         if k > 1:
-            s = dmm(aggregated, model.weights[k - 1].T)
-            g[k - 1] = hadamard(s, activate(model.activation, trace.z[k - 1], derivative=True))
+            s = aggregated @ model.weights[k - 1].T
+            g[k - 1] = s * activate(model.activation, trace.z[k - 1], derivative=True)
     return grads_w, g
 
 

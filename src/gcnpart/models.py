@@ -17,8 +17,9 @@ Three models of the same row-wise distribution problem:
 
 Hypergraph stores its nets in CSR form (offsets, pins), the layout of a
 sparse matrix with one row per net: the column-net model is the pattern of
-A^T, the graph model's offsets step by two, and the partitioner levels, the
-file format and the one cut metric all work on the same two arrays.
+A^T, the graph model's offsets step by two, and the partitioner levels and
+the one cut metric all work on the same two arrays, checked as sparse
+checks a CsrMatrix's pattern.
 
 Vertex weights are row nonzero counts of the normalized matrix, which is
 the per-row multiply work, so part weights model compute load.
@@ -31,15 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse import CsrMatrix, add_identity, restrict, transpose_sparse, unique_keys
+from .sparse import CsrMatrix, _check_csr, add_identity, restrict, transpose_sparse, unique_keys
 
 
 @dataclass(frozen=True)
 class Hypergraph:
     """Hypergraph in CSR form: net j pins the vertices
     pins[offsets[j]:offsets[j+1]] at cost net_cost[j]; vertex weights are
-    integers. No net is empty, pins rise strictly within a net and lie in
-    [0, n_vertices), and a pin error names the first bad net."""
+    integers. Offsets and pins are checked as the pattern of a CsrMatrix
+    with one row per net and n_vertices columns, raising its errors (a net
+    is a "row"); then no net may be empty."""
 
     n_vertices: int
     offsets: np.ndarray
@@ -49,38 +51,18 @@ class Hypergraph:
 
     def __post_init__(self):
         n_vertices = int(self.n_vertices)
-        o, p = (
-            np.ascontiguousarray(np.asarray(x, dtype=np.int64)) for x in (self.offsets, self.pins)
-        )
+        _, o, p, _ = _check_csr([0, len(self.offsets) - 1], [n_vertices], self.offsets, self.pins)
         c = np.asarray(self.net_cost, dtype=np.float64)
         w = np.asarray(self.vertex_weight, dtype=np.int64)
-        if o.ndim != 1 or p.ndim != 1 or o[:1].tolist() != [0] or o[-1] != len(p):
-            raise ValueError("offsets must start at 0 and end at len(pins)")
         sizes = np.diff(o)
-        if np.any(sizes < 0):
-            raise ValueError("offsets must never decrease")
-        # a pin is bad when out of range, or when it neither starts its net
-        # nor exceeds the pin before it
-        starts_net = np.zeros(len(p) + 1, dtype=bool)
-        starts_net[o] = True
-        bad_pin = (p < 0) | (p >= n_vertices)
-        bad_pin[1:] |= (np.diff(p) <= 0) & ~starts_net[1:-1]
-        bad = np.concatenate([np.flatnonzero(sizes == 0)[:1],
-                              np.searchsorted(o, np.flatnonzero(bad_pin)[:1], side="right") - 1])
-        if len(bad):  # name the first bad net and its first failed check
-            j = int(bad.min())
-            net = p[o[j] : o[j + 1]]
-            if len(net) == 0:
-                raise ValueError(f"net {j} has no pins")
-            if np.any(np.diff(net) <= 0):
-                raise ValueError(f"net {j} pins must be sorted and distinct")
-            raise ValueError(f"net {j} pin out of range")
+        if not sizes.all():
+            raise ValueError(f"net {int(np.argmin(sizes))} has no pins")
         if len(c) != len(sizes) or len(w) != n_vertices:
             raise ValueError("cost/weight arrays have wrong length")
         for name, value in zip(self.__dataclass_fields__, (n_vertices, o, p, c, w)):
             object.__setattr__(self, name, value)
-        for arr in (o, p, c, w):
-            arr.setflags(write=False)
+        c.setflags(write=False)
+        w.setflags(write=False)
 
     @property
     def n_nets(self) -> int:
@@ -142,8 +124,14 @@ class Partition:
         return (self.p * int(self.part_weights.max()) - total) / total
 
     def is_balanced(self) -> bool:
-        cap = (1.0 + self.epsilon) * self.part_weights.sum() / self.p
+        cap = balance_cap(self.part_weights.sum(), self.p, self.epsilon)
         return bool(np.all(self.part_weights <= cap))
+
+
+def balance_cap(total_weight, p: int, epsilon: float) -> float:
+    """The most one part of a balanced p-way partition may weigh:
+    (1 + epsilon) * W / p, evaluated in that order."""
+    return (1.0 + epsilon) * float(total_weight) / p
 
 
 @dataclass(frozen=True)

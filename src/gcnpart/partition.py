@@ -57,9 +57,10 @@ from .models import (
     Hypergraph,
     MiniBatchSpec,
     Partition,
+    balance_cap,
     build_stochastic_hypergraph,
 )
-from .sparse import CsrMatrix, check_key_range, stable_argsort, unique_keys
+from .sparse import CsrMatrix, check_key_range, ranges, stable_argsort, unique_keys
 
 FM_PASSES = 8  # refinement passes per bisection; a pass that gains nothing ends them
 RESTARTS = 3  # BFS seeds tried on the coarsest level; best refined cut wins
@@ -82,7 +83,7 @@ class PartitionConfig:
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("p must be >= 1")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:  # NaN too
             raise ValueError("epsilon must be >= 0")
 
 
@@ -417,8 +418,7 @@ def _select_nets(h: Hypergraph, which: np.ndarray, costs: np.ndarray) -> Hypergr
     starts = h.offsets[which]
     sizes = h.offsets[which + 1] - starts
     offsets = np.concatenate(([0], np.cumsum(sizes))).astype(np.int64)
-    idx = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], sizes)
-    return Hypergraph(h.n_vertices, offsets, h.pins[idx], costs, h.vertex_weight)
+    return Hypergraph(h.n_vertices, offsets, h.pins[ranges(starts, sizes)], costs, h.vertex_weight)
 
 
 def _merge_identical_nets(h: Hypergraph) -> Hypergraph:
@@ -470,9 +470,7 @@ def _match(h: Hypergraph, max_w: float, rng) -> np.ndarray:
     net_of_pin = h.net_of_pin()
     reps = np.where(sizes <= MATCH_NET_LIMIT, sizes, 0)[net_of_pin]
     a = np.repeat(np.arange(len(h.pins)), reps)  # every (pin, pin of its net)
-    b = np.repeat(h.offsets[net_of_pin], reps) + (
-        np.arange(len(a)) - np.repeat(np.cumsum(reps) - reps, reps)
-    )
+    b = np.repeat(h.offsets[net_of_pin], reps) + ranges(0, reps)
     a, b = a[a != b], b[a != b]
     u, v = h.pins[a], h.pins[b]
     fits = weights[u] + weights[v] <= max_w
@@ -633,7 +631,7 @@ def _final_repair(assignment, weights, p: int, epsilon: float) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.int64)
     pw = np.bincount(assignment, weights=weights.astype(np.float64), minlength=p)
     counts = np.bincount(assignment, minlength=p)
-    cap = float((1.0 + epsilon) * weights.sum() / p)
+    cap = balance_cap(weights.sum(), p, epsilon)
 
     # every part must end non-empty
     while (counts == 0).any():
@@ -748,7 +746,7 @@ def _final_repair(assignment, weights, p: int, epsilon: float) -> np.ndarray:
             raise BalanceInfeasibleError("balance repair cannot make progress")
 
 
-def _require_power_of_two(p: int) -> None:
+def require_power_of_two(p: int) -> None:
     if p & (p - 1):
         raise ValueError(
             f"internal partitioners use recursive bisection and need p to be a "
@@ -777,8 +775,8 @@ def _partition_by_bisection(h: Hypergraph, cfg: PartitionConfig, tag: int) -> Pa
     weights = h.vertex_weight
     if cfg.p == 1:
         return Partition.from_assignment(np.zeros(n, dtype=np.int64), weights, 1, cfg.epsilon)
-    _require_power_of_two(cfg.p)
-    cap_leaf = (1.0 + cfg.epsilon) * float(weights.sum()) / cfg.p
+    require_power_of_two(cfg.p)
+    cap_leaf = balance_cap(weights.sum(), cfg.p, cfg.epsilon)
     rng = np.random.default_rng([int(cfg.seed), tag])
     assignment = np.full(n, -1, dtype=np.int64)
     ids = np.arange(n, dtype=np.int64)

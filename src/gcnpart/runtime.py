@@ -27,7 +27,9 @@ Two schedulers drive the same rank programs:
   needs no action there.
 
 Both receive in ascending sender rank and reduce in ascending rank order,
-so results are bit-identical across schedulers and reruns. (Nothing forces
+so results are bit-identical across schedulers and reruns; dense products
+are numpy's @, which gives the same bits for the same operands under a
+fixed numpy/BLAS build and thread setting. (Nothing forces
 a receive order on a real network; fixing one trades away out-of-order
 receipt for reproducible floating point.)
 """
@@ -213,7 +215,6 @@ class EpochMetrics:
     avg_words_per_proc: float
     total_msgs: int
     max_msgs_per_proc: int
-    wallclock: float
     loss: float
 
 
@@ -529,15 +530,15 @@ def _run(programs, net: SimNetwork, scheduler: str) -> list:
 # public operations
 
 
-def parallel_feedforward(states, net: SimNetwork, scheduler: str = "round", epoch: int = 0):
+def parallel_feedforward(states, net: SimNetwork, scheduler: str = "round"):
     """One forward pass over all layers, no update: inference. Fills each
     rank's h/z blocks; train_epochs runs the same forward sweep in every
     training step."""
-    _run([_rank_forward(st, net, epoch, 0) for st in states], net, scheduler)
+    _run([_rank_forward(st, net, 0, 0) for st in states], net, scheduler)
     return states
 
 
-def _metrics_from_records(recs, p: int, wall: float, loss: float) -> EpochMetrics:
+def _metrics_from_records(recs, p: int, loss: float) -> EpochMetrics:
     src = np.array([r.src for r in recs], dtype=np.int64)
     size = np.array([r.rows * r.cols for r in recs], dtype=np.int64)
     words = np.bincount(src, weights=size, minlength=p).astype(np.int64)  # exact below 2**53
@@ -548,7 +549,6 @@ def _metrics_from_records(recs, p: int, wall: float, loss: float) -> EpochMetric
         avg_words_per_proc=float(words.sum() / p),
         total_msgs=int(msgs.sum()),
         max_msgs_per_proc=int(msgs.max()) if p else 0,
-        wallclock=wall,
         loss=loss,
     )
 
@@ -582,7 +582,7 @@ def _resolve_labels(states, labels: LabelSet) -> list[tuple]:
     rows = np.concatenate([st.global_rows for st in states])
     sizes = [len(st.global_rows) for st in states]
     rank = np.repeat(np.arange(len(states)), sizes)
-    local = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    local = ranges(0, sizes)
     label_at = _label_index(labels, len(rows))[rows]
     return [(*x, len(labels)) for x in _group_labels(label_at, rank, local, len(states), labels)]
 
@@ -809,7 +809,7 @@ def train_epochs(
         prime_spmm_schedules(op for st in states for op in (st.a_fwd, st.a_bwd))
     out = []
     for e in range(epochs):
-        start, first = time.perf_counter(), len(net.log)
+        first = len(net.log)
         losses = []
         if mini:
             batches = sample_batches(len(index.owner), mode.spec, mode.batches_per_epoch, rng)
@@ -821,7 +821,6 @@ def train_epochs(
             losses.append(_run(programs, net, scheduler)[0])
             for st, sub in zip(states, step_states):
                 st.weights = sub.weights
-        wall = time.perf_counter() - start
         loss = float(np.mean(losses)) if losses else 0.0
-        out.append(_metrics_from_records(net.log[first:], len(states), wall, loss))
+        out.append(_metrics_from_records(net.log[first:], len(states), loss))
     return out

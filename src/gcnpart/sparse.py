@@ -1,13 +1,13 @@
-"""CSR sparse and dense matrix kernels.
+"""CSR sparse matrix kernels.
 
-CSR storage, the GCN normalization D^{-1/2}(A+I)D^{-1/2} (gcn_scale, which
+CSR storage and its invariant check (which Hypergraph's pins share), the
+GCN normalization D^{-1/2}(A+I)D^{-1/2} (gcn_scale, which
 normalize_adjacency and the runtime's mini-batch steps call), sparse-dense
-and dense-dense products, CSR transpose and the transpose order (one
-column sort), the bit-exact symmetry check, row/column restriction, and
-sorts and lookups on int64 keys. CsrMatrix.batch builds many matrices over
-shared flat arrays and checks their invariants once. RowBlock and
-gather_rows copy a block's rows by global id; nothing in the package calls
-them.
+products, CSR transpose and the transpose order (one column sort), the
+bit-exact symmetry check, row/column restriction, and sorts and lookups on
+int64 keys. CsrMatrix.batch builds many matrices over shared flat arrays
+and checks their invariants once. RowBlock and gather_rows copy a block's
+rows by global id; nothing in the package calls them.
 
 All scalars are float64. Each spmm output row is the sequential sum of its
 products in ascending column order (CSR columns are sorted), built from
@@ -17,9 +17,6 @@ values of every entry in summing order) is built once per operand, or for
 many operands by one spmm_schedules pass, and cached on it, so a call
 makes one gather into an nnz x d temporary, scales it in place and sums
 its slices into the output, step by step.
-Dense products (dmm) go through BLAS; for a fixed numpy/BLAS build and
-thread setting the same operands give the same bits, so repeated runs,
-and the two schedulers, are bit-identical.
 """
 
 from __future__ import annotations
@@ -80,25 +77,28 @@ def dense(x) -> np.ndarray:
     return a
 
 
-def _check_csr(starts, n_cols, ro, ci, v):
+def _check_csr(starts, n_cols, ro, ci, v=None):
     """Check CsrMatrix's invariants for the matrices of CsrMatrix.batch (one
     matrix: starts [0, n_rows]), raising the first bad matrix's ValueError;
-    returns the arrays as int64 and float64, all but starts read-only. Valid
-    input costs a few whole-array screens; the bad entry is located only
-    once a screen fails."""
+    returns the arrays as int64 and float64, all but starts read-only. With
+    v None (a pattern, such as Hypergraph's pins) values are not checked and
+    None comes back. Valid input costs a few whole-array screens; the bad
+    entry is located only once a screen fails."""
     starts, ro, ci = map(_as_index_array, (starts, ro, ci))
-    v = np.ascontiguousarray(np.asarray(v, dtype=np.float64))
+    if v is not None:
+        v = np.ascontiguousarray(np.asarray(v, dtype=np.float64))
     nnz = len(ci)
-    if (len(ro) != starts[-1] + 1 or ro[0] != 0 or starts[0] != 0
-            or (starts[1] < 0 if len(starts) == 2 else (starts[1:] < starts[:-1]).any())):
+    # ro[0] is read last: ro is empty for n_rows = -1
+    if (len(ro) != starts[-1] + 1 or starts[0] != 0
+            or (starts[1] < 0 if len(starts) == 2 else (starts[1:] < starts[:-1]).any()) or ro[0] != 0):
         raise ValueError("row_offsets must have length n_rows+1 and start at 0")
     if ro[-1] != nnz or (ro[1:] < ro[:-1]).any():
         down = np.flatnonzero(ro[1:] < ro[:-1])
         m = int(np.searchsorted(starts, down[0], side="right")) - 1 if len(down) else len(n_cols) - 1
         k = starts[m]  # the matrices before m come first
-        _check_csr(starts[: m + 1], n_cols[:m], ro[: k + 1], ci[: ro[k]], v[: ro[k]])
+        _check_csr(starts[: m + 1], n_cols[:m], ro[: k + 1], ci[: ro[k]], None if v is None else v[: ro[k]])
         raise ValueError("row_offsets must be non-decreasing and end at nnz")
-    if len(v) != nnz:
+    if v is not None and len(v) != nnz:
         raise ValueError("values and col_indices must have equal length")
     # entries are scanned only if a column is negative (huge as uint64) or
     # reaches the least n_cols
@@ -113,9 +113,9 @@ def _check_csr(starts, n_cols, ro, ci, v):
         row = np.searchsorted(ro, np.concatenate([wide, np.flatnonzero(step)[:1]]), side="right") - 1
         m = np.searchsorted(starts, row, side="right") - 1
         if len(wide) and m[0] <= m[-1]:
-            raise ValueError("column index out of range")
+            raise ValueError(f"column index out of range in row {row[0] - starts[m[0]]}")
         raise ValueError(f"columns in row {row[-1] - starts[m[-1]]} not strictly increasing")
-    for arr in (ro, ci, v):
+    for arr in (ro, ci) if v is None else (ro, ci, v):
         arr.setflags(write=False)
     return starts, ro, ci, v
 
@@ -408,22 +408,6 @@ def spmm(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
     for lo, hi in zip(bounds[hubs:], bounds[hubs + 1 :]):
         acc[hubs : hubs + hi - lo] += x[lo:hi]
     return acc.take(place, axis=0)
-
-
-def dmm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dense @ dense with a shape check."""
-    x, y = dense(x), dense(y)
-    if x.shape[1] != y.shape[0]:
-        raise ValueError(f"dmm shape mismatch: {x.shape} @ {y.shape}")
-    return x @ y
-
-
-def hadamard(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Element-wise product of two equal-shape dense matrices."""
-    x, y = dense(x), dense(y)
-    if x.shape != y.shape:
-        raise ValueError(f"hadamard shape mismatch: {x.shape} vs {y.shape}")
-    return x * y
 
 
 def _column_order(a: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:

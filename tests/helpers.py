@@ -184,20 +184,6 @@ def dense_spmm_oracle(a: CsrMatrix, h: np.ndarray) -> np.ndarray:
     return a.to_dense() @ h
 
 
-def triple_loop_dmm_oracle(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n, k = x.shape
-    k2, m = y.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += x[i, t] * y[t, j]
-            out[i, j] = acc
-    return out
-
-
 def brute_force_lambda(pins, assignment) -> int:
     return len({int(assignment[v]) for v in pins})
 

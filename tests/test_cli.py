@@ -88,6 +88,33 @@ class TestConfigValidation:
         assert "--batches" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--epsilon", "-0.5"], "epsilon must be >= 0"),
+        (["--epsilon", "nan"], "epsilon must be >= 0"),
+        (["-p", "3", "--partitioner", "rp,hp"], "power of two (got 3)"),
+        (["-p", "6", "--partitioner", "gp"], "power of two (got 6)"),
+        (["-p", "3", "--partitioner", "shp", "--batch-size", "3"], "power of two (got 3)"),
+        (["--learning-rate", "0"], "learning rate must be positive and finite"),
+        (["--learning-rate", "inf"], "learning rate must be positive and finite"),
+        (["--scheduler", "bogus"], "invalid choice: 'bogus'"),
+        (["--mode", "mini", "--batch-size", "-3"], "batch_size must be >= 1"),
+    ])
+    def test_rules_checked_before_any_file_is_read(self, tmp_path, capsys, extra, message):
+        # the graph does not exist: reading it would exit 1
+        out = tmp_path / "o"
+        argv = [
+            "--graph", str(tmp_path / "missing.txt"), "--layers", "1", "--dims", "4,3",
+            "--epochs", "1", "--seed", "5", "--out", str(out), *extra,
+        ]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_scheduler_rejected(self, tmp_path):
+        cfg = base_config(write_grid(tmp_path), tmp_path / "o", scheduler="bogus")
+        with pytest.raises(ValueError, match="unknown scheduler 'bogus'"):
+            cfg.validate()
+
     def test_seed_flag_is_mandatory(self, capsys):
         with pytest.raises(SystemExit):
             parse_args(["--graph", "g.txt"])
@@ -152,13 +179,6 @@ class TestRunExperiment:
         assert "wallclock" not in json.dumps(report)
         timing = json.loads((out / "timing.json").read_text())
         assert "rp" in timing and "wallclock_s" in timing["rp"]
-
-    def test_emit_plan_writes_plan_files(self, tmp_path):
-        out = tmp_path / "o"
-        cfg = base_config(write_grid(tmp_path), out, emit_plan=True)
-        run_experiment(cfg)
-        plan = json.loads((out / "plan_hp.json").read_text())
-        assert "pair_row_counts" in plan
 
     def test_partition_file_partitioner(self, tmp_path):
         graph = write_grid(tmp_path, 4, 4)

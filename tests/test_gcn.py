@@ -142,6 +142,15 @@ class TestBackprop:
         for gw in grads_w:
             assert np.array_equal(gw, np.zeros_like(gw))
 
+    def test_grad_last_shape_mismatch_rejected(self):
+        model = init_model((3, 2), seed=0)
+        a = CsrMatrix.identity(4)
+        trace = feedforward(model, a, np.ones((4, 3)))
+        # (1, 2) and (4, 1) would broadcast against the (4, 2) output
+        for shape in ((4, 3), (1, 2), (4, 1)):
+            with pytest.raises(ValueError, match=rf"grad_last has shape \({shape[0]}, {shape[1]}\), expected \(4, 2\)"):
+                backprop(model, a, trace, np.ones(shape))
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_weight_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng([12, seed])

@@ -118,17 +118,34 @@ class TestHypergraphModel:
 
 
 def reference_net_error(n_vertices, nets):
-    """The net-by-net check the vectorized one replaced, kept as an oracle:
-    the error for the first bad net, or None."""
-    for j, net in enumerate(nets):
-        pins = np.asarray(net, dtype=np.int64)
+    """Hypergraph's error for the pin lists nets, found net by net, or
+    None. The checks of the CSR pattern come first, each over every net:
+    a pin out of range, then pins that do not rise strictly; then an
+    empty net. Each error names the first net failing it."""
+    nets = [np.asarray(net, dtype=np.int64) for net in nets]
+    for j, pins in enumerate(nets):
+        if np.any((pins < 0) | (pins >= n_vertices)):
+            return f"column index out of range in row {j}"
+    for j, pins in enumerate(nets):
+        if np.any(np.diff(pins) <= 0):
+            return f"columns in row {j} not strictly increasing"
+    for j, pins in enumerate(nets):
         if len(pins) == 0:
             return f"net {j} has no pins"
-        if np.any(np.diff(pins) <= 0):
-            return f"net {j} pins must be sorted and distinct"
-        if pins[0] < 0 or pins[-1] >= n_vertices:
-            return f"net {j} pin out of range"
     return None
+
+
+@st.composite
+def raw_csr_arrays(draw):
+    """n_vertices, offsets and pins as drawn lists: pins in [-1, n], and
+    offsets either anything near [0, len(pins)] or cut points of the pins
+    from 0 to len(pins), so that the pin checks are reached too."""
+    n = draw(st.integers(0, 5))
+    pins = draw(st.lists(st.integers(-1, n), max_size=8))
+    offsets = draw(st.lists(st.integers(-1, len(pins) + 1), max_size=6))
+    if draw(st.booleans()):
+        offsets = [0] + sorted(min(max(x, 0), len(pins)) for x in offsets) + [len(pins)]
+    return n, offsets, pins
 
 
 def unit_hypergraph(n, nets):
@@ -159,10 +176,10 @@ class TestHypergraphType:
         "nets, message",
         [
             (([0, 1], []), "net 1 has no pins"),
-            (([0, 1], [2, 1]), "net 1 pins must be sorted and distinct"),
-            (([0, 1], [1, 1]), "net 1 pins must be sorted and distinct"),
-            (([0, 1], [1, 3]), "net 1 pin out of range"),
-            (([0, 1], [-1, 2]), "net 1 pin out of range"),
+            (([0, 1], [2, 1]), "columns in row 1 not strictly increasing"),
+            (([0, 1], [1, 1]), "columns in row 1 not strictly increasing"),
+            (([0, 1], [1, 3]), "column index out of range in row 1"),
+            (([0, 1], [-1, 2]), "column index out of range in row 1"),
         ],
     )
     def test_rejects_bad_net(self, nets, message):
@@ -171,19 +188,25 @@ class TestHypergraphType:
 
     def test_error_names_the_first_bad_net(self):
         # net 1 is out of range, net 2 empty, net 3 unsorted: net 1 is named
-        with pytest.raises(ValueError, match="^net 1 pin out of range$"):
+        with pytest.raises(ValueError, match="^column index out of range in row 1$"):
             unit_hypergraph(3, ([0], [1, 5], [], [2, 0]))
-        # a net failing two checks names the first of them, as the
-        # net-by-net check did
-        with pytest.raises(ValueError, match="^net 0 pins must be sorted and distinct$"):
+        # a range error anywhere comes before an ordering error, and both
+        # before an empty net, whichever net comes first
+        with pytest.raises(ValueError, match="^column index out of range in row 1$"):
+            unit_hypergraph(3, ([2, 0], [1, 5]))
+        with pytest.raises(ValueError, match="^columns in row 1 not strictly increasing$"):
+            unit_hypergraph(3, ([], [2, 0]))
+        with pytest.raises(ValueError, match="^column index out of range in row 0$"):
             unit_hypergraph(3, ([7, 1], [9]))
 
     def test_rejects_bad_offsets(self):
         with pytest.raises(ValueError, match="start at 0"):
             Hypergraph(3, [1, 2], [0, 1], [1.0], [1, 1, 1])
-        with pytest.raises(ValueError, match="end at len"):
+        with pytest.raises(ValueError, match="start at 0"):
+            Hypergraph(3, [], [], [], [1, 1, 1])
+        with pytest.raises(ValueError, match="end at nnz"):
             Hypergraph(3, [0, 1], [0, 1], [1.0], [1, 1, 1])
-        with pytest.raises(ValueError, match="never decrease"):
+        with pytest.raises(ValueError, match="non-decreasing"):
             Hypergraph(3, [0, 2, 1, 2], [0, 1], [1.0, 1.0, 1.0], [1, 1, 1])
 
     def test_rejects_wrong_lengths(self):
@@ -210,6 +233,28 @@ class TestHypergraphType:
         else:
             with pytest.raises(ValueError) as err:
                 unit_hypergraph(n, nets)
+            assert str(err.value) == want
+
+    @settings(deadline=None, max_examples=300)
+    @given(raw_csr_arrays())
+    def test_raises_as_its_csr_pattern_does(self, inst):
+        # the unit-valued CsrMatrix of the same arrays, one row per net,
+        # decides the error; a pattern it accepts fails only on an empty net
+        n, offsets, pins = inst
+        want = None
+        try:
+            CsrMatrix(len(offsets) - 1, n, offsets, pins, np.ones(len(pins)))
+        except ValueError as exc:
+            want = str(exc)
+        if want is None and 0 in np.diff(offsets):
+            want = f"net {list(np.diff(offsets)).index(0)} has no pins"
+        args = (n, offsets, pins, np.ones(max(len(offsets) - 1, 0)), np.ones(n))
+        if want is None:
+            h = Hypergraph(*args)
+            assert list(h.offsets) == offsets and list(h.pins) == pins
+        else:
+            with pytest.raises(ValueError) as err:
+                Hypergraph(*args)
             assert str(err.value) == want
 
 

@@ -101,7 +101,6 @@ class TestSummaries:
             avg_words_per_proc=float(words),
             total_msgs=msgs,
             max_msgs_per_proc=msgs,
-            wallclock=0.5,
             loss=1.0,
         )
 

@@ -544,8 +544,8 @@ class TestRecords:
         for r in recs:
             words[r.src] += r.words
             msgs[r.src] += 1
-        got = runtime._metrics_from_records(recs, p, 0.5, 1.0)
-        want = (sum(words), max(words), sum(words) / p, sum(msgs), max(msgs), 0.5, 1.0)
+        got = runtime._metrics_from_records(recs, p, 1.0)
+        want = (sum(words), max(words), sum(words) / p, sum(msgs), max(msgs), 1.0)
         assert dataclasses.astuple(got) == want
         assert all(type(x) is type(y) for x, y in zip(dataclasses.astuple(got), want))
 
@@ -597,7 +597,7 @@ class TestTrainEpochs:
         pi = partition_for(a_hat, 4, 6)
 
         def metrics(states, net):
-            return [dataclasses.replace(m, wallclock=0.0) for m in train_epochs(states, net, labels, 1)]
+            return train_epochs(states, net, labels, 1)
 
         fresh = scatter(a_hat, h0, pi, model)
         want = [metrics(fresh, SimNetwork(4)) for _ in range(2)]

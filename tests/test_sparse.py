@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from gcnpart import (
     CsrMatrix,
     RowBlock,
-    dmm,
     gather_rows,
-    hadamard,
     normalize_adjacency,
     spmm,
     transpose_sparse,
 )
 from gcnpart.sparse import add_identity, prime_spmm_schedules, restrict
 
-from helpers import chung_lu_graph, dense_spmm_oracle, random_undirected, triple_loop_dmm_oracle
+from helpers import chung_lu_graph, dense_spmm_oracle, random_undirected
 
 
 class TestCsrMatrix:
@@ -452,43 +450,6 @@ class TestSpmmSchedules:
         cached = a.spmm_schedule
         prime_spmm_schedules([a])
         assert a.spmm_schedule is cached
-
-
-class TestDmm:
-    def test_identity(self):
-        x = np.random.default_rng(2).standard_normal((4, 4))
-        assert np.array_equal(dmm(x, np.eye(4)), x)
-
-    def test_scalar_product(self):
-        assert dmm(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(3)
-        x = rng.standard_normal((4, 5))
-        y = rng.standard_normal((5, 2))
-        np.testing.assert_allclose(dmm(x, y), triple_loop_dmm_oracle(x, y), rtol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            dmm(np.ones((2, 3)), np.ones((2, 3)))
-
-
-class TestHadamard:
-    def test_ones_identity(self):
-        x = np.random.default_rng(4).standard_normal((3, 3))
-        assert np.array_equal(hadamard(x, np.ones((3, 3))), x)
-
-    def test_zeros_annihilate(self):
-        x = np.random.default_rng(5).standard_normal((3, 3))
-        assert np.array_equal(hadamard(x, np.zeros((3, 3))), np.zeros((3, 3)))
-
-    def test_definition(self):
-        got = hadamard(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0, 6.0], [7.0, 8.0]]))
-        assert np.array_equal(got, [[5.0, 12.0], [21.0, 32.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
 
 
 class TestTranspose:
